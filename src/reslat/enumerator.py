@@ -292,7 +292,11 @@ def worker_count(workers: int | None = None) -> int:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            raise ContractError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+        return max(1, count)
     return os.cpu_count() or 1
 
 

@@ -66,6 +66,7 @@ def parse_document(text: str) -> LatticeDocument:
         "labels", "must be a list of non-empty strings",
     )
     n = len(labels)
+    _expect(type(doc["size"]) is int, "size", "must be an integer")
     _expect(doc["size"] == n, "size", f"must equal the number of labels ({n})")
     _expect(len(set(labels)) == n, "labels", "must be unique")
     pos = {s: i for i, s in enumerate(labels)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import ResiduatedLattice, bits, negation
-from .filters import all_filters, filter_join, is_domain, principal_filter, quotient
+from .filters import all_filters, filter_join, filter_lattice, is_domain, principal_filter, quotient
 from .spectra import (
     hull,
     hull_kernel_topology,
@@ -123,18 +123,29 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
 
 
 def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> tuple[bool, Any]:
+    """Whether all members f, g with f meet g = {1} have members u, v with
+    u meet f = {1}, v meet g = {1} and u join v = A.  The witness is the
+    first failing (f, g) in member order.
+
+    Joins come from the filter lattice's join table.  Bit j of disjoint[i]
+    says members i and j meet in {1}; bit j of comax[i] says they join to
+    A.  The scan is then O(F^2) operations on F-bit masks.
+    """
+    fl = filter_lattice(lat)
     one = 1 << lat.top
-    for f in members:
-        for g in members:
-            if f & g != one:
-                continue
-            if not any(
-                u & f == one and v & g == one
-                and filter_join(lat, u, v) == lat.full_mask
-                for u in members
-                for v in members
-            ):
-                return False, {"pair": [_lab(lat, f), _lab(lat, g)]}
+    full = fl.index[lat.full_mask]
+    pos = [fl.index[f] for f in members]
+    disjoint = [sum(1 << j for j, g in enumerate(members) if f & g == one) for f in members]
+    comax = [
+        sum(1 << j for j, q in enumerate(pos) if fl.join_table[p][q] == full) for p in pos
+    ]
+    for i, f in enumerate(members):
+        reach = 0
+        for u in bits(disjoint[i]):
+            reach |= comax[u]
+        for j in bits(disjoint[i]):
+            if not reach & disjoint[j]:
+                return False, {"pair": [_lab(lat, f), _lab(lat, members[j])]}
     return True, None
 
 

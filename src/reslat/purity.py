@@ -107,47 +107,52 @@ def divisor_filter(lat: ResiduatedLattice, prime: int) -> int:
 
 
 class OmegaLattice:
-    """The omega-filters with their representative-independent join."""
+    """The omega-filters with their representative-independent join.
+
+    Every ideal of a finite lattice is principal, so omega(down m) is
+    {a | a v m = top} and the ideal join of down m and down k is
+    down (m v k).  omega is computed once per element; one pass over all
+    element pairs then checks that omega(m v k) depends only on
+    (omega(m), omega(k)) and records it in vee_table, indexed by member
+    position.  That covers every pair of representative ideals at O(n^2)
+    table lookups.
+    """
 
     def __init__(self, lat: ResiduatedLattice):
         self.lattice = lat
-        ideals = lattice_ideals(lat)
+        largest = {lat.down(x): x for x in range(lat.size)}
+        omega = [0] * lat.size
         reps: dict[int, list[int]] = {}
-        for i in ideals:
-            reps.setdefault(omega_filter(lat, i), []).append(i)
+        for i in lattice_ideals(lat):
+            f = omega_filter(lat, i)
+            omega[largest[i]] = f
+            reps.setdefault(f, []).append(i)
         self.members = canonical_sort(reps)
         self.representatives = {f: tuple(rs) for f, rs in reps.items()}
         self.index = {f: i for i, f in enumerate(self.members)}
-        m = len(self.members)
-        table = []
-        for a in range(m):
-            row = []
-            for b in range(m):
-                row.append(self.index[self.vee(self.members[a], self.members[b])])
-            table.append(tuple(row))
-        self.vee_table = tuple(table)
+        joins: dict[tuple[int, int], int] = {}
+        for m, f in enumerate(omega):
+            row = lat.join[m]
+            for k, g in enumerate(omega):
+                out = omega[row[k]]
+                if joins.setdefault((f, g), out) != out:
+                    raise InternalCheckError(
+                        f"omega join depends on representatives for {lat.label_set(f)}"
+                        f" and {lat.label_set(g)}"
+                    )
+                if out not in self.index:
+                    raise InternalCheckError("omega join left the omega-filters")
+        self.vee_table = tuple(
+            tuple(self.index[joins[f, g]] for g in self.members) for f in self.members
+        )
         for f in self.members:
             for g in self.members:
                 if f & g not in self.index:
                     raise InternalCheckError("omega-filters not closed under meet")
 
     def vee(self, f: int, g: int) -> int:
-        """omega of the ideal join of representatives, checked across all."""
-        lat = self.lattice
-        results = {
-            omega_filter(lat, ideal_join(lat, i, j))
-            for i in self.representatives[f]
-            for j in self.representatives[g]
-        }
-        if len(results) != 1:
-            raise InternalCheckError(
-                f"omega join depends on representatives for {lat.label_set(f)}"
-                f" and {lat.label_set(g)}"
-            )
-        out = results.pop()
-        if out not in self.index and out not in self.representatives:
-            raise InternalCheckError("omega join left the omega-filters")
-        return out
+        """omega of the ideal join of any representatives of f and g."""
+        return self.members[self.vee_table[self.index[f]][self.index[g]]]
 
 
 @cache

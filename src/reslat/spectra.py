@@ -153,13 +153,6 @@ def hull(lat: ResiduatedLattice, subset: int, points: int | None = None) -> int:
     return out
 
 
-def cohull(lat: ResiduatedLattice, subset: int, points: int | None = None) -> int:
-    spec = prime_spectrum(lat)
-    if points is None:
-        points = spec.all_points
-    return points & ~hull(lat, subset, points)
-
-
 def kernel(lat: ResiduatedLattice, point_mask: int) -> int:
     """Intersection of the selected primes; the empty intersection is A."""
     spec = prime_spectrum(lat)

@@ -88,6 +88,18 @@ def build_chain(n: int, squares: dict[int, int] | None = None) -> ResiduatedLatt
     return from_order(labels, leq, odot)
 
 
+def build_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLattice:
+    """The direct product a x b, ordered and multiplied componentwise."""
+    pairs = [(x, y) for x in range(a.size) for y in range(b.size)]
+    labels = tuple(f"{a.labels[x]}.{b.labels[y]}" for x, y in pairs)
+    leq = [[a.leq(x, u) and b.leq(y, v) for u, v in pairs] for x, y in pairs]
+    odot = [
+        [pairs.index((a.odot[x][u], b.odot[y][v])) for u, v in pairs]
+        for x, y in pairs
+    ]
+    return from_order(labels, leq, odot)
+
+
 def build_two_chain() -> ResiduatedLattice:
     return build_chain(2)
 

@@ -160,6 +160,15 @@ def test_missing_file_is_input_error(capsys):
     assert "error" in err
 
 
+def test_bad_thread_count_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("RESLAT_THREADS", "abc")
+    code, out, err = run(capsys, "enumerate", "--size", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "RESLAT_THREADS" in err and "'abc'" in err
+
+
 def _run_cli(args, env=None):
     full_env = dict(os.environ)
     if env:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from reslat import ValidationFailed, from_order
+from reslat.cli import main
 from reslat.enumerator import enumerate_residuated
 from reslat.latfile import (
     LatticeFormatError,
@@ -116,6 +117,19 @@ def test_one_element_document_round_trip():
     doc = parse_document(text)
     assert doc.lattice.size == 1
     assert serialize_document(doc) == text
+
+
+def test_boolean_size_rejected(capsys, tmp_path):
+    # True == 1, so a one-element document must not accept "size": true
+    doc = json.loads(serialize_lattice(enumerate_residuated(1, workers=1)[0], "point"))
+    doc["size"] = True
+    text = json.dumps(doc)
+    with pytest.raises(LatticeFormatError, match="size"):
+        parse_document(text)
+    p = tmp_path / "bool_size.json"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: size")
 
 
 def test_enumerated_three_chains_serialize_distinctly():

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from reslat.filters import all_filters, generated_filter, principal_filter
 from reslat.mp import (
     FAMILIES,
     MpDisagreement,
+    _conormal,
+    _lab,
     mp_check,
     mp_via_algebraic,
     mp_via_purity,
@@ -13,7 +16,7 @@ from reslat.mp import (
     mp_via_topology,
 )
 
-from lattices import build_boolean4, build_chain, build_two_chain
+from lattices import build_boolean4, build_chain, build_product, build_two_chain
 
 
 def test_worked_example_is_mp(a6):
@@ -110,3 +113,32 @@ def test_disagreement_is_detectable():
     assert report.agree
     with pytest.raises(Exception):
         raise MpDisagreement(report, "{}")
+
+
+def _conormal_by_definition(lat, members):
+    # the plain scan over 4-tuples, closing u | v for every candidate
+    one = 1 << lat.top
+    for f in members:
+        for g in members:
+            if f & g != one:
+                continue
+            if not any(
+                u & f == one and v & g == one
+                and generated_filter(lat, u | v) == lat.full_mask
+                for u in members
+                for v in members
+            ):
+                return False, {"pair": [_lab(lat, f), _lab(lat, g)]}
+    return True, None
+
+
+def test_conormal_matches_definitional_scan(a6, a8, corpus5):
+    # a8 x 2 fails on several pairs per filter, which pins the witness order
+    seen = set()
+    for lat in (a6, a8, build_product(a8, build_two_chain()), *corpus5):
+        principal = tuple(sorted({principal_filter(lat, x) for x in range(lat.size)}))
+        for members in (all_filters(lat), principal):
+            result = _conormal(lat, members)
+            assert result == _conormal_by_definition(lat, members)
+            seen.add(result[0])
+    assert seen == {True, False}

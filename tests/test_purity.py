@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from reslat import ContractError
+from reslat import ContractError, InternalCheckError, purity
 from reslat.coann import coannulet
 from reslat.filters import all_filters, filter_join, is_filter
 from reslat.purity import (
@@ -20,7 +20,7 @@ from reslat.purity import (
 )
 from reslat.spectra import prime_spectrum
 
-from lattices import build_boolean4, build_two_chain, mask
+from lattices import build_boolean4, build_chain, build_two_chain, mask
 
 
 def test_lattice_ideals_golden(a6):
@@ -98,8 +98,8 @@ def test_coannulets_are_omega_filters(a6, a8, corpus4):
             assert coannulet(lat, x) in members
 
 
-def test_omega_vee_is_representative_independent(a6, a8, corpus4):
-    for lat in (a6, a8, *corpus4):
+def test_omega_vee_is_representative_independent(a6, a8, corpus5):
+    for lat in (a6, a8, *corpus5):
         om = omega_lattice(lat)
         for f in om.members:
             for g in om.members:
@@ -110,6 +110,21 @@ def test_omega_vee_is_representative_independent(a6, a8, corpus4):
                 }
                 assert len(results) == 1
                 assert om.vee(f, g) == results.pop()
+
+
+def test_omega_lattice_detects_representative_dependence(monkeypatch):
+    # on the chain 0 < a < 1, send omega(down 0) to the carrier: the pairs
+    # (0, a) and (1, a) then share the key (A, {1}) but join to {1} and A
+    lat = build_chain(3)
+    real = purity.omega_filter
+    bottom = 1 << lat.bottom
+
+    def faulty(lat, ideal):
+        return lat.full_mask if ideal == bottom else real(lat, ideal)
+
+    monkeypatch.setattr(purity, "omega_filter", faulty)
+    with pytest.raises(InternalCheckError, match="depends on representatives"):
+        purity.OmegaLattice(lat)
 
 
 def test_pure_core_golden(a6, a8):
