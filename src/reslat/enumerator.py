@@ -5,7 +5,10 @@ linear-extension order, pruning any prefix in which some pair acquires
 two incomparable minimal common upper bounds (or maximal common lower
 bounds); such a defect can never be repaired later.  Products are filled
 cell by cell with monotonicity, associativity and join-distributivity
-propagated over the filled prefix.  Isomorph rejection uses the
+propagated over the filled prefix.  Since the prefix already satisfies
+every instance it can evaluate and filled cells never change, each new
+cell is checked only against the instances that read it: O(n^2) work per
+candidate value, not O(n^3).  Isomorph rejection uses the
 lexicographically minimal table under relabelings fixing bottom and top.
 
 A brute-force oracle (naive_residuated) covers orders up to four for
@@ -160,57 +163,85 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
 def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All products making the lattice residuated, up to lattice automorphism.
 
-    Emitted as full n x n tables in a deterministic order, one canonical
-    representative per automorphism orbit.
+    The middle cells {i, j} are filled in row order; a value is kept only if
+    every monotonicity, associativity and join-distributivity instance that
+    the filled cells can evaluate still holds.  The prefix before the new
+    cell passed every instance it could evaluate, and filled cells never
+    change, so a new failure must come from an instance that reads the new
+    cell: only those are checked, O(n^2) per candidate value instead of a
+    rescan of all O(n^3) triples.  Emitted as full n x n tables in a
+    deterministic order, one canonical representative per automorphism orbit.
     """
     n = len(up)
     bottom, top, join, meet = bounded_lattice_ops(up)
     down = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
+    below = [tuple(bits(m)) for m in down]
+    above = [tuple(bits(m)) for m in up]
     auts = lattice_automorphisms(up)
     cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
     row_end = {i: max(j for k, j in cells if k == i) for i, _ in cells} if cells else {}
-    table: dict[tuple[int, int], int] = {}
+    # table[x][y] is the product, None while unfilled; bottom and top are fixed
+    table: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        table[x][top] = table[top][x] = x
+        table[x][bottom] = table[bottom][x] = bottom
+    joins_to = [[] for _ in range(n)]
+    for y in range(n):
+        for z in range(n):
+            joins_to[join[y][z]].append((y, z))
 
-    def get(x: int, y: int) -> int | None:
-        if x == bottom or y == bottom:
-            return bottom
-        if x == top:
-            return y
-        if y == top:
-            return x
-        return table.get((x, y) if x <= y else (y, x))
-
-    def leq(x: int, y: int) -> bool:
-        return bool(up[x] >> y & 1)
+    def triple_ok(x: int, y: int, z: int) -> bool:
+        # (x.y).z = x.(y.z) and x.(y v z) = x.y v x.z, where evaluable
+        row = table[x]
+        txy = row[y]
+        if txy is None:
+            return True
+        tyz = table[y][z]
+        if tyz is not None:
+            l, r = table[txy][z], row[tyz]
+            if l is not None and r is not None and l != r:
+                return False
+        txz = row[z]
+        if txz is not None:
+            t = row[join[y][z]]
+            if t is not None and t != join[txy][txz]:
+                return False
+        return True
 
     def consistent(i: int, j: int, v: int) -> bool:
-        for a in range(n):
-            for b in range(n):
-                w = get(a, b)
-                if w is None:
-                    continue
-                if leq(a, i) and leq(b, j) and not leq(w, v):
+        for a in below[i]:
+            row = table[a]
+            for b in below[j]:
+                w = row[b]
+                if w is not None and not down[v] >> w & 1:
                     return False
-                if leq(i, a) and leq(j, b) and not leq(v, w):
+        for a in above[i]:
+            row = table[a]
+            for b in above[j]:
+                w = row[b]
+                if w is not None and not up[v] >> w & 1:
                     return False
-        for x in range(n):
-            for y in range(n):
-                txy = get(x, y)
-                for z in range(n):
-                    tyz = get(y, z)
-                    l = get(txy, z) if txy is not None else None
-                    r = get(x, tyz) if tyz is not None else None
-                    if l is not None and r is not None and l != r:
+        # every (x, y, z) with {i, j} at one of the lookups x.y, y.z, x.z,
+        # (x.y).z, x.(y.z) or x.(y v z), for each orientation (p, q)
+        for p, q in ((i, j), (j, i)) if i != j else ((i, j),):
+            for z in range(n):
+                if not (triple_ok(p, q, z) and triple_ok(z, p, q) and triple_ok(p, z, q)):
+                    return False
+            for x in range(n):
+                row = table[x]
+                for y in range(n):
+                    w = row[y]
+                    if w == p and not triple_ok(x, y, q):
                         return False
-                    txz = get(x, z)
-                    if txy is not None and txz is not None:
-                        t = get(x, join[y][z])
-                        if t is not None and t != join[txy][txz]:
-                            return False
+                    if w == q and not triple_ok(p, x, y):
+                        return False
+            for y, z in joins_to[q]:
+                if not triple_ok(p, y, z):
+                    return False
         return True
 
     def prefix_key(upto: int) -> tuple[int, ...]:
-        return tuple(table[c] for c in cells[: upto + 1])
+        return tuple(table[x][y] for x, y in cells[: upto + 1])
 
     def relabeled_prefix(perm: tuple[int, ...], upto: int) -> tuple[int, ...] | None:
         inv = [0] * n
@@ -218,7 +249,7 @@ def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
             inv[p] = a
         out = []
         for x, y in cells[: upto + 1]:
-            w = get(inv[x], inv[y])
+            w = table[inv[x]][inv[y]]
             if w is None:
                 return None
             out.append(perm[w])
@@ -240,7 +271,7 @@ def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
     results: list[tuple[tuple[int, ...], ...]] = []
 
     def full_table() -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(get(x, y) for y in range(n)) for x in range(n))
+        return tuple(tuple(row) for row in table)
 
     def canonical_product(tab) -> tuple[int, ...]:
         best = None
@@ -261,12 +292,12 @@ def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
                 results.append(tab)
             return
         i, j = cells[ci]
-        for v in bits(down[meet[i][j]]):
-            table[(i, j)] = v
+        for v in below[meet[i][j]]:
+            table[i][j] = table[j][i] = v
             if consistent(i, j, v):
                 if j != row_end.get(i) or not dominated(ci, i):
                     fill(ci + 1)
-            del table[(i, j)]
+        table[i][j] = table[j][i] = None
 
     fill(0)
     results.sort(key=lambda tab: tuple(v for row in tab for v in row))
@@ -309,7 +340,12 @@ def enumerate_residuated(
     gathered and emitted in a canonical order that does not depend on the
     worker count.
     """
-    lattices = bounded_lattices(n, cap)
+    return _residuated_over(bounded_lattices(n, cap), workers)
+
+
+def _residuated_over(
+    lattices: tuple[tuple[int, ...], ...], workers: int | None
+) -> tuple[ResiduatedLattice, ...]:
     w = min(worker_count(workers), len(lattices))
     if w <= 1:
         products = [residuated_products(up) for up in lattices]
@@ -345,9 +381,9 @@ def census(n_max: int, workers: int | None = None, cap: int = DEFAULT_CAP) -> tu
 
     rows = []
     for n in range(1, n_max + 1):
-        lattice_count = len(bounded_lattices(n, cap))
+        lattices = bounded_lattices(n, cap)
         mp_count = rickart = baer = domains = residuated = 0
-        for lat in enumerate_residuated(n, workers, cap):
+        for lat in _residuated_over(lattices, workers):
             residuated += 1
             if mp_check(lat).final:
                 mp_count += 1
@@ -356,7 +392,7 @@ def census(n_max: int, workers: int | None = None, cap: int = DEFAULT_CAP) -> tu
             baer += cls.baer
             domains += is_domain(lat)[0]
         rows.append(
-            CensusRow(n, lattice_count, residuated, mp_count, rickart, baer, domains)
+            CensusRow(n, len(lattices), residuated, mp_count, rickart, baer, domains)
         )
     return tuple(rows)
 

@@ -58,16 +58,13 @@ def canonical_sort(masks) -> tuple[int, ...]:
 
 
 class FilterLattice:
-    """All filters of a lattice with join and meet tables over filter indices."""
+    """All filters of a lattice with a join table over filter indices."""
 
     def __init__(self, lat: ResiduatedLattice, filters: tuple[int, ...]):
         self.lattice = lat
         self.filters = filters
         self.index = {f: i for i, f in enumerate(filters)}
         m = len(filters)
-        self.meet_table = tuple(
-            tuple(self.index[filters[i] & filters[j]] for j in range(m)) for i in range(m)
-        )
         self.join_table = tuple(
             tuple(self.index[generated_filter(lat, filters[i] | filters[j])] for j in range(m))
             for i in range(m)
@@ -75,12 +72,6 @@ class FilterLattice:
 
     def __len__(self) -> int:
         return len(self.filters)
-
-    def join(self, f: int, g: int) -> int:
-        return self.filters[self.join_table[self.index[f]][self.index[g]]]
-
-    def meet(self, f: int, g: int) -> int:
-        return f & g
 
 
 @cache

@@ -45,8 +45,20 @@ class MpDisagreement(Exception):
     lattice_json: str
 
     def __str__(self) -> str:
-        values = {k: v.value for k, v in self.report.verdicts.items()}
-        return f"mp characterizations disagree: {values}\nlattice: {self.lattice_json}"
+        """Name the minority verdicts by family (False on a tie)."""
+        verdicts = self.report.verdicts
+        count = {value: sum(v.value == value for v in verdicts.values()) for value in (False, True)}
+        minority = count[True] < count[False]
+        groups = []
+        for family, names in self.report.families.items():
+            dissent = [k for k in names if verdicts[k].value == minority]
+            if dissent:
+                groups.append(f"{family}: {', '.join(dissent)}")
+        return (
+            f"mp characterizations disagree: {count[minority]} of {len(verdicts)} verdicts"
+            f" say {minority}, the rest {not minority}; {'; '.join(groups)}"
+            f"\nlattice: {self.lattice_json}"
+        )
 
 
 @dataclass

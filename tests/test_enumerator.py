@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -22,6 +23,10 @@ from reslat.enumerator import (
 # unlabeled bounded lattice counts for orders 1..6; the order-5 value also
 # follows by hand: the chain, both kites, the diamond and the pentagon
 LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+
+# residuated lattice counts for orders 1..6 (Bělohlávek & Vychodil,
+# "Residuated lattices of size <= 12", Order 27, 2010)
+RESIDUATED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
 
 
 def test_lattice_counts():
@@ -155,3 +160,150 @@ def test_automorphism_groups():
                     tuple(perm[tab[inv[x]][inv[y]]] for x in range(n) for y in range(n))
                 )
             assert min(flats) == tuple(v for row in tab for v in row)
+
+
+def test_residuated_counts():
+    for n, expected in RESIDUATED_COUNTS.items():
+        assert sum(len(residuated_products(up)) for up in bounded_lattices(n)) == expected
+
+
+def _full_prefix_search(up):
+    """Reference product search: after each new cell, rescan every
+    monotonicity, associativity and distributivity instance of the whole
+    filled prefix, O(n^3) per candidate value.  Cell order, automorphism
+    pruning and the canonical leaf test are those of residuated_products.
+    Returns the tables and the (i, j, v, verdict) of every check made.
+    """
+    n = len(up)
+    bottom, top, join, meet = bounded_lattice_ops(up)
+    auts = lattice_automorphisms(up)
+    cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+    row_end = {i: max(j for k, j in cells if k == i) for i, _ in cells} if cells else {}
+    table = {}
+
+    def get(x, y):
+        if x == bottom or y == bottom:
+            return bottom
+        if x == top:
+            return y
+        if y == top:
+            return x
+        return table.get((x, y) if x <= y else (y, x))
+
+    def leq(x, y):
+        return bool(up[x] >> y & 1)
+
+    def consistent(i, j, v):
+        for a in range(n):
+            for b in range(n):
+                w = get(a, b)
+                if w is None:
+                    continue
+                if leq(a, i) and leq(b, j) and not leq(w, v):
+                    return False
+                if leq(i, a) and leq(j, b) and not leq(v, w):
+                    return False
+        for x in range(n):
+            for y in range(n):
+                txy = get(x, y)
+                for z in range(n):
+                    tyz = get(y, z)
+                    l = get(txy, z) if txy is not None else None
+                    r = get(x, tyz) if tyz is not None else None
+                    if l is not None and r is not None and l != r:
+                        return False
+                    txz = get(x, z)
+                    if txy is not None and txz is not None:
+                        t = get(x, join[y][z])
+                        if t is not None and t != join[txy][txz]:
+                            return False
+        return True
+
+    def relabeled(perm, upto):
+        inv = [0] * n
+        for a, p in enumerate(perm):
+            inv[p] = a
+        out = []
+        for x, y in cells[: upto + 1]:
+            w = get(inv[x], inv[y])
+            if w is None:
+                return None
+            out.append(perm[w])
+        return tuple(out)
+
+    def dominated(ci, i):
+        filled = set(range(1, i + 1))
+        cur = tuple(table[c] for c in cells[: ci + 1])
+        for perm in auts:
+            if perm == tuple(range(n)) or {perm[x] for x in filled} != filled:
+                continue
+            rel = relabeled(perm, ci)
+            if rel is not None and rel < cur:
+                return True
+        return False
+
+    def canonical(tab):
+        best = None
+        for perm in auts:
+            inv = [0] * n
+            for a, p in enumerate(perm):
+                inv[p] = a
+            cand = tuple(perm[tab[inv[x]][inv[y]]] for x in range(n) for y in range(n))
+            if best is None or cand < best:
+                best = cand
+        return best
+
+    results, checks = [], []
+
+    def fill(ci):
+        if ci == len(cells):
+            tab = tuple(tuple(get(x, y) for y in range(n)) for x in range(n))
+            if canonical(tab) == tuple(v for row in tab for v in row):
+                results.append(tab)
+            return
+        i, j = cells[ci]
+        for v in range(n):
+            if not leq(v, meet[i][j]):
+                continue
+            table[(i, j)] = v
+            checks.append((i, j, v, consistent(i, j, v)))
+            if checks[-1][3]:
+                if j != row_end.get(i) or not dominated(ci, i):
+                    fill(ci + 1)
+            del table[(i, j)]
+
+    fill(0)
+    results.sort(key=lambda tab: tuple(v for row in tab for v in row))
+    return tuple(results), checks
+
+
+def _incremental_search(up):
+    """residuated_products(up) and the (i, j, v, verdict) of every call to
+    its nested consistent(), recorded with a profile hook."""
+    code = next(
+        c for c in residuated_products.__code__.co_consts
+        if getattr(c, "co_name", None) == "consistent"
+    )
+    checks = []
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            f = frame.f_locals
+            checks.append((f["i"], f["j"], f["v"], arg))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        tables = residuated_products(up)
+    finally:
+        sys.setprofile(previous)
+    return tables, checks
+
+
+def test_products_match_full_prefix_search():
+    # checking only the instances that read the new cell must give the same
+    # verdict as a full rescan of the prefix at every node, hence visit the
+    # same nodes and emit the same tables
+    for n in range(1, 7):
+        for up in bounded_lattices(n):
+            assert _incremental_search(up) == _full_prefix_search(up), up

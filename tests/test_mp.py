@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import pytest
-
 from reslat.filters import all_filters, generated_filter, principal_filter
 from reslat.mp import (
     FAMILIES,
     MpDisagreement,
+    MpReport,
+    Verdict,
     _conormal,
     _lab,
     mp_check,
@@ -108,11 +108,19 @@ def test_strict_mode_never_raises_on_corpus(corpus5):
 
 
 def test_disagreement_is_detectable():
-    # fabricate a report disagreement by checking the exception type wiring
     report = mp_check(build_two_chain(), strict=False)
-    assert report.agree
-    with pytest.raises(Exception):
-        raise MpDisagreement(report, "{}")
+    assert report.agree and report.final is True
+    flipped = report.families["algebraic"][0]
+    verdicts = dict(report.verdicts)
+    verdicts[flipped] = Verdict(False)
+    fabricated = MpReport(verdicts, report.families, agree=False, final=None)
+    message = str(MpDisagreement(fabricated, '{"size": 2}'))
+    first, lattice_line = message.split("\n")
+    assert first == (
+        f"mp characterizations disagree: 1 of {len(verdicts)} verdicts say False,"
+        f" the rest True; algebraic: {flipped}"
+    )
+    assert lattice_line == 'lattice: {"size": 2}'
 
 
 def _conormal_by_definition(lat, members):
