@@ -24,7 +24,7 @@ from .filters import all_filters, is_domain, is_filter, quotient
 from .coann import classify_baer_rickart, coannulet
 from .spectra import hull_kernel_topology, prime_spectrum, separation_check
 from .purity import pure_part, pure_spectrum
-from .mp import MpDisagreement, mp_check
+from .mp import MpDisagreement, _lab, mp_check
 from .enumerator import DEFAULT_CAP, census, enumerate_residuated
 from .latfile import (
     LatticeDocument,
@@ -55,10 +55,6 @@ def _labset(lat: ResiduatedLattice, mask: int) -> list[str]:
     return list(lat.label_set(mask))
 
 
-def _fmt(lat: ResiduatedLattice, mask: int) -> str:
-    return "{" + ",".join(lat.label_set(mask)) + "}"
-
-
 def cmd_validate(args) -> int:
     doc = _load(args.file)
     report = validate_axioms(doc.lattice)
@@ -84,7 +80,7 @@ def cmd_analyze(args) -> int:
         "minimal": [_labset(lat, spec.primes[i]) for i in spec.minimal],
         "boolean_center": _labset(lat, boolean_center(lat)),
         "coannulets": sorted(
-            {_fmt(lat, coannulet(lat, x)) for x in range(lat.size)}
+            {_lab(lat, coannulet(lat, x)) for x in range(lat.size)}
         ),
         "domain": domain,
         "baer": cls.baer,
@@ -96,10 +92,10 @@ def cmd_analyze(args) -> int:
     print(f"{doc.name}: {lat.size} elements")
     print(f"  filters ({len(data['filters'])}):")
     for f in all_filters(lat):
-        print(f"    {_fmt(lat, f)}")
-    print(f"  primes: {', '.join(_fmt(lat, p) for p in spec.primes)}")
-    print(f"  maximal: {', '.join(_fmt(lat, spec.primes[i]) for i in spec.maximal)}")
-    print(f"  minimal: {', '.join(_fmt(lat, spec.primes[i]) for i in spec.minimal)}")
+        print(f"    {_lab(lat, f)}")
+    print(f"  primes: {', '.join(_lab(lat, p) for p in spec.primes)}")
+    print(f"  maximal: {', '.join(_lab(lat, spec.primes[i]) for i in spec.maximal)}")
+    print(f"  minimal: {', '.join(_lab(lat, spec.primes[i]) for i in spec.minimal)}")
     print(f"  boolean center: {{{','.join(data['boolean_center'])}}}")
     print(f"  domain: {domain}   baer: {cls.baer}   rickart: {cls.rickart}")
     return EXIT_OK
@@ -139,7 +135,7 @@ def cmd_pure(args) -> int:
         "purely_maximal": [_labset(lat, f) for f in ps.purely_maximal],
         "purely_prime": [_labset(lat, f) for f in ps.purely_prime],
         "pure_parts_of_maximals": {
-            _fmt(lat, spec.primes[i]): _labset(lat, pure_part(lat, spec.primes[i]))
+            _lab(lat, spec.primes[i]): _labset(lat, pure_part(lat, spec.primes[i]))
             for i in spec.maximal
         },
     }
@@ -148,9 +144,9 @@ def cmd_pure(args) -> int:
         return EXIT_OK
     print(f"{doc.name}: {len(ps.pure)} pure filters")
     for f in ps.pure:
-        print(f"    {_fmt(lat, f)}")
-    print(f"  purely maximal: {', '.join(_fmt(lat, f) for f in ps.purely_maximal)}")
-    print(f"  purely prime:   {', '.join(_fmt(lat, f) for f in ps.purely_prime)}")
+        print(f"    {_lab(lat, f)}")
+    print(f"  purely maximal: {', '.join(_lab(lat, f) for f in ps.purely_maximal)}")
+    print(f"  purely prime:   {', '.join(_lab(lat, f) for f in ps.purely_prime)}")
     return EXIT_OK
 
 
@@ -159,7 +155,7 @@ def cmd_topology(args) -> int:
     lat = doc.lattice
     top = hull_kernel_topology(lat, args.space, args.variant)
     sep = separation_check(top)
-    points = ["{" + ",".join(lat.label_set(p)) + "}" for p in top.point_filters]
+    points = [_lab(lat, p) for p in top.point_filters]
     data = {
         "name": doc.name,
         "space": args.space,

@@ -13,6 +13,7 @@ of the carrier are bitmasks (bit i set = element i belongs to the set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -140,6 +141,16 @@ class ResiduatedLattice:
 
     def label_set(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
+
+    @cached_property
+    def _hash(self) -> int:
+        # Only the int fields: str hashes differ between interpreters, and
+        # this value is pickled with the instance.  Equal lattices have
+        # equal int fields, so the hash stays consistent with __eq__.
+        return hash((self.up, self.join, self.meet, self.odot, self.imp, self.bottom, self.top))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ResiduatedLattice({','.join(self.labels)})"
@@ -316,88 +327,85 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     report with its lexicographically first witness tuple.  Two derivable
     laws are cross-checked as sanity conditions: the product distributes
     over joins, and join(x, odot(y, z)) >= odot(join(x, y), join(x, z)).
+
+    Cost: the order axioms (reflexivity through meet-glb) take O(n^2)
+    mask operations on ``up`` and on ``down`` masks built once per call.
+    The algebraic axioms take O(n^3) table lookups, compared as one flat
+    n x n block per first argument x, so extra memory stays O(n^2).  Only
+    a block that differs is scanned again, for its first differing index
+    i, which gives the witness (x, *divmod(i, n)).
     """
     n = lat.size
-    found: dict[str, tuple[int, ...]] = {}
-
-    def hit(axiom: str, *witness: int) -> None:
-        if axiom not in found:
-            found[axiom] = witness
-
-    leq = lat.leq
+    full = (1 << n) - 1
+    up = [u & full for u in lat.up]  # leq(x, y) is only asked for y < n
+    down = [0] * n
+    for x, u in enumerate(up):
+        for y in bits(u):
+            down[y] |= 1 << x
     join, meet, odot, imp = lat.join, lat.meet, lat.odot, lat.imp
+    bottom, top = lat.bottom, lat.top
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    violations: list[Violation] = []
 
-    for x in range(n):
-        if not leq(x, x):
-            hit("leq-reflexive", x)
-    for x in range(n):
-        for y in range(n):
-            if x != y and leq(x, y) and leq(y, x):
-                hit("leq-antisymmetric", x, y)
-    for x in range(n):
-        for y in range(n):
-            if not leq(x, y):
-                continue
-            for z in range(n):
-                if leq(y, z) and not leq(x, z):
-                    hit("leq-transitive", x, y, z)
-    for x in range(n):
-        if not leq(lat.bottom, x):
-            hit("bottom-least", x)
-        if not leq(x, lat.top):
-            hit("top-greatest", x)
-    for x in range(n):
-        for y in range(n):
-            j = join[x][y]
-            if not (leq(x, j) and leq(y, j)):
-                hit("join-lub", x, y)
-            else:
-                for z in range(n):
-                    if leq(x, z) and leq(y, z) and not leq(j, z):
-                        hit("join-lub", x, y)
-                        break
-            m = meet[x][y]
-            if not (leq(m, x) and leq(m, y)):
-                hit("meet-glb", x, y)
-            else:
-                for z in range(n):
-                    if leq(z, x) and leq(z, y) and not leq(z, m):
-                        hit("meet-glb", x, y)
-                        break
-    for x in range(n):
-        for y in range(n):
-            if odot[x][y] != odot[y][x]:
-                hit("odot-commutative", x, y)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if odot[odot[x][y]][z] != odot[x][odot[y][z]]:
-                    hit("odot-associative", x, y, z)
-    for x in range(n):
-        if odot[lat.top][x] != x:
-            hit("odot-identity", x)
-        if odot[x][lat.bottom] != lat.bottom:
-            hit("odot-bottom", x)
-    for x in range(n):
-        for a in range(n):
-            for y in range(n):
-                if leq(odot[x][a], y) != leq(a, imp[x][y]):
-                    hit("adjointness", x, a, y)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if odot[x][join[y][z]] != join[odot[x][y]][odot[x][z]]:
-                    hit("odot-join-distributive", x, y, z)
-                if not leq(odot[join[x][y]][join[x][z]], join[x][odot[y][z]]):
-                    hit("join-odot-inequality", x, y, z)
+    def check(axiom: str, witnesses: Iterator[tuple[int, ...]]) -> None:
+        witness = next(witnesses, None)
+        if witness is not None:
+            violations.append(Violation(axiom, witness))
 
-    order = [
-        "leq-reflexive", "leq-antisymmetric", "leq-transitive",
-        "bottom-least", "top-greatest", "join-lub", "meet-glb",
-        "odot-commutative", "odot-associative", "odot-identity", "odot-bottom",
-        "adjointness", "odot-join-distributive", "join-odot-inequality",
-    ]
-    violations = [Violation(a, found[a]) for a in order if a in found]
+    def blocks(sides: Iterator[tuple[list[int], list[int]]]) -> Iterator[tuple[int, ...]]:
+        # sides yields, for x = 0, 1, ..., the two sides of an axiom as flat
+        # lists indexed by (second argument) * n + (third argument)
+        for x, (lhs, rhs) in enumerate(sides):
+            if lhs != rhs:
+                i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                yield (x, *divmod(i, n))
+
+    def join_lub(x: int, y: int) -> bool:
+        bounds, j = up[x] & up[y], join[x][y]
+        return not bounds >> j & 1 or bounds & ~up[j] != 0
+
+    def meet_glb(x: int, y: int) -> bool:
+        bounds, m = down[x] & down[y], meet[x][y]
+        return not bounds >> m & 1 or bounds & ~down[m] != 0
+
+    check("leq-reflexive", ((x,) for x in range(n) if not up[x] >> x & 1))
+    check("leq-antisymmetric", (
+        (x, next(bits(b))) for x in range(n) if (b := up[x] & down[x] & ~(1 << x))
+    ))
+    check("leq-transitive", (
+        (x, y, next(bits(b))) for x in range(n) for y in bits(up[x]) if (b := up[y] & ~up[x])
+    ))
+    check("bottom-least", ((x,) for x in bits(full & ~up[bottom])))
+    check("top-greatest", ((x,) for x in bits(full & ~down[top])))
+    check("join-lub", (p for p in pairs if join_lub(*p)))
+    check("meet-glb", (p for p in pairs if meet_glb(*p)))
+
+    check("odot-commutative", ((x, y) for x, y in pairs if odot[x][y] != odot[y][x]))
+    flat_odot = [w for row in odot for w in row]
+    flat_join = [w for row in join for w in row]
+    check("odot-associative", blocks(
+        ([w for v in ox for w in odot[v]], [ox[w] for w in flat_odot]) for ox in odot
+    ))
+    check("odot-identity", ((x,) for x in range(n) if odot[top][x] != x))
+    check("odot-bottom", ((x,) for x in range(n) if odot[x][bottom] != bottom))
+    leq01 = [[u >> y & 1 for y in range(n)] for u in up]
+    check("adjointness", blocks(
+        ([b for v in ox for b in leq01[v]], [row[w] for row in leq01 for w in ix])
+        for ox, ix in zip(odot, imp)
+    ))
+    check("odot-join-distributive", blocks(
+        ([ox[w] for w in flat_join], [row[w] for row in [join[v] for v in ox] for w in ox])
+        for ox in odot
+    ))
+    # holds at (x, y, z) iff up[odot(join(x, y), join(x, z))] has join(x, odot(y, z))
+    holds = [1] * (n * n)
+    check("join-odot-inequality", blocks(
+        (holds, [up[lo] >> hi & 1 for lo, hi in zip(
+            [row[w] for row in [odot[v] for v in jx] for w in jx],
+            [jx[w] for w in flat_odot],
+        )])
+        for jx in join
+    ))
     return _report(violations)
 
 

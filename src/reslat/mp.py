@@ -173,43 +173,45 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
     value, witness = _conormal(lat, principal)
     verdicts["principal_filter_lattice_conormal"] = Verdict(value, witness)
 
-    def pair_check(name: str, cond) -> None:
+    def pair_check(name: str, holds, extra=lambda x, y: {}) -> None:
+        # extra(x, y) formats the witness of the first failing pair only
         for x in range(n):
             for y in range(n):
-                ok, extra = cond(x, y)
-                if not ok:
+                if not holds(x, y):
                     verdicts[name] = Verdict(
-                        False, {"pair": [lat.labels[x], lat.labels[y]], **extra}
+                        False, {"pair": [lat.labels[x], lat.labels[y]], **extra(x, y)}
                     )
                     return
         verdicts[name] = Verdict(True, None)
 
     def comax_cond(x, y):
-        if lat.join[x][y] != lat.top:
-            return True, {}
-        ok = filter_join(lat, ann[x], ann[y]) == lat.full_mask
-        return ok, {"coannulets": [_lab(lat, ann[x]), _lab(lat, ann[y])]}
+        return lat.join[x][y] != lat.top or filter_join(lat, ann[x], ann[y]) == lat.full_mask
+
+    def comax_extra(x, y):
+        return {"coannulets": [_lab(lat, ann[x]), _lab(lat, ann[y])]}
 
     def witness_cond(x, y):
         if lat.join[x][y] != lat.top:
-            return True, {}
-        ok = any(ann[y] >> negation(lat, a) & 1 for a in bits(ann[x]))
-        return ok, {}
+            return True
+        return any(ann[y] >> negation(lat, a) & 1 for a in bits(ann[x]))
 
     def join_identity_cond(x, y):
-        lhs = coannulet(lat, lat.join[x][y])
-        rhs = filter_join(lat, ann[x], ann[y])
-        return lhs == rhs, {"lhs": _lab(lat, lhs), "rhs": _lab(lat, rhs)}
+        return coannulet(lat, lat.join[x][y]) == filter_join(lat, ann[x], ann[y])
+
+    def join_identity_extra(x, y):
+        return {
+            "lhs": _lab(lat, coannulet(lat, lat.join[x][y])),
+            "rhs": _lab(lat, filter_join(lat, ann[x], ann[y])),
+        }
 
     def join_top_cond(x, y):
         if coannulet(lat, lat.join[x][y]) != lat.full_mask:
-            return True, {}
-        ok = filter_join(lat, ann[x], ann[y]) == lat.full_mask
-        return ok, {}
+            return True
+        return filter_join(lat, ann[x], ann[y]) == lat.full_mask
 
-    pair_check("coannulet_comaximal", comax_cond)
+    pair_check("coannulet_comaximal", comax_cond, comax_extra)
     pair_check("coannulet_negation_witness", witness_cond)
-    pair_check("coannulet_join_identity", join_identity_cond)
+    pair_check("coannulet_join_identity", join_identity_cond, join_identity_extra)
     pair_check("coannulet_join_top", join_top_cond)
 
     gamma = set(ann)

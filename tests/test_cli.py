@@ -52,9 +52,16 @@ def test_validate_axiom_failure(capsys, tmp_path):
     doc["odot"][3][1] = "a"
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "validate", str(p))
+    code, out, err = run(capsys, "validate", str(p))
     assert code == 1
-    assert "odot-join-distributive" in err
+    assert out == ""
+    # every violated axiom with its lexicographically first witness
+    assert err == (
+        "error: axioms violated: ['odot-associative', 'adjointness', 'odot-join-distributive']\n"
+        "  odot-associative at (1, 2, 3)\n"
+        "  adjointness at (3, 1, 0)\n"
+        "  odot-join-distributive at (3, 1, 2)\n"
+    )
 
 
 def test_analyze_json_golden(capsys, a6_path):

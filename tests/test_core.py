@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 from reslat import (
     StructureError,
     ValidationFailed,
+    ValidationReport,
+    Violation,
     bits,
     boolean_center,
     derive_residuum,
@@ -22,6 +29,7 @@ from lattices import (
     build_a8,
     build_boolean4,
     build_chain,
+    build_product,
     build_two_chain,
     mask,
 )
@@ -75,6 +83,159 @@ def test_identity_violation_reported(a6):
     bad = _corrupt(a6, 5, 2, 1)  # 1.b = a
     found = {v.axiom for v in validate_axioms(bad).violations}
     assert "odot-identity" in found
+
+
+AXIOMS = (
+    "leq-reflexive", "leq-antisymmetric", "leq-transitive",
+    "bottom-least", "top-greatest", "join-lub", "meet-glb",
+    "odot-commutative", "odot-associative", "odot-identity", "odot-bottom",
+    "adjointness", "odot-join-distributive", "join-odot-inequality",
+)
+
+
+def _reference_validate(lat):
+    """The definitional triple-loop scan, lexicographically first witnesses."""
+    n = lat.size
+    found = {}
+
+    def hit(axiom, *witness):
+        if axiom not in found:
+            found[axiom] = witness
+
+    leq = lat.leq
+    join, meet, odot, imp = lat.join, lat.meet, lat.odot, lat.imp
+
+    for x in range(n):
+        if not leq(x, x):
+            hit("leq-reflexive", x)
+    for x in range(n):
+        for y in range(n):
+            if x != y and leq(x, y) and leq(y, x):
+                hit("leq-antisymmetric", x, y)
+    for x in range(n):
+        for y in range(n):
+            if not leq(x, y):
+                continue
+            for z in range(n):
+                if leq(y, z) and not leq(x, z):
+                    hit("leq-transitive", x, y, z)
+    for x in range(n):
+        if not leq(lat.bottom, x):
+            hit("bottom-least", x)
+        if not leq(x, lat.top):
+            hit("top-greatest", x)
+    for x in range(n):
+        for y in range(n):
+            j = join[x][y]
+            if not (leq(x, j) and leq(y, j)):
+                hit("join-lub", x, y)
+            else:
+                for z in range(n):
+                    if leq(x, z) and leq(y, z) and not leq(j, z):
+                        hit("join-lub", x, y)
+                        break
+            m = meet[x][y]
+            if not (leq(m, x) and leq(m, y)):
+                hit("meet-glb", x, y)
+            else:
+                for z in range(n):
+                    if leq(z, x) and leq(z, y) and not leq(z, m):
+                        hit("meet-glb", x, y)
+                        break
+    for x in range(n):
+        for y in range(n):
+            if odot[x][y] != odot[y][x]:
+                hit("odot-commutative", x, y)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if odot[odot[x][y]][z] != odot[x][odot[y][z]]:
+                    hit("odot-associative", x, y, z)
+    for x in range(n):
+        if odot[lat.top][x] != x:
+            hit("odot-identity", x)
+        if odot[x][lat.bottom] != lat.bottom:
+            hit("odot-bottom", x)
+    for x in range(n):
+        for a in range(n):
+            for y in range(n):
+                if leq(odot[x][a], y) != leq(a, imp[x][y]):
+                    hit("adjointness", x, a, y)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if odot[x][join[y][z]] != join[odot[x][y]][odot[x][z]]:
+                    hit("odot-join-distributive", x, y, z)
+                if not leq(odot[join[x][y]][join[x][z]], join[x][odot[y][z]]):
+                    hit("join-odot-inequality", x, y, z)
+
+    violations = tuple(Violation(a, found[a]) for a in AXIOMS if a in found)
+    return ValidationReport(valid=not violations, violations=violations)
+
+
+def _mutant(rng, lat):
+    """Flip one bit of the order, or overwrite 1-3 cells of one table."""
+    n = lat.size
+    if rng.random() < 0.25:
+        up = list(lat.up)
+        up[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        return dataclasses.replace(lat, up=tuple(up))
+    name = rng.choice(("join", "meet", "odot", "imp"))
+    table = [list(row) for row in getattr(lat, name)]
+    for _ in range(rng.randint(1, 3)):
+        table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return dataclasses.replace(lat, **{name: tuple(map(tuple, table))})
+
+
+def test_validate_matches_reference_scan(a6, a8, corpus5):
+    a8x2 = build_product(a8, build_two_chain())
+    bases = (*corpus5, a6, a8, a8x2)
+    for lat in bases:
+        assert validate_axioms(lat) == _reference_validate(lat), lat
+    rng = random.Random(20241018)
+    seen = collections.Counter()
+    sources = [lat for lat in bases if lat.size >= 2]
+    for _ in range(2500):
+        bad = _mutant(rng, rng.choice(sources))
+        report = validate_axioms(bad)
+        assert report == _reference_validate(bad), bad
+        seen.update(v.axiom for v in report.violations)
+    assert set(seen) == set(AXIOMS)
+
+
+def test_cached_hash_survives_pickling_across_hash_seeds():
+    # the first interpreter hashes a6 and pickles it; the second, with
+    # other str hashes, must find the unpickled copy in the spectrum cache
+    dump = (
+        "import pickle, sys\n"
+        "from reslat.latfile import load_bundled\n"
+        "from reslat.spectra import prime_spectrum\n"
+        "lat = load_bundled('a6').lattice\n"
+        "prime_spectrum(lat)\n"
+        "sys.stdout.buffer.write(pickle.dumps(lat))\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from reslat.latfile import load_bundled\n"
+        "from reslat.spectra import prime_spectrum\n"
+        "old = pickle.loads(sys.stdin.buffer.read())\n"
+        "new = load_bundled('a6').lattice\n"
+        "spec = prime_spectrum(new)\n"
+        "assert old == new and hash(old) == hash(new)\n"
+        "assert prime_spectrum(old) is spec\n"
+        "assert prime_spectrum.cache_info().hits == 1\n"
+    )
+
+    def run(code, seed, data=b""):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        return subprocess.run(
+            [sys.executable, "-c", code], input=data, capture_output=True, env=env, timeout=60,
+        )
+
+    dumped = run(dump, "1")
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = run(load, "2", dumped.stdout)
+    assert loaded.returncode == 0, loaded.stderr
 
 
 def test_dimension_mismatch_is_structural(a6):
