@@ -48,6 +48,8 @@ def _load(path: str) -> LatticeDocument:
             text = fh.read()
     except OSError as exc:
         raise LatticeFormatError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise LatticeFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     return parse_document(text)
 
 

@@ -52,6 +52,10 @@ def parse_document(text: str) -> LatticeDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LatticeFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise LatticeFormatError("document: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise LatticeFormatError("document: an integer literal has too many digits") from exc
     _expect(isinstance(doc, dict), "document", "must be a JSON object")
     unknown = set(doc) - DOCUMENT_KEYS
     _expect(not unknown, "document", f"unknown keys {sorted(unknown)}")
@@ -79,7 +83,7 @@ def parse_document(text: str) -> LatticeDocument:
             f"order[{k}]", "must be a [lower, upper] pair",
         )
         for s in pair:
-            _expect(s in pos, f"order[{k}]", f"unknown label {s!r}")
+            _expect(isinstance(s, str) and s in pos, f"order[{k}]", f"unknown label {s!r}")
         lo, hi = pos[pair[0]], pos[pair[1]]
         _expect(lo != hi, f"order[{k}]", "a cover pair cannot be reflexive")
         covers.append((lo, hi))
@@ -112,7 +116,7 @@ def parse_document(text: str) -> LatticeDocument:
             )
             out = []
             for j, s in enumerate(row):
-                _expect(s in pos, f"{key}[{i}][{j}]", f"unknown label {s!r}")
+                _expect(isinstance(s, str) and s in pos, f"{key}[{i}][{j}]", f"unknown label {s!r}")
                 out.append(pos[s])
             rows.append(out)
         return rows

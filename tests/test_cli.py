@@ -176,6 +176,42 @@ def test_bad_thread_count_is_input_error(capsys, monkeypatch):
     assert "RESLAT_THREADS" in err and "'abc'" in err
 
 
+def _mp_input_error(capsys, path, content: bytes) -> str:
+    path.write_bytes(content)
+    code, out, err = run(capsys, "mp", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    err = _mp_input_error(capsys, tmp_path / "deep.json", b"[" * 100000 + b"]" * 100000)
+    assert "nested too deeply" in err
+
+
+def test_overlong_integer_is_input_error(capsys, tmp_path):
+    # past the default int_max_str_digits (4300), int() itself refuses the literal
+    err = _mp_input_error(capsys, tmp_path / "big.json", b'{"size": 1' + b"0" * 5000 + b"}")
+    assert "too many digits" in err
+
+
+def test_non_utf8_file_is_input_error(capsys, tmp_path):
+    err = _mp_input_error(capsys, tmp_path / "bom.json", b'\xff\xfe{"name": "x"}')
+    assert "not UTF-8" in err
+
+
+def test_non_string_label_is_input_error(capsys, tmp_path):
+    doc = json.loads(bundled_text("a6"))
+    doc["odot"][0][0] = {"a": 1}
+    err = _mp_input_error(capsys, tmp_path / "cell.json", json.dumps(doc).encode())
+    assert err == "error: odot[0][0]: unknown label {'a': 1}\n"
+    doc["order"][0][0] = ["a"]
+    err = _mp_input_error(capsys, tmp_path / "pair.json", json.dumps(doc).encode())
+    assert err == "error: order[0]: unknown label ['a']\n"
+
+
 def _run_cli(args, env=None):
     full_env = dict(os.environ)
     if env:

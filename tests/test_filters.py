@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from reslat import ContractError, bits
+from reslat import ContractError, bits, mask_of
 from reslat.filters import (
     all_filters,
+    canonical_sort,
     comaximal,
     congruence_classes,
     filter_join,
+    filter_lattice,
     filter_meet,
     generated_filter,
     is_domain,
@@ -17,9 +22,9 @@ from reslat.filters import (
     quotient,
 )
 from reslat.spectra import prime_spectrum
-from reslat.enumerator import full_canonical_key
+from reslat.enumerator import enumerate_residuated, full_canonical_key
 
-from lattices import build_a6, build_a8, build_two_chain, mask
+from lattices import build_a6, build_a8, build_product, build_two_chain, mask
 
 
 def filter_sets(lat):
@@ -68,6 +73,70 @@ def test_generated_filter_is_least_filter_containing_subset(data):
     for g in all_filters(lat):
         if subset & ~g == 0:
             assert f & ~g == 0
+
+
+def _closure_filter(lat, subset):
+    """Generated filter as a fixpoint: close under products, then upward."""
+    cur = subset | 1 << lat.top
+    while True:
+        nxt = cur
+        els = list(bits(cur))
+        for i, x in enumerate(els):
+            for y in els[i:]:
+                nxt |= 1 << lat.odot[x][y]
+        for x in list(bits(nxt)):
+            nxt |= lat.up[x]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def _closure_filter_lattice(lat):
+    """Filters by closing the principal ones under joins; joins by m^2 closures."""
+    found = {_closure_filter(lat, 1 << x) for x in range(lat.size)} | {1 << lat.top}
+    while True:
+        fs = list(found)
+        new = {_closure_filter(lat, f | g) for i, f in enumerate(fs) for g in fs[i + 1:]}
+        if new <= found:
+            break
+        found |= new
+    filters = canonical_sort(found)
+    index = {f: i for i, f in enumerate(filters)}
+    table = tuple(tuple(index[_closure_filter(lat, f | g)] for g in filters) for f in filters)
+    return filters, table
+
+
+def test_filter_algebra_matches_closure(corpus5):
+    a6, a8 = build_a6(), build_a8()
+    lats = (
+        *corpus5, *enumerate_residuated(6, workers=1),
+        a6, a8, build_product(a6, a8), build_product(a8, a8),
+    )
+    rng = random.Random(20261018)
+    for lat in lats:
+        fl = filter_lattice(lat)
+        assert (fl.filters, fl.join_table) == _closure_filter_lattice(lat)
+        for f in fl.filters:
+            least = [x for x in bits(f) if f & ~lat.up[x] == 0]
+            assert len(least) == 1 and lat.odot[least[0]][least[0]] == least[0]
+        n = lat.size
+        if n <= 8:
+            subsets = range(1 << n)
+        else:
+            # half of the draws small, so that not every generated filter is the whole carrier
+            sizes = [rng.randint(0, 3) if i % 2 else rng.randint(0, n) for i in range(3000)]
+            subsets = [mask_of(rng.sample(range(n), k)) for k in sizes]
+        for s in subsets:
+            assert generated_filter(lat, s) == _closure_filter(lat, s)
+
+
+def test_generated_filter_rejects_cyclic_squares(a6):
+    a, b = a6.labels.index("a"), a6.labels.index("b")
+    odot = [list(row) for row in a6.odot]
+    odot[a][a], odot[b][b] = b, a
+    bad = dataclasses.replace(a6, odot=tuple(map(tuple, odot)))
+    with pytest.raises(ContractError, match="no idempotent power"):
+        generated_filter(bad, 1 << a)
 
 
 def test_principal_filter_power_formula(a6, a8, corpus4):
