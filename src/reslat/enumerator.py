@@ -11,6 +11,16 @@ cell is checked only against the instances that read it: O(n^2) work per
 candidate value, not O(n^3).  Isomorph rejection uses the
 lexicographically minimal table under relabelings fixing bottom and top.
 
+That exact canonical form costs (n-2)! relabelings, so it is computed
+once per isomorphism class, not once per generated lattice.  Each
+generated lattice first gets a cell key: the middle elements are split
+into cells by an order invariant (up and down degrees, refined by the
+invariants of the elements above and below), and the key is the least
+table over the relabelings that keep the cells in invariant order and
+permute only inside each cell.  The key is a complete invariant, and a
+lattice whose key is new gets the exact canonical form.  Automorphisms
+are found among the permutations that map every cell to itself.
+
 A brute-force oracle (naive_residuated) covers orders up to four for
 cross-validation and is kept free of the fast path's pruning logic.
 """
@@ -20,16 +30,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .core import (
     ContractError,
     InternalCheckError,
     ResiduatedLattice,
+    ResiduumError,
     bits,
     bounded_lattice_ops,
     derive_residuum,
     from_order,
+    from_tables,
     is_subset,
     validate_axioms,
 )
@@ -58,36 +70,100 @@ def _middle_perms(n: int):
         yield (0,) + mid + (n - 1,)
 
 
-def _relabeled_rows(up: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(up)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    rows = []
-    for i in range(n):
-        row = 0
-        old_row = up[inv[i]]
-        for j in range(n):
-            if old_row >> inv[j] & 1:
-                row |= 1 << j
-        rows.append(row)
+def _members(up: tuple[int, ...]) -> list[list[int]]:
+    return [list(bits(m)) for m in up]
+
+
+def _relabeled_rows(members: list[list[int]], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Up-mask rows after relabeling x as perm[x]; members = _members(up)."""
+    bit = [1 << p for p in perm]
+    rows = [0] * len(perm)
+    for x, above in enumerate(members):
+        rows[perm[x]] = sum(map(bit.__getitem__, above))
     return tuple(rows)
+
+
+def _ranks(values: list) -> list[int]:
+    index = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [index[v] for v in values]
+
+
+def _invariant_cells(up: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The middle elements split into cells by an isomorphism invariant.
+
+    The invariant starts as (|up x|, |down x|) and is refined by the sorted
+    invariants of the elements strictly above and strictly below x until
+    the number of cells stops growing.  It reads only the order, so every
+    isomorphism maps each cell onto the cell of the same rank.  Cells are
+    listed in increasing invariant order.
+    """
+    n = len(up)
+    down = [sum(1 << y for y in range(n) if up[y] >> x & 1) for x in range(n)]
+    rank = _ranks([(bin(up[x]).count("1"), bin(down[x]).count("1")) for x in range(n)])
+    while True:
+        refined = _ranks([
+            (
+                rank[x],
+                tuple(sorted(rank[y] for y in bits(up[x] & ~(1 << x)))),
+                tuple(sorted(rank[y] for y in bits(down[x] & ~(1 << x)))),
+            )
+            for x in range(n)
+        ])
+        if max(refined) == max(rank):
+            break
+        rank = refined
+    cells: dict[int, list[int]] = {}
+    for x in range(1, n - 1):
+        cells.setdefault(rank[x], []).append(x)
+    return [tuple(cells[r]) for r in sorted(cells)]
+
+
+def _cell_maps(n: int, cells, targets):
+    """Permutations fixing 0 and n-1 that send each cell onto its target."""
+    for images in product(*(permutations(t) for t in targets)):
+        perm = list(range(n))
+        for cell, image in zip(cells, images):
+            for x, y in zip(cell, image):
+                perm[x] = y
+        yield tuple(perm)
+
+
+def lattice_cell_key(up: tuple[int, ...]) -> tuple[int, ...]:
+    """A complete isomorphism invariant: the least up-mask rows over the
+    relabelings that put the invariant cells in order on 1..n-2 and
+    permute only inside each cell.
+
+    An isomorphism maps each cell onto the cell of the same rank, so
+    isomorphic lattices range over the same relabeled tables; equal keys
+    are one table, so the lattices are isomorphic.  The key is not the
+    lexicographically least form over all relabelings; lattice_canonical
+    gives that.
+    """
+    cells = _invariant_cells(up)
+    targets, start = [], 1
+    for cell in cells:
+        targets.append(tuple(range(start, start + len(cell))))
+        start += len(cell)
+    members = _members(up)
+    return min(_relabeled_rows(members, perm) for perm in _cell_maps(len(up), cells, targets))
 
 
 def lattice_canonical(up: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least up-mask rows over relabelings fixing 0, n-1."""
-    best = None
-    for perm in _middle_perms(len(up)):
-        cand = _relabeled_rows(up, perm)
-        if best is None or cand < best:
-            best = cand
-    return best
+    members = _members(up)
+    return min(_relabeled_rows(members, perm) for perm in _middle_perms(len(up)))
 
 
 def lattice_automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        perm for perm in _middle_perms(len(up)) if _relabeled_rows(up, perm) == up
-    )
+    """Automorphisms as permutations, in increasing order.
+
+    An automorphism preserves the invariant, so only the permutations that
+    map every invariant cell onto itself are tried.
+    """
+    cells, members = _invariant_cells(up), _members(up)
+    return tuple(sorted(
+        perm for perm in _cell_maps(len(up), cells, cells) if _relabeled_rows(members, perm) == up
+    ))
 
 
 def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
@@ -101,6 +177,7 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
     if n == 1:
         return ((1,),)
     found: set[tuple[int, ...]] = set()
+    keys: set[tuple[int, ...]] = set()
     below = [1]  # below[i] = mask of elements <= i, including i
 
     def pairs_ok(k: int) -> bool:
@@ -134,7 +211,11 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
             up = tuple(
                 sum(1 << j for j in range(n) if below[j] >> x & 1) for x in range(n)
             )
-            found.add(lattice_canonical(up))
+            # the exact canonical form only for the first leaf of each class
+            key = lattice_cell_key(up)
+            if key not in keys:
+                keys.add(key)
+                found.add(lattice_canonical(up))
             return
         if i == n - 1:
             candidates = [(1 << i) - 1]
@@ -304,10 +385,16 @@ def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
     return tuple(results)
 
 
-def _build(up: tuple[int, ...], odot) -> ResiduatedLattice:
+def _build(up: tuple[int, ...], ops: tuple, odot) -> ResiduatedLattice:
+    """The lattice of an enumerated product; ops = bounded_lattice_ops(up)."""
     n = len(up)
+    bottom, top, join, meet = ops
+    try:
+        imp = derive_residuum(up, join, odot)
+    except ResiduumError as exc:
+        raise InternalCheckError(f"enumerated product has no residuum: {exc}") from exc
     leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
-    lat = from_order(_labels(n), leq, odot)
+    lat = from_tables(_labels(n), leq, join, meet, odot, imp, bottom, top)
     report = validate_axioms(lat)
     if not report.valid:
         raise InternalCheckError(f"enumerated lattice fails validation: {report}")
@@ -354,8 +441,9 @@ def _residuated_over(
             products = list(pool.map(_extension_worker, lattices))
     out = []
     for up, tabs in zip(lattices, products):
+        ops = bounded_lattice_ops(up)
         for tab in tabs:
-            out.append(_build(up, tab))
+            out.append(_build(up, ops, tab))
     return tuple(out)
 
 

@@ -146,25 +146,21 @@ def comaximal(
 def congruence_classes(lat: ResiduatedLattice, f: int) -> tuple[int, ...]:
     """Classes of a ~ b iff imp(a,b) and imp(b,a) both lie in the filter.
 
+    The filter is up(e) for its least element e, which is idempotent, and
+    imp(a,b) in up(e) iff odot(e,a) <= b.  Hence a ~ b iff odot(e,a) =
+    odot(e,b): multiplying odot(e,a) <= b by e gives odot(e,a) <= odot(e,b).
+    The classes are the fibres of a -> odot(e,a), found in O(n).
+
     Ordered with the class of bottom first and the class of top last;
     intermediate classes by their smallest member.
     """
     if not is_filter(lat, f):
         raise ContractError("quotient: modulus must be a filter")
-    n = lat.size
-    classes: list[int] = []
-    seen = 0
-    for a in range(n):
-        if seen >> a & 1:
-            continue
-        cls = 0
-        for b in range(n):
-            if f >> lat.imp[a][b] & 1 and f >> lat.imp[b][a] & 1:
-                cls |= 1 << b
-        classes.append(cls)
-        seen |= cls
-    classes.sort(key=lambda c: (bool(c >> lat.top & 1), c & -c))
-    return tuple(classes)
+    e = next(x for x in bits(f) if lat.up[x] == f)
+    fibres: dict[int, int] = {}
+    for a, v in enumerate(lat.odot[e]):
+        fibres[v] = fibres.get(v, 0) | 1 << a
+    return tuple(sorted(fibres.values(), key=lambda c: (bool(c >> lat.top & 1), c & -c)))
 
 
 def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:

@@ -196,16 +196,16 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
         return any(ann[y] >> negation(lat, a) & 1 for a in bits(ann[x]))
 
     def join_identity_cond(x, y):
-        return coannulet(lat, lat.join[x][y]) == filter_join(lat, ann[x], ann[y])
+        return ann[lat.join[x][y]] == filter_join(lat, ann[x], ann[y])
 
     def join_identity_extra(x, y):
         return {
-            "lhs": _lab(lat, coannulet(lat, lat.join[x][y])),
+            "lhs": _lab(lat, ann[lat.join[x][y]]),
             "rhs": _lab(lat, filter_join(lat, ann[x], ann[y])),
         }
 
     def join_top_cond(x, y):
-        if coannulet(lat, lat.join[x][y]) != lat.full_mask:
+        if ann[lat.join[x][y]] != lat.full_mask:
             return True
         return filter_join(lat, ann[x], ann[y]) == lat.full_mask
 
@@ -269,6 +269,10 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
 def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
     verdicts: dict[str, Verdict] = {}
+    # Both loops visit the maximal primes, and primes can share a divisor,
+    # so each quotient is built once.  Only the labels of its first pair
+    # joining to top are kept (None for a domain), not the quotient.
+    non_domain: dict[int, tuple[str, str] | None] = {}
     for name, positions in (
         ("divisor_quotient_domain_for_primes", range(len(spec))),
         ("divisor_quotient_domain_for_maximals", spec.maximal),
@@ -276,13 +280,16 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
         value = True
         witness = None
         for i in positions:
-            q = quotient(lat, divisor_filter(lat, spec.primes[i]))
-            domain, pair = is_domain(q)
-            if not domain:
+            d = divisor_filter(lat, spec.primes[i])
+            if d not in non_domain:
+                q = quotient(lat, d)
+                domain, pair = is_domain(q)
+                non_domain[d] = None if domain else (q.labels[pair[0]], q.labels[pair[1]])
+            if non_domain[d] is not None:
                 value = False
                 witness = {
                     "prime": _lab(lat, spec.primes[i]),
-                    "quotient_pair": [q.labels[pair[0]], q.labels[pair[1]]],
+                    "quotient_pair": list(non_domain[d]),
                 }
                 break
         verdicts[name] = Verdict(value, witness)

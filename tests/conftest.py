@@ -29,3 +29,9 @@ def corpus4():
 def corpus5(corpus4):
     """Every residuated lattice of order up to 5, isomorph-free."""
     return corpus4 + tuple(enumerate_residuated(5, workers=1))
+
+
+@pytest.fixture(scope="session")
+def corpus7(corpus5):
+    """Every residuated lattice of order up to 7, isomorph-free."""
+    return corpus5 + enumerate_residuated(6, workers=1) + enumerate_residuated(7, workers=1)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from reslat import ContractError, validate_axioms
+from reslat import ContractError, InternalCheckError, enumerator, validate_axioms
 from reslat.core import bounded_lattice_ops
 from reslat.enumerator import (
     bounded_lattices,
@@ -14,15 +14,17 @@ from reslat.enumerator import (
     full_canonical_key,
     lattice_automorphisms,
     lattice_canonical,
+    lattice_cell_key,
     naive_bounded_orders,
     naive_residuated,
     residuated_products,
     worker_count,
 )
 
-# unlabeled bounded lattice counts for orders 1..6; the order-5 value also
-# follows by hand: the chain, both kites, the diamond and the pentagon
-LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+# unlabeled bounded lattice counts for orders 1..8 (OEIS A006966); the
+# order-5 value also follows by hand: the chain, both kites, the diamond
+# and the pentagon
+LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
 # residuated lattice counts for orders 1..6 (Bělohlávek & Vychodil,
 # "Residuated lattices of size <= 12", Order 27, 2010)
@@ -41,17 +43,61 @@ def test_generated_orders_are_lattices():
             assert bottom == 0 and top == n - 1
 
 
+def _relabelings(up):
+    """up relabeled by every permutation fixing bottom 0 and top n-1."""
+    n = len(up)
+    for perm in itertools.permutations(range(1, n - 1)):
+        full = (0,) + perm + (n - 1,)
+        yield tuple(
+            sum(1 << full[j] for j in range(n) if up[i] >> j & 1)
+            for i in [full.index(k) for k in range(n)]
+        )
+
+
 def test_lattice_canonical_is_idempotent_and_invariant():
     for up in bounded_lattices(5):
         assert lattice_canonical(up) == up
-        n = len(up)
-        for perm in itertools.permutations(range(1, n - 1)):
-            full = (0,) + perm + (n - 1,)
-            relabeled = tuple(
-                sum(1 << full[j] for j in range(n) if up[i] >> j & 1)
-                for i in [full.index(k) for k in range(n)]
-            )
+        for relabeled in _relabelings(up):
             assert lattice_canonical(relabeled) == up
+
+
+def test_cell_key_is_a_complete_invariant():
+    keys = set()
+    for n in range(1, 8):
+        for up in bounded_lattices(n):
+            key = lattice_cell_key(up)
+            assert all(lattice_cell_key(r) == key for r in _relabelings(up)), up
+            keys.add(key)
+    assert len(keys) == sum(LATTICE_COUNTS[n] for n in range(1, 8))
+
+
+def test_exact_canonical_form_once_per_class(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        enumerator, "lattice_canonical", lambda up: calls.append(up) or lattice_canonical(up)
+    )
+    assert len(enumerator.bounded_lattices(7)) == len(calls) == 53
+
+
+def _automorphisms_by_full_scan(up):
+    n = len(up)
+    perms = [tuple(range(n))] if n <= 2 else [
+        (0,) + mid + (n - 1,) for mid in itertools.permutations(range(1, n - 1))
+    ]
+    out = []
+    for perm in perms:
+        image = [0] * n
+        for x in range(n):
+            image[perm[x]] = sum(1 << perm[y] for y in range(n) if up[x] >> y & 1)
+        if tuple(image) == up:
+            out.append(perm)
+    return tuple(out)
+
+
+def test_automorphisms_match_full_scan():
+    for n in range(1, 8):
+        for up in bounded_lattices(n):
+            assert lattice_automorphisms(up) == _automorphisms_by_full_scan(up), up
 
 
 def test_naive_order_scan_agrees():
@@ -160,6 +206,18 @@ def test_automorphism_groups():
                     tuple(perm[tab[inv[x]][inv[y]]] for x in range(n) for y in range(n))
                 )
             assert min(flats) == tuple(v for row in tab for v in row)
+
+
+def test_build_rejects_a_product_without_residuum():
+    # on the square 0 < a, b < 1 the meet is residuated; with a.a = 0 the
+    # elements x with a.x <= 0 are 0, a and b, but a.(a v b) = a
+    up = next(u for u in bounded_lattices(4) if not u[1] >> 2 & 1 and not u[2] >> 1 & 1)
+    ops = bounded_lattice_ops(up)
+    meet = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    assert enumerator._build(up, ops, meet).odot == meet
+    broken = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    with pytest.raises(InternalCheckError, match=r"no residuum: residuum not realised at \(1, 0\)"):
+        enumerator._build(up, ops, broken)
 
 
 def test_residuated_counts():

@@ -239,6 +239,28 @@ def test_congruence_classes_partition(a6):
     assert len(classes) == 2
 
 
+def _imp_pair_classes(lat, f):
+    """congruence_classes by its definition: a ~ b iff imp(a,b), imp(b,a) in f."""
+    classes, seen = [], 0
+    for a in range(lat.size):
+        if not seen >> a & 1:
+            cls = mask_of(b for b in range(lat.size)
+                          if f >> lat.imp[a][b] & 1 and f >> lat.imp[b][a] & 1)
+            classes.append(cls)
+            seen |= cls
+    classes.sort(key=lambda c: (bool(c >> lat.top & 1), c & -c))
+    return tuple(classes)
+
+
+def test_congruence_classes_match_imp_pair_definition(corpus7, a6, a8):
+    pairs = 0
+    for lat in (*corpus7, a6, a8):
+        for f in all_filters(lat):
+            assert congruence_classes(lat, f) == _imp_pair_classes(lat, f)
+            pairs += 1
+    assert pairs == 3009 + 5 + 5  # orders <= 7, then a6 and a8
+
+
 def test_quotient_domain_iff_prime_filter(a6, a8, corpus4):
     for lat in (a6, a8, *corpus4):
         spec = prime_spectrum(lat)

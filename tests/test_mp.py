@@ -150,3 +150,18 @@ def test_conormal_matches_definitional_scan(a6, a8, corpus5):
             assert result == _conormal_by_definition(lat, members)
             seen.add(result[0])
     assert seen == {True, False}
+
+
+def test_quotient_family_builds_each_quotient_once(monkeypatch, a6, a8, corpus5):
+    from reslat import mp
+    from reslat.purity import divisor_filter
+    from reslat.spectra import prime_spectrum
+
+    built = []
+    quotient = mp.quotient
+    monkeypatch.setattr(mp, "quotient", lambda lat, f: built.append(f) or quotient(lat, f))
+    for lat in (a6, a8, *corpus5):
+        built.clear()
+        mp_via_quotient(lat)
+        divisors = {divisor_filter(lat, p) for p in prime_spectrum(lat).primes}
+        assert len(built) == len(set(built)) and set(built) <= divisors
