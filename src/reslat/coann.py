@@ -3,7 +3,11 @@
 The coannihilator of a subset X is the intersection of the primes not
 containing X.  Coannihilators form a Boolean lattice (the skeleton of the
 filter lattice) under intersection and the skeleton join; the coannulets
-are the single-element case.
+are the single-element case.  coann(X) is the intersection of the
+coannulets of the elements of X: a prime fails to contain X exactly when
+it misses some x in X, so {P | X not in P} is the union over x in X of
+{P | x not in P}, and the empty X gives the whole carrier.  The spectrum
+keeps one coannulet per element, so coann(X) costs |X| mask operations.
 """
 
 from __future__ import annotations
@@ -11,23 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .core import InternalCheckError, ResiduatedLattice, is_subset
+from .core import InternalCheckError, ResiduatedLattice, bits
 from .filters import all_filters, canonical_sort, filter_join
 from .spectra import prime_spectrum
 
 
 def coannihilator(lat: ResiduatedLattice, subset: int) -> int:
     """Intersection of the primes that do not contain the subset."""
-    spec = prime_spectrum(lat)
+    coannulets = prime_spectrum(lat).coannulets
     out = lat.full_mask
-    for p in spec.primes:
-        if not is_subset(subset, p):
-            out &= p
+    for x in bits(subset):
+        out &= coannulets[x]
     return out
 
 
 def coannulet(lat: ResiduatedLattice, x: int) -> int:
-    return coannihilator(lat, 1 << x)
+    return prime_spectrum(lat).coannulets[x]
 
 
 class SkeletonLattice:
@@ -39,27 +42,14 @@ class SkeletonLattice:
         members: tuple[int, ...],
         coannulets: tuple[int, ...],
         dual_coannulets: tuple[int, ...],
+        join_table: tuple[tuple[int, ...], ...],
     ):
         self.lattice = lat
         self.members = members
         self.coannulets = coannulets
         self.dual_coannulets = dual_coannulets
         self.index = {f: i for i, f in enumerate(members)}
-        m = len(members)
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                v = self._skel_join(members[i], members[j])
-                if v not in self.index:
-                    raise InternalCheckError("skeleton not closed under its join")
-                row.append(self.index[v])
-            rows.append(tuple(row))
-        self.join_table = tuple(rows)
-
-    def _skel_join(self, f: int, g: int) -> int:
-        lat = self.lattice
-        return coannihilator(lat, coannihilator(lat, f) & coannihilator(lat, g))
+        self.join_table = join_table
 
     def skeleton_join(self, f: int, g: int) -> int:
         return self.members[self.join_table[self.index[f]][self.index[g]]]
@@ -74,42 +64,52 @@ def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
 
     Membership ranges over filters only: the coannihilator of any subset
     equals that of the filter it generates, so nothing is missed.
+
+    The skeleton join of f and g is coann(coann(f) & coann(g)).  It is
+    read from two tables over member positions, built once here: the
+    complement comp[i] of each member and the intersection meet[i][j] of
+    each pair, so join[i][j] = comp[meet[comp[i]][comp[j]]].  Every law
+    below is checked through these tables on every member, pair or triple
+    of members.
     """
     members = canonical_sort({coannihilator(lat, f) for f in all_filters(lat)})
     gamma = canonical_sort({coannulet(lat, x) for x in range(lat.size)})
     lam = canonical_sort(
         {coannihilator(lat, coannulet(lat, x)) for x in range(lat.size)}
     )
-    skel = SkeletonLattice(lat, members, gamma, lam)
-    member_set = set(members)
-    one = 1 << lat.top
-    if one not in member_set or lat.full_mask not in member_set:
+    index = {f: i for i, f in enumerate(members)}
+    one, full = 1 << lat.top, lat.full_mask
+    if one not in index or full not in index:
         raise InternalCheckError("skeleton lacks its bounds")
-    for f in members:
-        if f & coannihilator(lat, f) != one:
+    comp = [index.get(coannihilator(lat, f)) for f in members]
+    if None in comp:
+        raise InternalCheckError("skeleton not closed under complement")
+    meet = [[index.get(f & g) for g in members] for f in members]
+    if any(None in row for row in meet):
+        raise InternalCheckError("skeleton not closed under intersection")
+    m = len(members)
+    join = tuple(tuple(comp[meet[ci][cj]] for cj in comp) for ci in comp)
+    for i, f in enumerate(members):
+        if f & members[comp[i]] != one:
             raise InternalCheckError("skeleton complement fails the meet law")
-        if skel._skel_join(f, coannihilator(lat, f)) != lat.full_mask:
+        ji = join[i]
+        if members[ji[comp[i]]] != full:
             raise InternalCheckError("skeleton complement fails the join law")
-        for g in members:
-            if f & g not in member_set:
-                raise InternalCheckError("skeleton not closed under intersection")
-            if skel._skel_join(f, g) not in member_set:
-                raise InternalCheckError("skeleton not closed under its join")
-            if coannihilator(lat, skel._skel_join(f, g)) != coannihilator(
-                lat, f
-            ) & coannihilator(lat, g):
+        for j in range(m):
+            if comp[ji[j]] != meet[comp[i]][comp[j]]:
                 raise InternalCheckError("skeleton De Morgan law fails")
-            for h in members:
-                if skel._skel_join(f, g & h) != skel._skel_join(f, g) & skel._skel_join(f, h):
-                    raise InternalCheckError("skeleton is not distributive")
+            meet_j, meet_ij = meet[j], meet[ji[j]]
+            if any(ji[meet_j[h]] != meet_ij[ji[h]] for h in range(m)):
+                raise InternalCheckError("skeleton is not distributive")
     for g in gamma:
-        if g not in member_set:
+        if g not in index:
             raise InternalCheckError("coannulets must be coannihilators")
+    gamma_set = set(gamma)
     for x in gamma:
         for y in gamma:
-            if x & y not in set(gamma) or skel._skel_join(x, y) not in set(gamma):
+            if x & y not in gamma_set or members[join[index[x]][index[y]]] not in gamma_set:
                 raise InternalCheckError("coannulets not a sublattice of the skeleton")
-    return skel
+    return SkeletonLattice(lat, members, gamma, lam, join)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def classify_baer_rickart(lat: ResiduatedLattice) -> BaerRickart:
     complement among the coannulets."""
     skel = skeleton(lat)
     baer = all(
-        skel._skel_join(f, g) == filter_join(lat, f, g)
+        skel.skeleton_join(f, g) == filter_join(lat, f, g)
         for f in skel.members
         for g in skel.members
     )

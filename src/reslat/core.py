@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -108,7 +109,8 @@ class ResiduatedLattice:
     ``up[x]`` is the bitmask of elements above x (including x itself); it
     encodes the order relation.  ``join``, ``meet``, ``odot`` and ``imp``
     are full n x n tables.  The structure is not necessarily valid:
-    ``validate_axioms`` reports which axioms hold.
+    ``validate_axioms`` reports which axioms hold.  The derived masks
+    (``down_masks``, ``top_joiners``) are computed on first use and kept.
     """
 
     labels: tuple[str, ...]
@@ -120,24 +122,37 @@ class ResiduatedLattice:
     bottom: int
     top: int
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
+    @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        """``down_masks[x]`` is the bitmask of elements below x (including x)."""
+        down = [0] * len(self.labels)
+        for y, u in enumerate(self.up):
+            for x in bits(u & self.full_mask):
+                down[x] |= 1 << y
+        return tuple(down)
+
     def down(self, x: int) -> int:
         """Bitmask of elements below x (including x)."""
-        m = 0
-        for y in range(len(self.labels)):
-            if self.up[y] >> x & 1:
-                m |= 1 << y
-        return m
+        return self.down_masks[x]
+
+    @cached_property
+    def top_joiners(self) -> tuple[int, ...]:
+        """``top_joiners[a]`` is the bitmask of the x with join(a, x) = top."""
+        top = self.top
+        return tuple(
+            sum(1 << x for x, v in enumerate(row) if v == top) for row in self.join
+        )
 
     def label_set(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
@@ -157,6 +172,25 @@ class ResiduatedLattice:
 
 
 def _check_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The table as a tuple of row tuples, or StructureError naming the first bad entry.
+
+    A well-formed table passes with one pass each for the row lengths, the
+    entry types and the entry values; the entry-by-entry scan runs only to
+    name what is wrong.
+    """
+    try:
+        if len(table) == n and set(map(len, table)) <= {n}:
+            rows = tuple(map(tuple, table))
+            if set(chain.from_iterable(rows)) <= set(range(n)) and set(
+                map(type, chain.from_iterable(rows))
+            ) <= {int}:
+                return rows
+    except TypeError:
+        pass
+    return _scan_table(name, table, n)
+
+
+def _scan_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     if len(table) != n:
         raise StructureError(f"{name}: expected {n} rows, got {len(table)}")
     rows = []

@@ -14,7 +14,8 @@ F is up(e) for exactly one idempotent e:
 So up(e) joined with up(e') is up(odot(e, e')), and the filter generated
 by S is up(p^k) for the product p of S and the first k with p^k = p^(k+1).
 Generating a filter costs O(|S|) lookups plus the squarings, finding all
-filters O(n), and the join table of m filters O(m^2) lookups.
+filters O(n), and the join table of m filters O(m^2) lookups.  Joining
+two filters is then O(1): two index lookups and one table lookup.
 """
 
 from __future__ import annotations
@@ -95,7 +96,13 @@ def filter_meet(lat: ResiduatedLattice, f: int, g: int) -> int:
 
 
 def filter_join(lat: ResiduatedLattice, f: int, g: int) -> int:
-    return generated_filter(lat, f | g)
+    """up(odot(e, e')) for the least elements e, e' of two filters, in O(1):
+    read from the join table of the filter lattice."""
+    fl = filter_lattice(lat)
+    i, j = fl.index.get(f), fl.index.get(g)
+    if i is None or j is None:
+        raise ContractError("filter_join: inputs must be filters")
+    return fl.filters[fl.join_table[i][j]]
 
 
 @dataclass(frozen=True)

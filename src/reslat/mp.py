@@ -25,7 +25,6 @@ from .spectra import (
 )
 from .coann import coannulet
 from .purity import (
-    divisor_filter,
     omega_lattice,
     pure_core,
     pure_min_identity,
@@ -111,6 +110,7 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
             break
     verdicts["minimal_pairwise_comaximal"] = Verdict(comax, witness)
 
+    divisors = omega_lattice(lat).divisors
     for name, positions in (
         ("divisor_prime_for_primes", range(len(spec))),
         ("divisor_prime_for_maximals", spec.maximal),
@@ -118,7 +118,7 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
         value = True
         witness = None
         for i in positions:
-            d = divisor_filter(lat, spec.primes[i])
+            d = divisors[i]
             if d == lat.full_mask or d not in spec.index:
                 value = False
                 witness = {
@@ -273,6 +273,7 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
     # so each quotient is built once.  Only the labels of its first pair
     # joining to top are kept (None for a domain), not the quotient.
     non_domain: dict[int, tuple[str, str] | None] = {}
+    divisors = omega_lattice(lat).divisors
     for name, positions in (
         ("divisor_quotient_domain_for_primes", range(len(spec))),
         ("divisor_quotient_domain_for_maximals", spec.maximal),
@@ -280,7 +281,7 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
         value = True
         witness = None
         for i in positions:
-            d = divisor_filter(lat, spec.primes[i])
+            d = divisors[i]
             if d not in non_domain:
                 q = quotient(lat, d)
                 domain, pair = is_domain(q)
@@ -397,9 +398,7 @@ def mp_via_purity(lat: ResiduatedLattice) -> dict[str, Verdict]:
     # the maximals-only variant is deliberately absent: the divisor filter
     # of a maximal over several minimal primes is their intersection, which
     # can be pure without the lattice being mp
-    containment(
-        "divisor_pure_for_primes", (divisor_filter(lat, p) for p in spec.primes)
-    )
+    containment("divisor_pure_for_primes", omega_lattice(lat).divisors)
 
     mins = {spec.primes[i] for i in spec.minimal}
     value = mins == set(ps.purely_maximal)

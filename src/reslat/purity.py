@@ -9,7 +9,7 @@ compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .core import (
     ContractError,
@@ -71,32 +71,29 @@ def ideal_join(lat: ResiduatedLattice, i: int, j: int) -> int:
 
 
 def omega_filter(lat: ResiduatedLattice, ideal: int) -> int:
-    """{a | a v x = top for some x in the ideal}; join-closedness suffices."""
+    """{a | a v x = top for some x in the ideal}; join-closedness suffices.
+
+    One mask test per element a: does the ideal meet the set of the x
+    with a v x = top (``lat.top_joiners[a]``)?  That is O(n) whatever
+    the size of the ideal.
+    """
     if ideal == 0:
         raise ContractError("omega_filter: ideal must be non-empty")
     out = 0
-    for a in range(lat.size):
-        row = lat.join[a]
-        if any(row[x] == lat.top for x in bits(ideal)):
+    for a, joiners in enumerate(lat.top_joiners):
+        if joiners & ideal:
             out |= 1 << a
     if not is_filter(lat, out):
         raise InternalCheckError("omega of an ideal must be a filter")
     return out
 
 
-def divisor_filter(lat: ResiduatedLattice, prime: int) -> int:
-    """Elements joining to top with something outside the prime.
-
-    Defined only for primes, whose complement is join closed.  The result
-    is cross-checked against the kernel of the generalization of the
-    prime, both over all primes and over the minimal ones.
-    """
+def _divisor_of_prime(lat: ResiduatedLattice, i: int) -> int:
+    """omega of the complement of prime i, cross-checked against the kernel
+    of the generalization of the prime, over all primes and over the
+    minimal ones."""
     spec = prime_spectrum(lat)
-    if prime not in spec.index:
-        raise ContractError("divisor_filter: input must be a prime filter")
-    complement = lat.full_mask & ~prime
-    d = omega_filter(lat, complement)
-    i = spec.index[prime]
+    d = omega_filter(lat, lat.full_mask & ~spec.primes[i])
     via_all = kernel(lat, spec.below[i])
     via_min = kernel(lat, spec.below[i] & spec.minimal_mask)
     if d != via_all or d != via_min:
@@ -104,6 +101,19 @@ def divisor_filter(lat: ResiduatedLattice, prime: int) -> int:
             "divisor filter disagrees with the kernel of the generalization"
         )
     return d
+
+
+def divisor_filter(lat: ResiduatedLattice, prime: int) -> int:
+    """Elements joining to top with something outside the prime.
+
+    Defined only for primes, whose complement is join closed.  Read from
+    ``omega_lattice(lat).divisors``, where each prime's divisor filter is
+    computed and cross-checked once.
+    """
+    spec = prime_spectrum(lat)
+    if prime not in spec.index:
+        raise ContractError("divisor_filter: input must be a prime filter")
+    return omega_lattice(lat).divisors[spec.index[prime]]
 
 
 class OmegaLattice:
@@ -153,6 +163,16 @@ class OmegaLattice:
     def vee(self, f: int, g: int) -> int:
         """omega of the ideal join of any representatives of f and g."""
         return self.members[self.vee_table[self.index[f]][self.index[g]]]
+
+    @cached_property
+    def divisors(self) -> tuple[int, ...]:
+        """The divisor filter of each prime, in spectrum order.
+
+        A prime's divisor filter is omega of its complement, an ideal, so
+        it is an omega-filter; each is computed and cross-checked once.
+        """
+        lat = self.lattice
+        return tuple(_divisor_of_prime(lat, i) for i in range(len(prime_spectrum(lat))))
 
 
 @cache

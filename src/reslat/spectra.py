@@ -28,6 +28,8 @@ class Spectrum:
     ``above[i]`` is the bitmask of prime positions j with primes[i] a
     subset of primes[j]; ``below[i]`` is the converse.  Positions are
     indices into the canonically ordered ``primes`` tuple.
+    ``coannulets[x]`` is the intersection of the primes not containing
+    the element x (the carrier when every prime contains x).
     """
 
     def __init__(self, lat: ResiduatedLattice, primes: tuple[int, ...]):
@@ -47,6 +49,11 @@ class Spectrum:
         self.is_minimal = tuple(self.below[i] == 1 << i for i in range(k))
         self.maximal = tuple(i for i in range(k) if self.is_maximal[i])
         self.minimal = tuple(i for i in range(k) if self.is_minimal[i])
+        coannulets = [lat.full_mask] * lat.size
+        for p in primes:
+            for x in bits(lat.full_mask & ~p):
+                coannulets[x] &= p
+        self.coannulets = tuple(coannulets)
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -461,14 +468,9 @@ def _ideal_join_is_everything(lat: ResiduatedLattice, p: int, q: int) -> bool:
     # complements of primes are lattice ideals; their ideal join is the
     # down-closure of pairwise joins, so it is everything iff some pair
     # outside p x q joins to the top
-    comp_p = lat.full_mask & ~p
     comp_q = lat.full_mask & ~q
-    for x in bits(comp_p):
-        row = lat.join[x]
-        for y in bits(comp_q):
-            if row[y] == lat.top:
-                return True
-    return False
+    joiners = lat.top_joiners
+    return any(joiners[x] & comp_q for x in bits(lat.full_mask & ~p))
 
 
 def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:

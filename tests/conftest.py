@@ -35,3 +35,17 @@ def corpus5(corpus4):
 def corpus7(corpus5):
     """Every residuated lattice of order up to 7, isomorph-free."""
     return corpus5 + enumerate_residuated(6, workers=1) + enumerate_residuated(7, workers=1)
+
+
+@pytest.fixture(scope="session")
+def a6xa8(a6, a8):
+    """The 48-element product a6 x a8 (not mp, since a8 is not)."""
+    from lattices import build_product
+
+    return build_product(a6, a8)
+
+
+@pytest.fixture(scope="session")
+def oracle_set(corpus5, a6, a8, a6xa8):
+    """The lattices on which table lookups are compared with the scans they replace."""
+    return (*corpus5, a6, a8, a6xa8)

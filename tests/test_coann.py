@@ -1,6 +1,10 @@
 from __future__ import annotations
 
-from reslat import bits
+import random
+
+import pytest
+
+from reslat import InternalCheckError, bits, coann
 from reslat.coann import classify_baer_rickart, coannihilator, coannulet, skeleton
 from reslat.filters import all_filters, filter_join
 from reslat.spectra import prime_spectrum
@@ -124,3 +128,72 @@ def test_rickart_iff_coannulets_join_closed_and_boolean(corpus5):
             for f in gamma
         )
         assert classify_baer_rickart(lat).rickart == (closed and boolean)
+
+
+def _coannihilator_by_primes(lat, subset):
+    # the definition: intersect every prime that does not contain the subset
+    out = lat.full_mask
+    for p in prime_spectrum(lat).primes:
+        if subset & ~p:
+            out &= p
+    return out
+
+
+def test_coannihilator_matches_prime_scan(oracle_set):
+    rng = random.Random(20221)
+    for lat in oracle_set:
+        if lat.size <= 6:
+            subsets = range(lat.full_mask + 1)
+        else:
+            subsets = [rng.getrandbits(lat.size) for _ in range(2000)]
+        for subset in subsets:
+            assert coannihilator(lat, subset) == _coannihilator_by_primes(lat, subset)
+        for x in range(lat.size):
+            assert coannulet(lat, x) == _coannihilator_by_primes(lat, 1 << x)
+
+
+def test_skeleton_rejects_a_coannulet_outside_the_skeleton(monkeypatch, a8):
+    # {0} is no filter, so no coannihilator: the check must name it before
+    # any table lookup sees it
+    real = coann.coannulet
+    monkeypatch.setattr(
+        coann, "coannulet", lambda lat, x: 1 << lat.bottom if x == 3 else real(lat, x)
+    )
+    with pytest.raises(InternalCheckError, match="coannulets must be coannihilators"):
+        skeleton.__wrapped__(a8)
+
+
+def test_skeleton_rejects_a_complement_outside_the_skeleton(monkeypatch, a8):
+    # members are the coannihilators of the filters; a later, different
+    # answer for one of them reaches only the complement table
+    real = coann.coannihilator
+    target = mask(a8, "c e 1")
+    seen = set()
+
+    def faulty(lat, subset):
+        if subset == target and subset in seen:
+            return 1 << lat.bottom
+        seen.add(subset)
+        return real(lat, subset)
+
+    monkeypatch.setattr(coann, "coannihilator", faulty)
+    with pytest.raises(InternalCheckError, match="not closed under complement"):
+        skeleton.__wrapped__(a8)
+
+
+def test_skeleton_rejects_a_wrong_complement_inside_the_skeleton(monkeypatch, a8):
+    # a complement that is a member, but the wrong one, breaks a law that
+    # is checked on the tables
+    real = coann.coannihilator
+    target = mask(a8, "c e 1")
+    seen = set()
+
+    def faulty(lat, subset):
+        if subset == target and subset in seen:
+            return lat.full_mask
+        seen.add(subset)
+        return real(lat, subset)
+
+    monkeypatch.setattr(coann, "coannihilator", faulty)
+    with pytest.raises(InternalCheckError, match="^skeleton .* law"):
+        skeleton.__wrapped__(a8)

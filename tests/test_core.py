@@ -330,3 +330,59 @@ def test_central_elements_have_clopen_hulls(a6, a8, corpus4):
         for e in bits(boolean_center(lat)):
             h = hull(lat, 1 << e)
             assert dual.is_open(h) and dual.is_closed(h)
+
+
+def _check_table_by_entries(name, table, n):
+    # the entry-by-entry scan that names the first malformed row or entry
+    if len(table) != n:
+        raise StructureError(f"{name}: expected {n} rows, got {len(table)}")
+    rows = []
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise StructureError(f"{name}[{i}]: expected {n} entries, got {len(row)}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise StructureError(f"{name}[{i}][{j}]: entry {v!r} out of range 0..{n - 1}")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_check_table_matches_entry_scan(a6):
+    from reslat.core import _check_table
+
+    def outcome(check, table):
+        try:
+            return check("odot", table, 6)
+        except StructureError as exc:
+            return str(exc)
+
+    def mutated(i, j, v):
+        rows = [list(r) for r in a6.odot]
+        rows[i][j] = v
+        return rows
+
+    short_row = [list(r) for r in a6.odot]
+    short_row[3] = short_row[3][:-1]
+    tables = [
+        a6.odot,
+        [list(r) for r in a6.odot],
+        [list(r) for r in a6.odot[:-1]],
+        short_row,
+        mutated(2, 4, True),
+        mutated(1, 0, False),
+        mutated(5, 5, -1),
+        mutated(0, 3, 6),
+        mutated(4, 1, 2.0),
+        mutated(3, 3, "a"),
+        mutated(1, 2, None),
+        mutated(2, 2, 1.5) + [],
+    ]
+    for bad_cell in ((0, 0), (5, 5), (2, 3)):
+        for v in (True, -1, 6, 1.0):
+            tables.append(mutated(*bad_cell, v))
+    messages = set()
+    for table in tables:
+        expected = outcome(_check_table_by_entries, table)
+        assert outcome(_check_table, table) == expected
+        messages.add(expected if isinstance(expected, str) else "valid")
+    assert "valid" in messages and len(messages) > 10

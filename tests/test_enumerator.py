@@ -365,3 +365,17 @@ def test_products_match_full_prefix_search():
     for n in range(1, 7):
         for up in bounded_lattices(n):
             assert _incremental_search(up) == _full_prefix_search(up), up
+
+
+def test_census_rows_through_order_6():
+    rows = census(6, workers=1)
+    columns = {
+        "order": [1, 2, 3, 4, 5, 6],
+        "lattices": [1, 1, 1, 2, 5, 15],
+        "residuated": [1, 1, 2, 7, 26, 129],
+        "mp": [1, 1, 2, 7, 25, 126],
+        "rickart": [1, 1, 2, 7, 25, 126],
+        "baer": [1, 1, 2, 7, 25, 126],
+        "domains": [0, 1, 2, 6, 25, 124],
+    }
+    assert {k: [getattr(r, k) for r in rows] for k in columns} == columns

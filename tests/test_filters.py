@@ -283,3 +283,22 @@ def test_chains_are_domains():
 
     for n in (2, 3, 4, 5):
         assert is_domain(build_chain(n))[0]
+
+
+def test_filter_join_matches_closure_on_every_pair(oracle_set):
+    # filter_join reads up(odot(e, e')) from the filters' least elements;
+    # the definition is the filter generated by the union
+    for lat in oracle_set:
+        fs = all_filters(lat)
+        for f in fs:
+            for g in fs:
+                assert filter_join(lat, f, g) == generated_filter(lat, f | g)
+
+
+def test_filter_join_rejects_non_filters(a6):
+    one = mask(a6, "1")
+    for bad in (0, mask(a6, "d"), mask(a6, "0 1")):
+        with pytest.raises(ContractError):
+            filter_join(a6, bad, one)
+        with pytest.raises(ContractError):
+            filter_join(a6, one, bad)

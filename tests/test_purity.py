@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from reslat import ContractError, InternalCheckError, purity
+from reslat import ContractError, InternalCheckError, bits, purity
 from reslat.coann import coannulet
 from reslat.filters import all_filters, filter_join, is_filter
 from reslat.purity import (
@@ -231,3 +231,48 @@ def test_identity_comparison_golden(a6, a8):
     assert c6.bijective and c6.homeomorphism
     c8 = pure_min_identity(a8)
     assert not c8.bijective and not c8.homeomorphism
+
+
+def _omega_by_scan(lat, ideal):
+    # the definition: a belongs when a v x = top for some x in the ideal
+    return sum(
+        1 << a for a in range(lat.size)
+        if any(lat.join[a][x] == lat.top for x in bits(ideal))
+    )
+
+
+def test_omega_filter_matches_join_scan_on_every_ideal(oracle_set):
+    for lat in oracle_set:
+        for ideal in lattice_ideals(lat):
+            assert omega_filter(lat, ideal) == _omega_by_scan(lat, ideal)
+
+
+def test_divisor_filter_is_omega_of_the_complement(oracle_set):
+    for lat in oracle_set:
+        for p in prime_spectrum(lat).primes:
+            assert divisor_filter(lat, p) == _omega_by_scan(lat, lat.full_mask & ~p)
+
+
+def test_wrong_divisor_filter_fails_the_kernel_check(monkeypatch, a6, a8):
+    # the carrier is a filter, so only the kernel cross-check can object
+    for lat in (a6, a8):
+        om = purity.OmegaLattice(lat)
+        monkeypatch.setattr(purity, "omega_filter", lambda lat, ideal: lat.full_mask)
+        with pytest.raises(InternalCheckError, match="divisor filter disagrees"):
+            om.divisors
+        monkeypatch.undo()
+
+
+def test_mp_check_cross_checks_each_divisor_filter_once(monkeypatch, a6, a8, corpus5):
+    from reslat.mp import mp_check
+
+    checked = []
+    real = purity._divisor_of_prime
+    monkeypatch.setattr(
+        purity, "_divisor_of_prime", lambda lat, i: checked.append(i) or real(lat, i)
+    )
+    for lat in (a6, a8, *corpus5):
+        omega_lattice.cache_clear()
+        checked.clear()
+        mp_check(lat)
+        assert sorted(checked) == list(range(len(prime_spectrum(lat))))

@@ -426,3 +426,30 @@ def test_linkage_collapse_against_brute_force(a6, a8, corpus4):
                             break
             assert rel.collapse_bijective == bijective
             assert rel.collapse_homeomorphism == homeo
+
+
+def _ideal_join_is_everything_by_pairs(lat, p, q):
+    # the definition: some x outside p and y outside q join to the top
+    return any(
+        lat.join[x][y] == lat.top
+        for x in bits(lat.full_mask & ~p)
+        for y in bits(lat.full_mask & ~q)
+    )
+
+
+def test_ideal_linkage_matches_pair_scan(oracle_set):
+    from reslat.spectra import _ideal_join_is_everything
+
+    for lat in oracle_set:
+        primes = prime_spectrum(lat).primes
+        for p in primes:
+            for q in primes:
+                assert _ideal_join_is_everything(lat, p, q) == (
+                    _ideal_join_is_everything_by_pairs(lat, p, q)
+                )
+        rel = prime_linkage(lat, "ideals")
+        for i, p in enumerate(primes):
+            for j, q in enumerate(primes):
+                assert rel.base[i] >> j & 1 == (
+                    not _ideal_join_is_everything_by_pairs(lat, p, q)
+                )
