@@ -13,18 +13,18 @@ import sys
 from .core import (
     ContractError,
     InternalCheckError,
-    ResiduatedLattice,
     StructureError,
     ValidationFailed,
     bits,
     boolean_center,
+    format_set,
     validate_axioms,
 )
 from .filters import all_filters, is_domain, is_filter, quotient
 from .coann import classify_baer_rickart, coannulet
 from .spectra import hull_kernel_topology, prime_spectrum, separation_check
 from .purity import pure_part, pure_spectrum
-from .mp import MpDisagreement, _lab, mp_check
+from .mp import MpDisagreement, mp_check
 from .enumerator import DEFAULT_CAP, census, enumerate_residuated
 from .latfile import (
     LatticeDocument,
@@ -53,10 +53,6 @@ def _load(path: str) -> LatticeDocument:
     return parse_document(text)
 
 
-def _labset(lat: ResiduatedLattice, mask: int) -> list[str]:
-    return list(lat.label_set(mask))
-
-
 def cmd_validate(args) -> int:
     doc = _load(args.file)
     report = validate_axioms(doc.lattice)
@@ -76,13 +72,13 @@ def cmd_analyze(args) -> int:
     data = {
         "name": doc.name,
         "size": lat.size,
-        "filters": [_labset(lat, f) for f in all_filters(lat)],
-        "primes": [_labset(lat, p) for p in spec.primes],
-        "maximal": [_labset(lat, spec.primes[i]) for i in spec.maximal],
-        "minimal": [_labset(lat, spec.primes[i]) for i in spec.minimal],
-        "boolean_center": _labset(lat, boolean_center(lat)),
+        "filters": [lat.label_set(f) for f in all_filters(lat)],
+        "primes": [lat.label_set(p) for p in spec.primes],
+        "maximal": [lat.label_set(spec.primes[i]) for i in spec.maximal],
+        "minimal": [lat.label_set(spec.primes[i]) for i in spec.minimal],
+        "boolean_center": lat.label_set(boolean_center(lat)),
         "coannulets": sorted(
-            {_lab(lat, coannulet(lat, x)) for x in range(lat.size)}
+            {format_set(lat, coannulet(lat, x)) for x in range(lat.size)}
         ),
         "domain": domain,
         "baer": cls.baer,
@@ -94,10 +90,10 @@ def cmd_analyze(args) -> int:
     print(f"{doc.name}: {lat.size} elements")
     print(f"  filters ({len(data['filters'])}):")
     for f in all_filters(lat):
-        print(f"    {_lab(lat, f)}")
-    print(f"  primes: {', '.join(_lab(lat, p) for p in spec.primes)}")
-    print(f"  maximal: {', '.join(_lab(lat, spec.primes[i]) for i in spec.maximal)}")
-    print(f"  minimal: {', '.join(_lab(lat, spec.primes[i]) for i in spec.minimal)}")
+        print(f"    {format_set(lat, f)}")
+    print(f"  primes: {', '.join(format_set(lat, p) for p in spec.primes)}")
+    print(f"  maximal: {', '.join(format_set(lat, spec.primes[i]) for i in spec.maximal)}")
+    print(f"  minimal: {', '.join(format_set(lat, spec.primes[i]) for i in spec.minimal)}")
     print(f"  boolean center: {{{','.join(data['boolean_center'])}}}")
     print(f"  domain: {domain}   baer: {cls.baer}   rickart: {cls.rickart}")
     return EXIT_OK
@@ -133,11 +129,11 @@ def cmd_pure(args) -> int:
     spec = prime_spectrum(lat)
     data = {
         "name": doc.name,
-        "pure_filters": [_labset(lat, f) for f in ps.pure],
-        "purely_maximal": [_labset(lat, f) for f in ps.purely_maximal],
-        "purely_prime": [_labset(lat, f) for f in ps.purely_prime],
+        "pure_filters": [lat.label_set(f) for f in ps.pure],
+        "purely_maximal": [lat.label_set(f) for f in ps.purely_maximal],
+        "purely_prime": [lat.label_set(f) for f in ps.purely_prime],
         "pure_parts_of_maximals": {
-            _lab(lat, spec.primes[i]): _labset(lat, pure_part(lat, spec.primes[i]))
+            format_set(lat, spec.primes[i]): lat.label_set(pure_part(lat, spec.primes[i]))
             for i in spec.maximal
         },
     }
@@ -146,9 +142,9 @@ def cmd_pure(args) -> int:
         return EXIT_OK
     print(f"{doc.name}: {len(ps.pure)} pure filters")
     for f in ps.pure:
-        print(f"    {_lab(lat, f)}")
-    print(f"  purely maximal: {', '.join(_lab(lat, f) for f in ps.purely_maximal)}")
-    print(f"  purely prime:   {', '.join(_lab(lat, f) for f in ps.purely_prime)}")
+        print(f"    {format_set(lat, f)}")
+    print(f"  purely maximal: {', '.join(format_set(lat, f) for f in ps.purely_maximal)}")
+    print(f"  purely prime:   {', '.join(format_set(lat, f) for f in ps.purely_prime)}")
     return EXIT_OK
 
 
@@ -157,7 +153,7 @@ def cmd_topology(args) -> int:
     lat = doc.lattice
     top = hull_kernel_topology(lat, args.space, args.variant)
     sep = separation_check(top)
-    points = [_lab(lat, p) for p in top.point_filters]
+    points = [format_set(lat, p) for p in top.point_filters]
     data = {
         "name": doc.name,
         "space": args.space,

@@ -41,6 +41,34 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
+def transitive_closure(rows: Sequence[int]) -> tuple[int, ...]:
+    """Transitive closure of a relation given as bitmask rows (bit j of
+    rows[i]: i is related to j), by Warshall's algorithm: n^2 mask steps."""
+    out = list(rows)
+    for k in range(len(out)):
+        bit, through = 1 << k, out[k]
+        for i, row in enumerate(out):
+            if row & bit:
+                out[i] = row | through
+    return tuple(out)
+
+
+def cover_pairs(up: Sequence[int]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) of an order given by up-masks, ordered by i then j.
+
+    j covers i when j is strictly above i and strictly above no k that is
+    strictly above i: one pass of O(n) mask operations per element.
+    """
+    strict = [u & ~(1 << i) for i, u in enumerate(up)]
+    out = []
+    for i, above in enumerate(strict):
+        beyond = 0
+        for k in bits(above):
+            beyond |= strict[k]
+        out.extend((i, j) for j in bits(above & ~beyond))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # errors
 
@@ -171,6 +199,11 @@ class ResiduatedLattice:
         return f"ResiduatedLattice({','.join(self.labels)})"
 
 
+def format_set(lat: ResiduatedLattice, mask: int) -> str:
+    """A subset as text, ``{a,b}``: the braced ``lat.label_set(mask)``."""
+    return "{" + ",".join(lat.label_set(mask)) + "}"
+
+
 def _check_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """The table as a tuple of row tuples, or StructureError naming the first bad entry.
 
@@ -204,6 +237,18 @@ def _scan_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tupl
     return tuple(rows)
 
 
+def _up_masks(leq: Sequence[Sequence[object]], n: int) -> list[int]:
+    """Up-masks of an n x n table of truthy/falsy leq entries."""
+    if len(leq) != n:
+        raise StructureError(f"leq: expected {n} rows, got {len(leq)}")
+    up = []
+    for i, row in enumerate(leq):
+        if len(row) != n:
+            raise StructureError(f"leq[{i}]: expected {n} entries, got {len(row)}")
+        up.append(mask_of(j for j, v in enumerate(row) if v))
+    return up
+
+
 def from_tables(
     labels: Sequence[str],
     leq: Sequence[Sequence[object]],
@@ -224,13 +269,7 @@ def from_tables(
         raise StructureError("empty carrier")
     if len(set(labels)) != n:
         raise StructureError("labels are not unique")
-    if len(leq) != n:
-        raise StructureError(f"leq: expected {n} rows, got {len(leq)}")
-    up = []
-    for i, row in enumerate(leq):
-        if len(row) != n:
-            raise StructureError(f"leq[{i}]: expected {n} entries, got {len(row)}")
-        up.append(mask_of(j for j, v in enumerate(row) if v))
+    up = _up_masks(leq, n)
     if not 0 <= bottom < n or not 0 <= top < n:
         raise StructureError("bottom/top index out of range")
     return ResiduatedLattice(
@@ -327,13 +366,7 @@ def from_order(
     non-lattice order or unrealisable residuum raises ValidationFailed.
     """
     n = len(labels)
-    up = []
-    if len(leq) != n:
-        raise StructureError(f"leq: expected {n} rows, got {len(leq)}")
-    for i, row in enumerate(leq):
-        if len(row) != n:
-            raise StructureError(f"leq[{i}]: expected {n} entries, got {len(row)}")
-        up.append(mask_of(j for j, v in enumerate(row) if v))
+    up = _up_masks(leq, n)
     bottom, top, join, meet = bounded_lattice_ops(up)
     odot_t = _check_table("odot", odot, n)
     if imp is None:
@@ -346,8 +379,7 @@ def from_order(
             ) from exc
     else:
         imp_t = _check_table("imp", imp, n)
-    leq_rows = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
-    return from_tables(labels, leq_rows, join, meet, odot_t, imp_t, bottom, top)
+    return from_tables(labels, leq, join, meet, odot_t, imp_t, bottom, top)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +395,7 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     over joins, and join(x, odot(y, z)) >= odot(join(x, y), join(x, z)).
 
     Cost: the order axioms (reflexivity through meet-glb) take O(n^2)
-    mask operations on ``up`` and on ``down`` masks built once per call.
+    mask operations on ``up`` and on the lattice's ``down_masks``.
     The algebraic axioms take O(n^3) table lookups, compared as one flat
     n x n block per first argument x, so extra memory stays O(n^2).  Only
     a block that differs is scanned again, for its first differing index
@@ -372,10 +404,7 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     n = lat.size
     full = (1 << n) - 1
     up = [u & full for u in lat.up]  # leq(x, y) is only asked for y < n
-    down = [0] * n
-    for x, u in enumerate(up):
-        for y in bits(u):
-            down[y] |= 1 << x
+    down = lat.down_masks
     join, meet, odot, imp = lat.join, lat.meet, lat.odot, lat.imp
     bottom, top = lat.bottom, lat.top
     pairs = [(x, y) for x in range(n) for y in range(n)]

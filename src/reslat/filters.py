@@ -28,6 +28,7 @@ from .core import (
     InternalCheckError,
     ResiduatedLattice,
     bits,
+    format_set,
     from_tables,
     validate_axioms,
 )
@@ -195,7 +196,7 @@ def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
     ]
     def tab(table):
         return [[class_of[table[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    labels = tuple("{" + ",".join(lat.labels[a] for a in bits(cls)) + "}" for cls in classes)
+    labels = tuple(format_set(lat, cls) for cls in classes)
     qlat = from_tables(
         labels, qleq, tab(lat.join), tab(lat.meet), tab(lat.odot), tab(lat.imp),
         class_of[lat.bottom], class_of[lat.top],

@@ -19,7 +19,10 @@ from .core import (
     ValidationReport,
     Violation,
     bits,
+    cover_pairs,
+    format_set,
     from_order,
+    transitive_closure,
     validate_axioms,
 )
 
@@ -91,12 +94,7 @@ def parse_document(text: str) -> LatticeDocument:
     reach = [1 << i for i in range(n)]
     for lo, hi in covers:
         reach[lo] |= 1 << hi
-    for _ in range(n):
-        for i in range(n):
-            acc = reach[i]
-            for j in bits(reach[i]):
-                acc |= reach[j]
-            reach[i] = acc
+    reach = transitive_closure(reach)
     for i in range(n):
         for j in bits(reach[i]):
             if i != j and reach[j] >> i & 1:
@@ -154,20 +152,6 @@ def _canonical_permutation(lat: ResiduatedLattice) -> list[int]:
     return [lat.bottom] + middle + [lat.top]
 
 
-def cover_pairs(lat: ResiduatedLattice) -> list[tuple[int, int]]:
-    n = lat.size
-    out = []
-    for i in range(n):
-        for j in bits(lat.up[i] & ~(1 << i)):
-            between = any(
-                k != i and k != j and lat.leq(i, k) and lat.leq(k, j)
-                for k in range(n)
-            )
-            if not between:
-                out.append((i, j))
-    return out
-
-
 def to_document_dict(lat: ResiduatedLattice, name: str) -> dict:
     order = _canonical_permutation(lat)
     new_of = {old: new for new, old in enumerate(order)}
@@ -180,9 +164,7 @@ def to_document_dict(lat: ResiduatedLattice, name: str) -> dict:
             for x in range(n)
         ]
 
-    pairs = sorted(
-        (new_of[lo], new_of[hi]) for lo, hi in cover_pairs(lat)
-    )
+    pairs = sorted((new_of[lo], new_of[hi]) for lo, hi in cover_pairs(lat.up))
     return {
         "name": name,
         "size": n,
@@ -218,7 +200,7 @@ def dot_hasse(lat: ResiduatedLattice, name: str = "lattice") -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=circle];"]
     for s in lat.labels:
         lines.append(f'  "{s}";')
-    for lo, hi in sorted(cover_pairs(lat)):
+    for lo, hi in cover_pairs(lat.up):
         lines.append(f'  "{lat.labels[lo]}" -> "{lat.labels[hi]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -228,19 +210,11 @@ def dot_spectrum(lat: ResiduatedLattice, name: str = "spectrum") -> str:
     from .spectra import prime_spectrum
 
     spec = prime_spectrum(lat)
-    node = ["{" + ",".join(lat.label_set(p)) + "}" for p in spec.primes]
+    node = [format_set(lat, p) for p in spec.primes]
     lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=box];"]
     for s in node:
         lines.append(f'  "{s}";')
-    k = len(spec)
-    for i in range(k):
-        for j in bits(spec.above[i] & ~(1 << i)):
-            between = any(
-                m != i and m != j
-                and spec.above[i] >> m & 1 and spec.above[m] >> j & 1
-                for m in range(k)
-            )
-            if not between:
-                lines.append(f'  "{node[i]}" -> "{node[j]}";')
+    for i, j in cover_pairs(spec.above):
+        lines.append(f'  "{node[i]}" -> "{node[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,14 +5,21 @@ filter.  Five families of checks decide this independently: spectral,
 algebraic, quotient-based, topological and purity-based.  All verdicts
 must agree; a disagreement would falsify an equivalence theorem and is
 raised as a hard error carrying the lattice for reproduction.
+
+Most verdicts search their candidates for a counterexample: a false
+verdict's witness is the first failing candidate in the family's
+iteration order (``_first``), so witnesses are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import cache, partial, reduce
+from itertools import chain, combinations
+from operator import or_
+from typing import Any, Iterable
 
-from .core import ResiduatedLattice, bits, negation
+from .core import ResiduatedLattice, bits, format_set, negation
 from .filters import all_filters, filter_join, filter_lattice, is_domain, principal_filter, quotient
 from .spectra import (
     hull,
@@ -71,8 +78,15 @@ class MpReport:
         return {k: v.witness for k, v in self.verdicts.items() if v.witness is not None}
 
 
-def _lab(lat: ResiduatedLattice, mask: int) -> str:
-    return "{" + ",".join(lat.label_set(mask)) + "}"
+def _first(witnesses: Iterable[dict]) -> Verdict:
+    """The verdict of a lazy search for counterexamples: true when the
+    search yields nothing, otherwise false with the first witness."""
+    witness = next(iter(witnesses), None)
+    return Verdict(witness is None, witness)
+
+
+def _pair(lat: ResiduatedLattice, f: int, g: int) -> dict:
+    return {"pair": [format_set(lat, f), format_set(lat, g)]}
 
 
 # ---------------------------------------------------------------------------
@@ -81,52 +95,32 @@ def _lab(lat: ResiduatedLattice, mask: int) -> str:
 
 def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
+    primes = spec.primes
     verdicts: dict[str, Verdict] = {}
 
-    unique = True
-    witness = None
-    for i in range(len(spec)):
-        mins = [j for j in bits(spec.below[i]) if spec.is_minimal[j]]
-        if len(mins) > 1:
-            unique = False
-            witness = {
-                "prime": _lab(lat, spec.primes[i]),
-                "contains": [_lab(lat, spec.primes[j]) for j in mins],
-            }
-            break
-    verdicts["unique_minimal_per_prime"] = Verdict(unique, witness)
-
-    comax = True
-    witness = None
-    mins = spec.minimal
-    for a in range(len(mins)):
-        for b in range(a + 1, len(mins)):
-            f, g = spec.primes[mins[a]], spec.primes[mins[b]]
-            if filter_join(lat, f, g) != lat.full_mask:
-                comax = False
-                witness = {"pair": [_lab(lat, f), _lab(lat, g)]}
-                break
-        if witness:
-            break
-    verdicts["minimal_pairwise_comaximal"] = Verdict(comax, witness)
-
+    verdicts["unique_minimal_per_prime"] = _first(
+        {
+            "prime": format_set(lat, primes[i]),
+            "contains": [format_set(lat, primes[j]) for j in mins],
+        }
+        for i in range(len(spec))
+        if len(mins := [j for j in bits(spec.below[i]) if spec.is_minimal[j]]) > 1
+    )
+    verdicts["minimal_pairwise_comaximal"] = _first(
+        _pair(lat, f, g)
+        for f, g in combinations([primes[i] for i in spec.minimal], 2)
+        if filter_join(lat, f, g) != lat.full_mask
+    )
     divisors = omega_lattice(lat).divisors
     for name, positions in (
         ("divisor_prime_for_primes", range(len(spec))),
         ("divisor_prime_for_maximals", spec.maximal),
     ):
-        value = True
-        witness = None
-        for i in positions:
-            d = divisors[i]
-            if d == lat.full_mask or d not in spec.index:
-                value = False
-                witness = {
-                    "prime": _lab(lat, spec.primes[i]),
-                    "divisor_filter": _lab(lat, d),
-                }
-                break
-        verdicts[name] = Verdict(value, witness)
+        verdicts[name] = _first(
+            {"prime": format_set(lat, primes[i]), "divisor_filter": format_set(lat, d)}
+            for i in positions
+            if (d := divisors[i]) == lat.full_mask or d not in spec.index
+        )
     return verdicts
 
 
@@ -151,114 +145,73 @@ def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> tuple[bool, A
     comax = [
         sum(1 << j for j, q in enumerate(pos) if fl.join_table[p][q] == full) for p in pos
     ]
-    for i, f in enumerate(members):
-        reach = 0
-        for u in bits(disjoint[i]):
-            reach |= comax[u]
-        for j in bits(disjoint[i]):
-            if not reach & disjoint[j]:
-                return False, {"pair": [_lab(lat, f), _lab(lat, members[j])]}
-    return True, None
+    reach = [reduce(or_, (comax[u] for u in bits(d)), 0) for d in disjoint]
+    verdict = _first(
+        _pair(lat, f, members[j])
+        for i, f in enumerate(members)
+        for j in bits(disjoint[i])
+        if not reach[i] & disjoint[j]
+    )
+    return verdict.value, verdict.witness
 
 
 def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
-    n = lat.size
+    n, full, labels = lat.size, lat.full_mask, lat.labels
     verdicts: dict[str, Verdict] = {}
     filters = all_filters(lat)
     principal = tuple(sorted({principal_filter(lat, x) for x in range(n)}))
     ann = [coannulet(lat, x) for x in range(n)]
 
-    value, witness = _conormal(lat, filters)
-    verdicts["filter_lattice_conormal"] = Verdict(value, witness)
-    value, witness = _conormal(lat, principal)
-    verdicts["principal_filter_lattice_conormal"] = Verdict(value, witness)
+    verdicts["filter_lattice_conormal"] = Verdict(*_conormal(lat, filters))
+    verdicts["principal_filter_lattice_conormal"] = Verdict(*_conormal(lat, principal))
 
-    def pair_check(name: str, holds, extra=lambda x, y: {}) -> None:
-        # extra(x, y) formats the witness of the first failing pair only
-        for x in range(n):
-            for y in range(n):
-                if not holds(x, y):
-                    verdicts[name] = Verdict(
-                        False, {"pair": [lat.labels[x], lat.labels[y]], **extra(x, y)}
-                    )
-                    return
-        verdicts[name] = Verdict(True, None)
-
-    def comax_cond(x, y):
-        return lat.join[x][y] != lat.top or filter_join(lat, ann[x], ann[y]) == lat.full_mask
-
-    def comax_extra(x, y):
-        return {"coannulets": [_lab(lat, ann[x]), _lab(lat, ann[y])]}
-
-    def witness_cond(x, y):
-        if lat.join[x][y] != lat.top:
-            return True
-        return any(ann[y] >> negation(lat, a) & 1 for a in bits(ann[x]))
-
-    def join_identity_cond(x, y):
-        return ann[lat.join[x][y]] == filter_join(lat, ann[x], ann[y])
-
-    def join_identity_extra(x, y):
-        return {
-            "lhs": _lab(lat, ann[lat.join[x][y]]),
-            "rhs": _lab(lat, filter_join(lat, ann[x], ann[y])),
+    join = partial(filter_join, lat)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    to_top = [(x, y) for x, y in pairs if lat.join[x][y] == lat.top]
+    verdicts["coannulet_comaximal"] = _first(
+        {
+            "pair": [labels[x], labels[y]],
+            "coannulets": [format_set(lat, ann[x]), format_set(lat, ann[y])],
         }
+        for x, y in to_top
+        if join(ann[x], ann[y]) != full
+    )
+    verdicts["coannulet_negation_witness"] = _first(
+        {"pair": [labels[x], labels[y]]}
+        for x, y in to_top
+        if not any(ann[y] >> negation(lat, a) & 1 for a in bits(ann[x]))
+    )
+    verdicts["coannulet_join_identity"] = _first(
+        {"pair": [labels[x], labels[y]], "lhs": format_set(lat, lhs), "rhs": format_set(lat, rhs)}
+        for x, y in pairs
+        if (lhs := ann[lat.join[x][y]]) != (rhs := join(ann[x], ann[y]))
+    )
+    verdicts["coannulet_join_top"] = _first(
+        {"pair": [labels[x], labels[y]]}
+        for x, y in pairs
+        if ann[lat.join[x][y]] == full and join(ann[x], ann[y]) != full
+    )
 
-    def join_top_cond(x, y):
-        if ann[lat.join[x][y]] != lat.full_mask:
-            return True
-        return filter_join(lat, ann[x], ann[y]) == lat.full_mask
-
-    pair_check("coannulet_comaximal", comax_cond, comax_extra)
-    pair_check("coannulet_negation_witness", witness_cond)
-    pair_check("coannulet_join_identity", join_identity_cond, join_identity_extra)
-    pair_check("coannulet_join_top", join_top_cond)
-
+    # ints hash to themselves, so the order of this set, and the witness,
+    # does not depend on PYTHONHASHSEED
     gamma = set(ann)
-    value = True
-    witness = None
-    for f in gamma:
-        for g in gamma:
-            if filter_join(lat, f, g) not in gamma:
-                value = False
-                witness = {"pair": [_lab(lat, f), _lab(lat, g)]}
-                break
-        if witness:
-            break
-    verdicts["coannulet_join_closed"] = Verdict(value, witness)
+    verdicts["coannulet_join_closed"] = _first(
+        _pair(lat, f, g) for f in gamma for g in gamma if join(f, g) not in gamma
+    )
 
     om = omega_lattice(lat)
     members = set(om.members)
-    value = True
-    witness = None
-    for f in om.members:
-        for g in om.members:
-            if filter_join(lat, f, g) not in members:
-                value = False
-                witness = {"pair": [_lab(lat, f), _lab(lat, g)]}
-                break
-        if witness:
-            break
-    if value:
-        total = 1 << lat.top
-        for f in om.members:
-            total = filter_join(lat, total, f)
-        if total not in members:
-            value = False
-            witness = {"pair": ["join of all omega-filters"]}
-    verdicts["omega_join_closed"] = Verdict(value, witness)
-
-    value = True
-    witness = None
-    for f in om.members:
-        for g in om.members:
-            if om.vee(f, g) == lat.full_mask and filter_join(lat, f, g) != lat.full_mask:
-                value = False
-                witness = {"pair": [_lab(lat, f), _lab(lat, g)]}
-                break
-        if witness:
-            break
-    verdicts["omega_vee_top"] = Verdict(value, witness)
+    total = reduce(join, om.members, 1 << lat.top)
+    verdicts["omega_join_closed"] = _first(chain(
+        (_pair(lat, f, g) for f in om.members for g in om.members if join(f, g) not in members),
+        [{"pair": ["join of all omega-filters"]}] if total not in members else [],
+    ))
+    verdicts["omega_vee_top"] = _first(
+        _pair(lat, f, g)
+        for f in om.members
+        for g in om.members
+        if om.vee(f, g) == full and join(f, g) != full
+    )
     return verdicts
 
 
@@ -269,31 +222,29 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
 def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
     verdicts: dict[str, Verdict] = {}
-    # Both loops visit the maximal primes, and primes can share a divisor,
-    # so each quotient is built once.  Only the labels of its first pair
-    # joining to top are kept (None for a domain), not the quotient.
+    # Both searches visit the maximal primes, and primes can share a
+    # divisor, so each quotient is built once.  Only the labels of its
+    # first pair joining to top are kept (None for a domain), not the
+    # quotient.
     non_domain: dict[int, tuple[str, str] | None] = {}
+
+    def quotient_pair(d: int) -> tuple[str, str] | None:
+        if d not in non_domain:
+            q = quotient(lat, d)
+            domain, pair = is_domain(q)
+            non_domain[d] = None if domain else (q.labels[pair[0]], q.labels[pair[1]])
+        return non_domain[d]
+
     divisors = omega_lattice(lat).divisors
     for name, positions in (
         ("divisor_quotient_domain_for_primes", range(len(spec))),
         ("divisor_quotient_domain_for_maximals", spec.maximal),
     ):
-        value = True
-        witness = None
-        for i in positions:
-            d = divisors[i]
-            if d not in non_domain:
-                q = quotient(lat, d)
-                domain, pair = is_domain(q)
-                non_domain[d] = None if domain else (q.labels[pair[0]], q.labels[pair[1]])
-            if non_domain[d] is not None:
-                value = False
-                witness = {
-                    "prime": _lab(lat, spec.primes[i]),
-                    "quotient_pair": list(non_domain[d]),
-                }
-                break
-        verdicts[name] = Verdict(value, witness)
+        verdicts[name] = _first(
+            {"prime": format_set(lat, spec.primes[i]), "quotient_pair": list(qpair)}
+            for i in positions
+            if (qpair := quotient_pair(divisors[i])) is not None
+        )
     return verdicts
 
 
@@ -303,71 +254,57 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
 
 def mp_via_topology(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
+    primes = spec.primes
     verdicts: dict[str, Verdict] = {}
 
     separated, wit = minimal_primes_separated(lat)
     witness = None
     if not separated:
         i, j, shared = wit
-        witness = {
-            "pair": [_lab(lat, spec.primes[i]), _lab(lat, spec.primes[j])],
-            "shared_prime": _lab(lat, spec.primes[shared]),
-        }
+        witness = _pair(lat, primes[i], primes[j])
+        witness["shared_prime"] = format_set(lat, primes[shared])
     verdicts["min_dual_hausdorff"] = Verdict(separated, witness)
 
     dual = hull_kernel_topology(lat, "spec", "dual")
-    value = True
-    witness = None
-    for i in spec.minimal:
-        if not dual.is_closed(hull(lat, spec.primes[i])):
-            value = False
-            witness = {"minimal_prime": _lab(lat, spec.primes[i])}
-            break
-    verdicts["min_hull_closed_in_spec_dual"] = Verdict(value, witness)
+    verdicts["min_hull_closed_in_spec_dual"] = _first(
+        {"minimal_prime": format_set(lat, primes[i])}
+        for i in spec.minimal
+        if not dual.is_closed(hull(lat, primes[i]))
+    )
 
     retr = retraction_check(lat)
     value = retr.exists and retr.continuous and retr.fixes_minimal
     witness = None
     if not value and retr.witness is not None:
-        witness = {"prime": _lab(lat, spec.primes[retr.witness])}
+        witness = {"prime": format_set(lat, primes[retr.witness])}
     verdicts["retraction_to_minimal"] = Verdict(value, witness)
 
     sep = separation_check(dual)
     witness = None
     if not sep.normal:
         i, j = sep.witness("normal")
-        witness = {"pair": [_lab(lat, spec.primes[i]), _lab(lat, spec.primes[j])]}
+        witness = _pair(lat, primes[i], primes[j])
     verdicts["spec_dual_normal"] = Verdict(sep.normal, witness)
 
-    value = True
-    witness = None
-    for kind in ("filters", "ideals"):
-        rel = prime_linkage(lat, kind)
-        for i in spec.minimal:
-            linked = rel.closed[i]
-            h = spec.above[i]
-            if linked != h:
-                value = False
-                diff = linked & ~h | h & ~linked
-                witness = {
-                    "kind": kind,
-                    "minimal_prime": _lab(lat, spec.primes[i]),
-                    "differs_at": _lab(lat, spec.primes[next(bits(diff))]),
-                }
-                break
-        if witness:
-            break
-    verdicts["linkage_class_is_hull"] = Verdict(value, witness)
-
-    value = True
-    witness = None
-    for kind in ("filters", "ideals"):
-        rel = prime_linkage(lat, kind)
-        if not rel.collapse_homeomorphism:
-            value = False
-            witness = {"kind": kind, "bijective": rel.collapse_bijective}
-            break
-    verdicts["linkage_quotient_homeomorphism"] = Verdict(value, witness)
+    # each linkage relation is built at most once, when a search first
+    # reaches its kind, and both verdicts read it
+    linkage = cache(partial(prime_linkage, lat))
+    kinds = ("filters", "ideals")
+    verdicts["linkage_class_is_hull"] = _first(
+        {
+            "kind": kind,
+            "minimal_prime": format_set(lat, primes[i]),
+            "differs_at": format_set(lat, primes[next(bits(diff))]),
+        }
+        for kind in kinds
+        for i in spec.minimal
+        if (diff := linkage(kind).closed[i] ^ spec.above[i])
+    )
+    verdicts["linkage_quotient_homeomorphism"] = _first(
+        {"kind": kind, "bijective": rel.collapse_bijective}
+        for kind in kinds
+        if not (rel := linkage(kind)).collapse_homeomorphism
+    )
     return verdicts
 
 
@@ -379,45 +316,35 @@ def mp_via_purity(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
     ps = pure_spectrum(lat)
     pure = set(ps.pure)
+    om = omega_lattice(lat)
     verdicts: dict[str, Verdict] = {}
 
-    def containment(name: str, family) -> None:
-        for f in family:
-            if f not in pure:
-                verdicts[name] = Verdict(
-                    False, {"filter": _lab(lat, f), "pure_core": _lab(lat, pure_core(lat, f))}
-                )
-                return
-        verdicts[name] = Verdict(True, None)
-
-    containment(
-        "coannulets_pure", sorted({coannulet(lat, x) for x in range(lat.size)})
-    )
-    containment("omega_filters_pure", omega_lattice(lat).members)
-    containment("minimal_primes_pure", (spec.primes[i] for i in spec.minimal))
-    # the maximals-only variant is deliberately absent: the divisor filter
-    # of a maximal over several minimal primes is their intersection, which
-    # can be pure without the lattice being mp
-    containment("divisor_pure_for_primes", omega_lattice(lat).divisors)
+    # the maximals-only divisor variant is deliberately absent: the divisor
+    # filter of a maximal over several minimal primes is their
+    # intersection, which can be pure without the lattice being mp
+    for name, family in (
+        ("coannulets_pure", sorted({coannulet(lat, x) for x in range(lat.size)})),
+        ("omega_filters_pure", om.members),
+        ("minimal_primes_pure", [spec.primes[i] for i in spec.minimal]),
+        ("divisor_pure_for_primes", om.divisors),
+    ):
+        verdicts[name] = _first(
+            {"filter": format_set(lat, f), "pure_core": format_set(lat, pure_core(lat, f))}
+            for f in family
+            if f not in pure
+        )
 
     mins = {spec.primes[i] for i in spec.minimal}
-    value = mins == set(ps.purely_maximal)
-    witness = None
-    if not value:
-        witness = {
-            "minimal": sorted(_lab(lat, f) for f in mins),
-            "purely_maximal": sorted(_lab(lat, f) for f in ps.purely_maximal),
-        }
-    verdicts["min_equals_purely_maximal"] = Verdict(value, witness)
-
-    value = mins == set(ps.purely_prime)
-    witness = None
-    if not value:
-        witness = {
-            "minimal": sorted(_lab(lat, f) for f in mins),
-            "purely_prime": sorted(_lab(lat, f) for f in ps.purely_prime),
-        }
-    verdicts["min_equals_purely_prime"] = Verdict(value, witness)
+    for key in ("purely_maximal", "purely_prime"):
+        found = getattr(ps, key)
+        value = mins == set(found)
+        witness = None
+        if not value:
+            witness = {
+                "minimal": sorted(format_set(lat, f) for f in mins),
+                key: sorted(format_set(lat, f) for f in found),
+            }
+        verdicts[f"min_equals_{key}"] = Verdict(value, witness)
 
     ident = pure_min_identity(lat)
     verdicts["pure_min_identity_homeomorphism"] = Verdict(

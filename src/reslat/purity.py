@@ -46,7 +46,6 @@ def is_lattice_ideal(lat: ResiduatedLattice, subset: int) -> bool:
     return all(subset >> lat.join[x][y] & 1 for x in els for y in els)
 
 
-@cache
 def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
     """All non-empty down-closed join-closed subsets of the lattice reduct.
 
@@ -130,12 +129,11 @@ class OmegaLattice:
 
     def __init__(self, lat: ResiduatedLattice):
         self.lattice = lat
-        largest = {lat.down(x): x for x in range(lat.size)}
-        omega = [0] * lat.size
+        omega = []
         reps: dict[int, list[int]] = {}
-        for i in lattice_ideals(lat):
+        for i in lat.down_masks:
             f = omega_filter(lat, i)
-            omega[largest[i]] = f
+            omega.append(f)
             reps.setdefault(f, []).append(i)
         self.members = canonical_sort(reps)
         self.representatives = {f: tuple(rs) for f, rs in reps.items()}
@@ -234,24 +232,13 @@ class PureSpectrum:
         self.topology = self._build_topology()
 
     def _build_topology(self) -> FiniteTopology:
-        lat = self.lattice
         points = self.purely_prime
         k = len(points)
-        full = (1 << k) - 1
         subbasic = [
             sum(1 << i for i in range(k) if not is_subset(f, points[i]))
             for f in self.pure
         ]
-        min_nbhd = []
-        for i in range(k):
-            nb = full
-            for u in subbasic:
-                if u >> i & 1:
-                    nb &= u
-            min_nbhd.append(nb)
-        top = FiniteTopology(
-            space="spp", variant="pure", point_filters=points, min_nbhd=tuple(min_nbhd)
-        )
+        top = FiniteTopology.from_subbasis("spp", "pure", points, subbasic)
         closed = set(top.closed_sets())
         hulls = {
             sum(1 << i for i in range(k) if is_subset(f, points[i]))

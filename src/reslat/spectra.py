@@ -18,6 +18,7 @@ from .core import (
     ResiduatedLattice,
     bits,
     is_subset,
+    transitive_closure,
 )
 from .filters import all_filters, canonical_sort, filter_join, is_filter
 
@@ -65,10 +66,6 @@ class Spectrum:
     @property
     def minimal_mask(self) -> int:
         return sum(1 << i for i in self.minimal)
-
-    @property
-    def maximal_mask(self) -> int:
-        return sum(1 << i for i in self.maximal)
 
 
 def _elementwise_prime(lat: ResiduatedLattice, p: int) -> bool:
@@ -218,6 +215,23 @@ class FiniteTopology:
                 if not is_subset(self.min_nbhd[j], self.min_nbhd[i]):
                     raise InternalCheckError("neighbourhood map is not transitive")
 
+    @classmethod
+    def from_subbasis(
+        cls, space: str, variant: str, point_filters: tuple[int, ...], subbasis: list[int]
+    ) -> "FiniteTopology":
+        """The topology generated by a subbasis of open point masks: the
+        minimal neighbourhood of a point is the intersection of the
+        subbasic opens containing it."""
+        full = (1 << len(point_filters)) - 1
+        min_nbhd = []
+        for i in range(len(point_filters)):
+            nb = full
+            for u in subbasis:
+                if u >> i & 1:
+                    nb &= u
+            min_nbhd.append(nb)
+        return cls(space, variant, point_filters, tuple(min_nbhd))
+
     def __len__(self) -> int:
         return len(self.point_filters)
 
@@ -267,17 +281,14 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
     """Topology on a prime collection from the basis {h(x) | x in A}.
 
     hull: the h(x) form a closed basis; dual: they form an open basis;
-    patch: the topology generated by both.  Minimal neighbourhoods are the
-    intersections of all subbasic opens containing each point.
+    patch: the topology generated by both.
     """
     spec = prime_spectrum(lat)
-    positions = point_positions(lat, space)
-    prime_of = {local: spec.primes[g] for local, g in enumerate(positions)}
-    k = len(positions)
-    full = (1 << k) - 1
+    points = tuple(spec.primes[g] for g in point_positions(lat, space))
+    full = (1 << len(points)) - 1
 
     def h_local(x: int) -> int:
-        return sum(1 << i for i in range(k) if prime_of[i] >> x & 1)
+        return sum(1 << i for i, p in enumerate(points) if p >> x & 1)
 
     subbasic: list[int] = []
     if variant in ("dual", "patch"):
@@ -286,20 +297,7 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
         subbasic.extend(full & ~h_local(x) for x in range(lat.size))
     if variant not in ("hull", "dual", "patch"):
         raise ContractError(f"unknown variant {variant!r}")
-
-    min_nbhd = []
-    for i in range(k):
-        nb = full
-        for u in subbasic:
-            if u >> i & 1:
-                nb &= u
-        min_nbhd.append(nb)
-    return FiniteTopology(
-        space=space,
-        variant=variant,
-        point_filters=tuple(prime_of[i] for i in range(k)),
-        min_nbhd=tuple(min_nbhd),
-    )
+    return FiniteTopology.from_subbasis(space, variant, points, subbasic)
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +447,6 @@ class LinkageRelation:
         raise KeyError(i)
 
 
-def _transitive_closure(rows: list[int]) -> tuple[int, ...]:
-    k = len(rows)
-    cur = list(rows)
-    while True:
-        nxt = list(cur)
-        for i in range(k):
-            acc = cur[i]
-            for j in bits(cur[i]):
-                acc |= cur[j]
-            nxt[i] = acc
-        if nxt == cur:
-            return tuple(cur)
-        cur = nxt
-
-
 def _ideal_join_is_everything(lat: ResiduatedLattice, p: int, q: int) -> bool:
     # complements of primes are lattice ideals; their ideal join is the
     # down-closure of pairwise joins, so it is everything iff some pair
@@ -491,7 +474,7 @@ def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
     for i in range(k):
         if not rows[i] >> i & 1:
             raise InternalCheckError("linkage relation must be reflexive")
-    closed = _transitive_closure(rows)
+    closed = transitive_closure(rows)
     classes = canonical_sort({closed[i] for i in range(k)})
     # the collapse map sends a minimal prime to its class; it is always
     # onto (every prime is linked to each minimal prime below it)

@@ -386,3 +386,46 @@ def test_check_table_matches_entry_scan(a6):
         assert outcome(_check_table, table) == expected
         messages.add(expected if isinstance(expected, str) else "valid")
     assert "valid" in messages and len(messages) > 10
+
+
+def _closure_by_composition(rows):
+    # R, then R | R.R, until nothing new appears
+    n = len(rows)
+    pairs = {(i, j) for i in range(n) for j in bits(rows[i])}
+    while True:
+        more = pairs | {(i, k) for i, j in pairs for k in bits(rows[j])}
+        if more == pairs:
+            return tuple(sum(1 << j for a, j in pairs if a == i) for i in range(n))
+        pairs = more
+
+
+def test_transitive_closure_matches_composition():
+    from reslat.core import transitive_closure
+
+    rng = random.Random(20221)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        density = rng.random() / 2
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        assert transitive_closure(rows) == _closure_by_composition(rows)
+
+
+def _cover_pairs_by_scan(up):
+    # the triple scan the mask helper replaced, in its emission order
+    n = len(up)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in bits(up[i] & ~(1 << i))
+        if not any(k != i and k != j and up[i] >> k & 1 and up[k] >> j & 1 for k in range(n))
+    ]
+
+
+def test_cover_pairs_match_triple_scan(corpus5, a6, a8):
+    from reslat.core import cover_pairs
+    from reslat.spectra import prime_spectrum
+
+    for lat in (*corpus5, a6, a8):
+        assert cover_pairs(lat.up) == _cover_pairs_by_scan(lat.up)
+        above = prime_spectrum(lat).above
+        assert cover_pairs(above) == _cover_pairs_by_scan(above)

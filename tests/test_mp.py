@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from reslat.core import format_set as _lab
 from reslat.filters import all_filters, generated_filter, principal_filter
 from reslat.mp import (
     FAMILIES,
@@ -7,7 +8,6 @@ from reslat.mp import (
     MpReport,
     Verdict,
     _conormal,
-    _lab,
     mp_check,
     mp_via_algebraic,
     mp_via_purity,
@@ -165,3 +165,112 @@ def test_quotient_family_builds_each_quotient_once(monkeypatch, a6, a8, corpus5)
         mp_via_quotient(lat)
         divisors = {divisor_filter(lat, p) for p in prime_spectrum(lat).primes}
         assert len(built) == len(set(built)) and set(built) <= divisors
+
+
+def test_mp_check_builds_each_linkage_kind_once(monkeypatch, a6, a8, corpus5):
+    from reslat import mp
+
+    built = []
+    real = mp.prime_linkage
+    monkeypatch.setattr(mp, "prime_linkage", lambda lat, kind: built.append(kind) or real(lat, kind))
+    for lat in (a6, a8, *corpus5):
+        built.clear()
+        report = mp_check(lat)
+        # a non-mp lattice fails both searches on the first kind already
+        assert sorted(built) == (["filters", "ideals"] if report.final else ["filters"])
+
+
+def _pinned(actual, expected):
+    assert actual == expected
+    assert repr(actual) == repr(expected)  # the key order is printed too
+
+
+def test_a8_witnesses_are_pinned(a8):
+    mins = ["{f,1}", "{c,e,1}"]
+    prime = "{a,c,d,e,f,1}"
+    _pinned(mp_check(a8).witnesses(), {
+        "unique_minimal_per_prime": {"prime": prime, "contains": mins},
+        "minimal_pairwise_comaximal": {"pair": mins},
+        "divisor_prime_for_primes": {"prime": prime, "divisor_filter": "{1}"},
+        "divisor_prime_for_maximals": {"prime": prime, "divisor_filter": "{1}"},
+        "filter_lattice_conormal": {"pair": mins},
+        "principal_filter_lattice_conormal": {"pair": mins[::-1]},
+        "coannulet_comaximal": {"pair": ["c", "f"], "coannulets": mins},
+        "coannulet_negation_witness": {"pair": ["c", "f"]},
+        "coannulet_join_identity": {
+            "pair": ["c", "f"], "lhs": "{0,a,b,c,d,e,f,1}", "rhs": prime,
+        },
+        "coannulet_join_top": {"pair": ["c", "f"]},
+        "coannulet_join_closed": {"pair": mins[::-1]},
+        "omega_join_closed": {"pair": mins},
+        "omega_vee_top": {"pair": mins},
+        "divisor_quotient_domain_for_primes": {"prime": prime, "quotient_pair": ["{c}", "{f}"]},
+        "divisor_quotient_domain_for_maximals": {"prime": prime, "quotient_pair": ["{c}", "{f}"]},
+        "min_dual_hausdorff": {"pair": mins, "shared_prime": prime},
+        "min_hull_closed_in_spec_dual": {"minimal_prime": "{f,1}"},
+        "retraction_to_minimal": {"prime": prime},
+        "spec_dual_normal": {"pair": mins},
+        "linkage_class_is_hull": {
+            "kind": "filters", "minimal_prime": "{f,1}", "differs_at": "{c,e,1}",
+        },
+        "linkage_quotient_homeomorphism": {"kind": "filters", "bijective": False},
+        "coannulets_pure": {"filter": "{c,e,1}", "pure_core": "{1}"},
+        "omega_filters_pure": {"filter": "{f,1}", "pure_core": "{1}"},
+        "minimal_primes_pure": {"filter": "{f,1}", "pure_core": "{1}"},
+        "divisor_pure_for_primes": {"filter": "{f,1}", "pure_core": "{1}"},
+        "min_equals_purely_maximal": {"minimal": sorted(mins), "purely_maximal": ["{1}"]},
+        "min_equals_purely_prime": {"minimal": sorted(mins), "purely_prime": ["{1}"]},
+        "pure_min_identity_homeomorphism": {"bijective": False},
+    })
+
+
+def _x(left, right):
+    # the product set left x right of a6 x a8, formatted as in witnesses
+    return "{" + ",".join(f"{x}.{y}" for x in left.split() for y in right.split()) + "}"
+
+
+def test_a6xa8_witnesses_are_pinned(a6xa8):
+    a6 = "0 a b c d 1"
+    mins = [_x(a6, "f 1"), _x(a6, "c e 1")]
+    prime = _x(a6, "a c d e f 1")
+    ones = _x(a6, "1")
+    top_mins = [_x("1", "f 1"), _x("1", "c e 1")]
+    quotient_pair = [_x(a6, "c"), _x(a6, "f")]
+    minimal = sorted([*mins, _x("1", "0 a b c d e f 1")])
+    purely = [ones, _x("1", "0 a b c d e f 1")]
+    _pinned(mp_check(a6xa8).witnesses(), {
+        "unique_minimal_per_prime": {"prime": prime, "contains": mins},
+        "minimal_pairwise_comaximal": {"pair": mins},
+        "divisor_prime_for_primes": {"prime": prime, "divisor_filter": ones},
+        "divisor_prime_for_maximals": {"prime": prime, "divisor_filter": ones},
+        "filter_lattice_conormal": {"pair": top_mins},
+        "principal_filter_lattice_conormal": {"pair": top_mins[::-1]},
+        "coannulet_comaximal": {"pair": ["0.c", "1.f"], "coannulets": [top_mins[0], mins[1]]},
+        "coannulet_negation_witness": {"pair": ["0.c", "1.f"]},
+        "coannulet_join_identity": {
+            "pair": ["0.c", "0.f"],
+            "lhs": _x("1", "0 a b c d e f 1"),
+            "rhs": _x("1", "a c d e f 1"),
+        },
+        "coannulet_join_top": {"pair": ["0.c", "1.f"]},
+        "coannulet_join_closed": {"pair": top_mins},
+        "omega_join_closed": {"pair": top_mins},
+        "omega_vee_top": {"pair": [top_mins[0], mins[1]]},
+        "divisor_quotient_domain_for_primes": {"prime": prime, "quotient_pair": quotient_pair},
+        "divisor_quotient_domain_for_maximals": {"prime": prime, "quotient_pair": quotient_pair},
+        "min_dual_hausdorff": {"pair": mins, "shared_prime": prime},
+        "min_hull_closed_in_spec_dual": {"minimal_prime": mins[0]},
+        "retraction_to_minimal": {"prime": prime},
+        "spec_dual_normal": {"pair": mins},
+        "linkage_class_is_hull": {
+            "kind": "filters", "minimal_prime": mins[0], "differs_at": mins[1],
+        },
+        "linkage_quotient_homeomorphism": {"kind": "filters", "bijective": False},
+        "coannulets_pure": {"filter": top_mins[1], "pure_core": _x("1", "1")},
+        "omega_filters_pure": {"filter": top_mins[0], "pure_core": _x("1", "1")},
+        "minimal_primes_pure": {"filter": mins[0], "pure_core": ones},
+        "divisor_pure_for_primes": {"filter": mins[0], "pure_core": ones},
+        "min_equals_purely_maximal": {"minimal": minimal, "purely_maximal": purely},
+        "min_equals_purely_prime": {"minimal": minimal, "purely_prime": purely},
+        "pure_min_identity_homeomorphism": {"bijective": False},
+    })
