@@ -8,13 +8,18 @@ and the residuum ``imp`` form an adjoint pair:
 
 Everything is table driven: elements are the indices 0..n-1 and subsets
 of the carrier are bitmasks (bit i set = element i belongs to the set).
+Carriers have at most ``MAX_SIZE`` = 256 elements, so that an element
+index fits in a byte: the O(n^3) kernels (axiom validation, the residuum,
+joins and meets) work on table rows held as ``bytes``, where composing a
+row with a table is one C-level ``bytes.translate`` and concatenating
+rows is one ``b"".join``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 
@@ -67,6 +72,55 @@ def cover_pairs(up: Sequence[int]) -> list[tuple[int, int]]:
             beyond |= strict[k]
         out.extend((i, j) for j in bits(above & ~beyond))
     return out
+
+
+# ---------------------------------------------------------------------------
+# byte rows
+
+MAX_SIZE = 256  # the largest carrier: an element index must fit in a byte
+
+_DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _digit_rows(masks: Sequence[int], n: int) -> list[str]:
+    """Row i has n characters: character j is "1" if bit j of masks[i] is set."""
+    full = (1 << n) - 1
+    return [f"{m & full:0{n}b}"[::-1] for m in masks]
+
+
+def _bit_rows(masks: Sequence[int], n: int) -> list[bytes]:
+    """Row i has n bytes: byte j is 1 if bit j of masks[i] is set, else 0."""
+    return [row.encode().translate(_DIGITS_TO_BYTES) for row in _digit_rows(masks, n)]
+
+
+def _converse(masks: Sequence[int], n: int) -> list[int]:
+    """The converse of a relation on range(n) given as bitmask rows: bit i
+    of the result's row j is bit j of masks[i].  A string transpose, O(n)
+    C-level slices."""
+    flat = "".join(_digit_rows(masks, n))
+    return [int(flat[j::n][::-1], 2) for j in range(n)]
+
+
+def _is_partial_order(up: Sequence[int], down: Sequence[int]) -> bool:
+    """up (with its converse down) is reflexive, antisymmetric and transitive
+    on range(n): O(n) mask tests and one transitive closure."""
+    n = len(up)
+    return all(
+        u >> n == 0 and u & d == 1 << x for x, (u, d) in enumerate(zip(up, down))
+    ) and transitive_closure(up) == tuple(up)
+
+
+def _pair_codes(lo: bytes, hi: bytes) -> memoryview:
+    """The byte pairs (lo[i], hi[i]) as one 16-bit code each, in native byte
+    order; build every code that is compared with these through this too."""
+    buf = bytearray(2 * len(lo))
+    buf[::2] = lo
+    buf[1::2] = hi
+    return memoryview(buf).cast("H")
+
+
+def _first_difference(lhs: Sequence[int], rhs: Sequence[int]) -> int:
+    return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +218,7 @@ class ResiduatedLattice:
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """``down_masks[x]`` is the bitmask of elements below x (including x)."""
-        down = [0] * len(self.labels)
-        for y, u in enumerate(self.up):
-            for x in bits(u & self.full_mask):
-                down[x] |= 1 << y
-        return tuple(down)
+        return tuple(_converse(self.up, len(self.labels)))
 
     def down(self, x: int) -> int:
         """Bitmask of elements below x (including x)."""
@@ -237,6 +287,11 @@ def _scan_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tupl
     return tuple(rows)
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_SIZE:
+        raise StructureError(f"{n} elements: at most {MAX_SIZE} are supported")
+
+
 def _up_masks(leq: Sequence[Sequence[object]], n: int) -> list[int]:
     """Up-masks of an n x n table of truthy/falsy leq entries."""
     if len(leq) != n:
@@ -267,6 +322,7 @@ def from_tables(
     n = len(labels)
     if n == 0:
         raise StructureError("empty carrier")
+    _check_size(n)
     if len(set(labels)) != n:
         raise StructureError("labels are not unique")
     up = _up_masks(leq, n)
@@ -293,40 +349,53 @@ def bounded_lattice_ops(up: Sequence[int]) -> tuple[int, int, tuple, tuple]:
 
     Raises ValidationFailed listing every pair without a least upper or
     greatest lower bound, and every missing bound of the order itself.
+
+    In a partial order, the least element of the upper bounds
+    up[x] & up[y] is the u with up[u] equal to that set, so a join is one
+    dict lookup of that mask, and a meet one lookup of down[x] & down[y]:
+    O(n) C-level lookups per row.  A missing key is a missing bound.  A
+    relation that is not a partial order has no such lookup; each of its
+    pairs is scanned for the elements that the bound set lies above.
     """
     n = len(up)
-    violations: list[Violation] = []
     full = (1 << n) - 1
+    down = _converse(up, n)
     bottoms = [x for x in range(n) if up[x] == full]
-    down = [mask_of(y for y in range(n) if up[y] >> x & 1) for x in range(n)]
     tops = [x for x in range(n) if down[x] == full]
+    violations: list[Violation] = []
     if len(bottoms) != 1:
         violations.append(Violation("no-bottom", tuple(bottoms[:2])))
     if len(tops) != 1:
         violations.append(Violation("no-top", tuple(tops[:2])))
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            ubs = up[x] & up[y]
-            least = [u for u in bits(ubs) if is_subset(ubs, up[u])]
-            if len(least) != 1:
-                if x <= y:
-                    violations.append(Violation("lub-missing", (x, y)))
-                continue
-            join[x][y] = least[0]
-    for x in range(n):
-        for y in range(n):
-            lbs = down[x] & down[y]
-            greatest = [u for u in bits(lbs) if is_subset(lbs, down[u])]
-            if len(greatest) != 1:
-                if x <= y:
-                    violations.append(Violation("glb-missing", (x, y)))
-                continue
-            meet[x][y] = greatest[0]
+    order = _is_partial_order(up, down)
+    join = _least_bounds(up, order, "lub-missing", violations)
+    meet = _least_bounds(down, order, "glb-missing", violations)
     if violations:
         raise ValidationFailed(_report(violations), "order is not a bounded lattice")
-    return bottoms[0], tops[0], tuple(map(tuple, join)), tuple(map(tuple, meet))
+    return bottoms[0], tops[0], join, meet
+
+
+def _least_bounds(
+    masks: Sequence[int], order: bool, axiom: str, violations: list[Violation]
+) -> tuple[tuple[int, ...], ...]:
+    """Table of the least element of masks[x] & masks[y] (in the relation
+    given by masks), 0 where there is none; each missing (x, y) with x <= y
+    is appended to violations as ``axiom``.  ``order``: masks is a partial
+    order, so a least element is the u with masks[u] equal to the set."""
+    least = {m: u for u, m in enumerate(masks)} if order else {}
+    table = []
+    for x, m in enumerate(masks):
+        row = list(map(least.get, map(m.__and__, masks)))
+        if None in row:
+            for y, v in enumerate(row):
+                if v is None:
+                    bounds = m & masks[y]
+                    found = [u for u in bits(bounds) if is_subset(bounds, masks[u])]
+                    row[y] = found[0] if len(found) == 1 else 0
+                    if len(found) != 1 and x <= y:
+                        violations.append(Violation(axiom, (x, y)))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def derive_residuum(
@@ -334,23 +403,52 @@ def derive_residuum(
 ) -> tuple[tuple[int, ...], ...]:
     """Compute imp(x, y) as the join of {a | odot(x, a) <= y}.
 
-    Raises ResiduumError naming (x, y) when that join falls outside the
-    candidate set, i.e. adjointness cannot hold for any imp table.
+    Raises ResiduumError naming the first (x, y) at which that join falls
+    outside the candidate set, i.e. adjointness cannot hold for any imp
+    table.
+
+    The join is folded in index order over the candidates.  When ``up`` is
+    a partial order and ``join`` its join table, a candidate set that is
+    the principal down-set of j folds to j.  So each (x, y) first looks up
+    the candidate set's 0/1 row, ``odot[x]`` translated through the 0/1
+    column of y, in a dict of the principal down-sets: n C-level
+    translates and lookups per row.  Only a candidate set that is not
+    principal is folded.
     """
     n = len(up)
-    imp = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            cand = [a for a in range(n) if up[odot[x][a]] >> y & 1]
-            j = cand[0] if cand else None
-            if j is None:
-                raise ResiduumError(x, y)
-            for a in cand[1:]:
-                j = join[j][a]
-            if not up[odot[x][j]] >> y & 1:
-                raise ResiduumError(x, y)
-            imp[x][y] = j
-    return tuple(map(tuple, imp))
+    _check_size(n)
+    down = _converse(up, n)
+    below = _bit_rows(down, n)  # below[y][a] == 1 iff a <= y
+    pad = bytes(256 - n)
+    columns = [row + pad for row in below]
+    # join is the order's join table: up[join[x][y]] == up[x] & up[y]
+    lattice = _is_partial_order(up, down) and all(
+        list(map(up.__getitem__, row)) == list(map(u.__and__, up)) for u, row in zip(up, join)
+    )
+    principal = {row: j for j, row in enumerate(below)} if lattice else {}
+    imp = []
+    for x, row in enumerate(odot):
+        out = list(map(principal.get, map(bytes(row).translate, columns)))
+        if None in out:
+            for y, j in enumerate(out):
+                if j is None:
+                    out[y] = _fold_residuum(up, join, odot, x, y)
+        imp.append(tuple(out))
+    return tuple(imp)
+
+
+def _fold_residuum(
+    up: Sequence[int], join: Sequence[Sequence[int]], odot: Sequence[Sequence[int]], x: int, y: int
+) -> int:
+    cand = [a for a in range(len(up)) if up[odot[x][a]] >> y & 1]
+    if not cand:
+        raise ResiduumError(x, y)
+    j = cand[0]
+    for a in cand[1:]:
+        j = join[j][a]
+    if not up[odot[x][j]] >> y & 1:
+        raise ResiduumError(x, y)
+    return j
 
 
 def from_order(
@@ -366,6 +464,7 @@ def from_order(
     non-lattice order or unrealisable residuum raises ValidationFailed.
     """
     n = len(labels)
+    _check_size(n)
     up = _up_masks(leq, n)
     bottom, top, join, meet = bounded_lattice_ops(up)
     odot_t = _check_table("odot", odot, n)
@@ -396,18 +495,27 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
 
     Cost: the order axioms (reflexivity through meet-glb) take O(n^2)
     mask operations on ``up`` and on the lattice's ``down_masks``.
-    The algebraic axioms take O(n^3) table lookups, compared as one flat
-    n x n block per first argument x, so extra memory stays O(n^2).  Only
-    a block that differs is scanned again, for its first differing index
-    i, which gives the witness (x, *divmod(i, n)).
+    The algebraic axioms compare, per first argument x, the two sides as
+    flat n x n blocks indexed by (second argument) * n + (third argument),
+    so extra memory stays O(n^2).  Each side is built from the tables'
+    ``bytes`` rows by C-level gathers: ``u.translate(t + pad)`` composes
+    t[u[w]] over a row u, and ``b"".join(map(rows.__getitem__, u))``
+    concatenates the rows that u names.  The join-odot inequality needs
+    a 2-D leq lookup per triple: its (lo, hi) byte pairs are read as
+    16-bit codes and tested against the set of codes of pairs with
+    lo not <= hi, all in C.  Only a block that fails is scanned again in
+    Python, for its first failing index i, which gives the witness
+    (x, *divmod(i, n)).
     """
     n = lat.size
+    _check_size(n)
     full = (1 << n) - 1
     up = [u & full for u in lat.up]  # leq(x, y) is only asked for y < n
     down = lat.down_masks
-    join, meet, odot, imp = lat.join, lat.meet, lat.odot, lat.imp
+    odot, join, meet, imp = (
+        [bytes(row) for row in table] for table in (lat.odot, lat.join, lat.meet, lat.imp)
+    )
     bottom, top = lat.bottom, lat.top
-    pairs = [(x, y) for x in range(n) for y in range(n)]
     violations: list[Violation] = []
 
     def check(axiom: str, witnesses: Iterator[tuple[int, ...]]) -> None:
@@ -415,13 +523,12 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
         if witness is not None:
             violations.append(Violation(axiom, witness))
 
-    def blocks(sides: Iterator[tuple[list[int], list[int]]]) -> Iterator[tuple[int, ...]]:
+    def blocks(sides: Iterator[tuple[bytes, bytes]]) -> Iterator[tuple[int, ...]]:
         # sides yields, for x = 0, 1, ..., the two sides of an axiom as flat
-        # lists indexed by (second argument) * n + (third argument)
+        # n x n blocks
         for x, (lhs, rhs) in enumerate(sides):
             if lhs != rhs:
-                i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-                yield (x, *divmod(i, n))
+                yield (x, *divmod(_first_difference(lhs, rhs), n))
 
     def join_lub(x: int, y: int) -> bool:
         bounds, j = up[x] & up[y], join[x][y]
@@ -431,6 +538,7 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
         bounds, m = down[x] & down[y], meet[x][y]
         return not bounds >> m & 1 or bounds & ~down[m] != 0
 
+    pairs = [(x, y) for x in range(n) for y in range(n)]
     check("leq-reflexive", ((x,) for x in range(n) if not up[x] >> x & 1))
     check("leq-antisymmetric", (
         (x, next(bits(b))) for x in range(n) if (b := up[x] & down[x] & ~(1 << x))
@@ -443,32 +551,44 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     check("join-lub", (p for p in pairs if join_lub(*p)))
     check("meet-glb", (p for p in pairs if meet_glb(*p)))
 
-    check("odot-commutative", ((x, y) for x, y in pairs if odot[x][y] != odot[y][x]))
-    flat_odot = [w for row in odot for w in row]
-    flat_join = [w for row in join for w in row]
+    pad = bytes(256 - n)
+    leq = _bit_rows(up, n)  # leq[x][y] == 1 iff x <= y
+    flat_odot, flat_join = b"".join(odot), b"".join(join)
+    odot_pad, join_pad, leq_pad = ([row + pad for row in t] for t in (odot, join, leq))
+    check("odot-commutative", (
+        (x, _first_difference(row, column))
+        for x, (row, column) in enumerate(zip(odot, (flat_odot[x::n] for x in range(n))))
+        if row != column
+    ))
     check("odot-associative", blocks(
-        ([w for v in ox for w in odot[v]], [ox[w] for w in flat_odot]) for ox in odot
+        (b"".join(map(odot.__getitem__, ox)), flat_odot.translate(ox + pad)) for ox in odot
     ))
     check("odot-identity", ((x,) for x in range(n) if odot[top][x] != x))
     check("odot-bottom", ((x,) for x in range(n) if odot[x][bottom] != bottom))
-    leq01 = [[u >> y & 1 for y in range(n)] for u in up]
     check("adjointness", blocks(
-        ([b for v in ox for b in leq01[v]], [row[w] for row in leq01 for w in ix])
+        (b"".join(map(leq.__getitem__, ox)), b"".join(map(ix.translate, leq_pad)))
         for ox, ix in zip(odot, imp)
     ))
     check("odot-join-distributive", blocks(
-        ([ox[w] for w in flat_join], [row[w] for row in [join[v] for v in ox] for w in ox])
+        (flat_join.translate(ox + pad), b"".join(map(ox.translate, map(join_pad.__getitem__, ox))))
         for ox in odot
     ))
-    # holds at (x, y, z) iff up[odot(join(x, y), join(x, z))] has join(x, odot(y, z))
-    holds = [1] * (n * n)
-    check("join-odot-inequality", blocks(
-        (holds, [up[lo] >> hi & 1 for lo, hi in zip(
-            [row[w] for row in [odot[v] for v in jx] for w in jx],
-            [jx[w] for w in flat_odot],
-        )])
-        for jx in join
-    ))
+    # holds at (x, y, z) iff odot(join(x, y), join(x, z)) <= join(x, odot(y, z));
+    # not_leq holds the codes of the pairs (a, b) with a not <= b, picked from
+    # all pairs by the flat 0/1 not-leq table, whose index is a * n + b
+    firsts, seconds = b"".join(bytes((a,)) * n for a in range(n)), bytes(range(n)) * n
+    flat_not_leq = b"".join(_bit_rows([full & ~u for u in up], n))
+    not_leq = set(compress(_pair_codes(firsts, seconds), flat_not_leq))
+    holds = b"\x01" * (n * n)
+
+    def inequality(jx: bytes) -> bytes:
+        lo = b"".join(map(jx.translate, map(odot_pad.__getitem__, jx)))
+        hi = flat_odot.translate(jx + pad)
+        if not_leq.isdisjoint(_pair_codes(lo, hi)):
+            return holds
+        return bytes(up[u] >> v & 1 for u, v in zip(lo, hi))
+
+    check("join-odot-inequality", blocks((holds, inequality(jx)) for jx in join))
     return _report(violations)
 
 

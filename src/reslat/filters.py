@@ -179,16 +179,13 @@ def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
     for i, cls in enumerate(classes):
         for a in bits(cls):
             class_of[a] = i
+    # compatible: within a class, the rows of each table agree up to class
+    class_table = bytes(class_of) + bytes(256 - n)
     for table in (lat.join, lat.meet, lat.odot, lat.imp):
+        rows = [bytes(row).translate(class_table) for row in table]
         for cls in classes:
-            members = list(bits(cls))
-            a0 = members[0]
-            for a in members[1:]:
-                for b in range(n):
-                    if class_of[table[a0][b]] != class_of[table[a][b]]:
-                        raise InternalCheckError(
-                            "congruence is not compatible with the operations"
-                        )
+            if len({rows[a] for a in bits(cls)}) != 1:
+                raise InternalCheckError("congruence is not compatible with the operations")
     reps = [next(bits(cls)) for cls in classes]
     m = len(classes)
     qleq = [

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import (
+    MAX_SIZE,
     ResiduatedLattice,
     ValidationFailed,
     ValidationReport,
@@ -75,6 +76,7 @@ def parse_document(text: str) -> LatticeDocument:
     n = len(labels)
     _expect(type(doc["size"]) is int, "size", "must be an integer")
     _expect(doc["size"] == n, "size", f"must equal the number of labels ({n})")
+    _expect(n <= MAX_SIZE, "size", f"{n} elements: at most {MAX_SIZE} are supported")
     _expect(len(set(labels)) == n, "labels", "must be unique")
     pos = {s: i for i, s in enumerate(labels)}
 

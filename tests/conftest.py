@@ -32,9 +32,15 @@ def corpus5(corpus4):
 
 
 @pytest.fixture(scope="session")
-def corpus7(corpus5):
+def corpus6(corpus5):
+    """Every residuated lattice of order up to 6, isomorph-free."""
+    return corpus5 + enumerate_residuated(6, workers=1)
+
+
+@pytest.fixture(scope="session")
+def corpus7(corpus6):
     """Every residuated lattice of order up to 7, isomorph-free."""
-    return corpus5 + enumerate_residuated(6, workers=1) + enumerate_residuated(7, workers=1)
+    return corpus6 + enumerate_residuated(7, workers=1)
 
 
 @pytest.fixture(scope="session")

@@ -117,6 +117,18 @@ def build_boolean4() -> ResiduatedLattice:
     return from_order(labels, leq, odot)
 
 
+def godel_chain_document(n: int) -> dict:
+    """The n-element Goedel chain (product = meet) as a lattice document."""
+    labels = [str(i) for i in range(n)]
+    return {
+        "name": f"chain{n}",
+        "size": n,
+        "labels": labels,
+        "order": [[labels[i], labels[i + 1]] for i in range(n - 1)],
+        "odot": [[labels[min(x, y)] for y in range(n)] for x in range(n)],
+    }
+
+
 def mask(lat: ResiduatedLattice, names: str) -> int:
     """Bitmask from space-separated labels, e.g. mask(a6, 'a b d 1')."""
     pos = {c: i for i, c in enumerate(lat.labels)}

@@ -10,6 +10,8 @@ import pytest
 from reslat.cli import main
 from reslat.latfile import bundled_text
 
+from lattices import godel_chain_document
+
 
 @pytest.fixture(scope="module")
 def a6_path(tmp_path_factory):
@@ -62,6 +64,41 @@ def test_validate_axiom_failure(capsys, tmp_path):
         "  adjointness at (3, 1, 0)\n"
         "  odot-join-distributive at (3, 1, 2)\n"
     )
+
+
+def test_validate_runs_the_axiom_check_once(capsys, monkeypatch, a6_path):
+    import reslat.cli
+    import reslat.core
+    import reslat.latfile
+
+    calls = []
+    check = reslat.core.validate_axioms
+
+    def counted(lat):
+        calls.append(lat.size)
+        return check(lat)
+
+    for module in (reslat.core, reslat.latfile, reslat.cli):
+        monkeypatch.setattr(module, "validate_axioms", counted, raising=False)
+    code, out, _ = run(capsys, "validate", a6_path)
+    assert (code, out) == (0, "A6: valid (6 elements)\n")
+    assert calls == [6]
+    code, out, _ = run(capsys, "validate", a6_path, "--json")
+    assert (code, out) == (0, '{"name": "A6", "valid": true}\n')
+    assert calls == [6, 6]
+
+
+def test_oversized_document_is_input_error(capsys, tmp_path):
+    text = json.dumps(godel_chain_document(257)).encode()
+    err = _mp_input_error(capsys, tmp_path / "chain257.json", text)
+    assert err == "error: size: 257 elements: at most 256 are supported\n"
+
+
+def test_largest_supported_document_is_accepted(capsys, tmp_path):
+    p = tmp_path / "chain256.json"
+    p.write_text(json.dumps(godel_chain_document(256)))
+    code, out, _ = run(capsys, "validate", str(p))
+    assert (code, out) == (0, "chain256: valid (256 elements)\n")
 
 
 def test_analyze_json_golden(capsys, a6_path):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from reslat import (
+    ResiduumError,
     StructureError,
     ValidationFailed,
     ValidationReport,
@@ -19,9 +20,11 @@ from reslat import (
     derive_residuum,
     from_order,
     from_tables,
+    mask_of,
     negation,
     validate_axioms,
 )
+from reslat.core import MAX_SIZE, bounded_lattice_ops, is_subset
 from reslat.spectra import hull_kernel_topology, hull
 
 from lattices import (
@@ -203,6 +206,175 @@ def test_validate_matches_reference_scan(a6, a8, corpus5):
     assert set(seen) == set(AXIOMS)
 
 
+def test_validate_matches_reference_scan_on_a_36_element_product(a6):
+    # rows of 36 bytes and blocks of 1296: past the sizes of the corpus
+    a6xa6 = build_product(a6, a6)
+    assert validate_axioms(a6xa6) == _reference_validate(a6xa6)
+    rng = random.Random(36)
+    seen = collections.Counter()
+    for _ in range(16):
+        bad = _mutant(rng, a6xa6)
+        report = validate_axioms(bad)
+        assert report == _reference_validate(bad), bad
+        seen.update(v.axiom for v in report.violations)
+    assert {"odot-associative", "adjointness", "odot-join-distributive"} <= set(seen)
+
+
+# ---------------------------------------------------------------------------
+# the list implementations of bounded_lattice_ops and derive_residuum, kept
+# as oracles for the byte-row kernels that replaced them
+
+
+def _reference_bounded_lattice_ops(up):
+    n = len(up)
+    violations = []
+    full = (1 << n) - 1
+    bottoms = [x for x in range(n) if up[x] == full]
+    down = [mask_of(y for y in range(n) if up[y] >> x & 1) for x in range(n)]
+    tops = [x for x in range(n) if down[x] == full]
+    if len(bottoms) != 1:
+        violations.append(Violation("no-bottom", tuple(bottoms[:2])))
+    if len(tops) != 1:
+        violations.append(Violation("no-top", tuple(tops[:2])))
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            ubs = up[x] & up[y]
+            least = [u for u in bits(ubs) if is_subset(ubs, up[u])]
+            if len(least) != 1:
+                if x <= y:
+                    violations.append(Violation("lub-missing", (x, y)))
+                continue
+            join[x][y] = least[0]
+    for x in range(n):
+        for y in range(n):
+            lbs = down[x] & down[y]
+            greatest = [u for u in bits(lbs) if is_subset(lbs, down[u])]
+            if len(greatest) != 1:
+                if x <= y:
+                    violations.append(Violation("glb-missing", (x, y)))
+                continue
+            meet[x][y] = greatest[0]
+    if violations:
+        raise ValidationFailed(
+            ValidationReport(False, tuple(violations)), "order is not a bounded lattice"
+        )
+    return bottoms[0], tops[0], tuple(map(tuple, join)), tuple(map(tuple, meet))
+
+
+def _reference_derive_residuum(up, join, odot):
+    n = len(up)
+    imp = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            cand = [a for a in range(n) if up[odot[x][a]] >> y & 1]
+            j = cand[0] if cand else None
+            if j is None:
+                raise ResiduumError(x, y)
+            for a in cand[1:]:
+                j = join[j][a]
+            if not up[odot[x][j]] >> y & 1:
+                raise ResiduumError(x, y)
+            imp[x][y] = j
+    return tuple(map(tuple, imp))
+
+
+def _outcome(fn, *args):
+    """("returned", value), or ("raised", the report or pair of the error)."""
+    try:
+        return "returned", fn(*args)
+    except ValidationFailed as exc:
+        return "raised", exc.report
+    except ResiduumError as exc:
+        return "raised", exc.pair
+
+
+def _order_defects(up):
+    n = len(up)
+    leq = [[bool(up[x] >> y & 1) for y in range(n)] for x in range(n)]
+    r = range(n)
+    if not all(leq[x][x] for x in r):
+        yield "non-reflexive"
+    if any(leq[x][y] and leq[y][x] for x in r for y in r if x != y):
+        yield "non-antisymmetric"
+    if any(leq[x][y] and leq[y][z] and not leq[x][z] for x in r for y in r for z in r):
+        yield "non-transitive"
+
+
+def test_bounded_lattice_ops_matches_reference_scan(corpus6):
+    for lat in corpus6:
+        assert bounded_lattice_ops(lat.up) == _reference_bounded_lattice_ops(lat.up)
+    # mutants: one or two bits of the order flipped; where a relation that
+    # is not a partial order still yields tables, the residuum of the
+    # source lattice's product is compared on them too
+    rng = random.Random(20261018)
+    seen = collections.Counter()
+    for _ in range(1500):
+        lat = rng.choice(corpus6)
+        n = lat.size
+        up = list(lat.up)
+        for _ in range(rng.randint(1, 2)):
+            up[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        got = _outcome(bounded_lattice_ops, up)
+        assert got == _outcome(_reference_bounded_lattice_ops, up), up
+        seen.update((defect, got[0]) for defect in _order_defects(up))
+        if got[0] == "raised":
+            seen.update(v.axiom for v in got[1].violations)
+        elif next(_order_defects(up), None):
+            join = got[1][2]
+            residuum = _outcome(derive_residuum, up, join, lat.odot)
+            assert residuum == _outcome(_reference_derive_residuum, up, join, lat.odot), up
+            seen[("residuum of a non-order", residuum[0])] += 1
+    for defect in ("non-antisymmetric", "non-transitive"):
+        assert seen[(defect, "returned")] and seen[(defect, "raised")], defect
+    for axiom in ("lub-missing", "glb-missing", "no-bottom", "no-top"):
+        assert seen[axiom], axiom
+    assert seen[("residuum of a non-order", "returned")]
+    assert seen[("residuum of a non-order", "raised")]
+
+
+def _principal(lat, odot, x, y):
+    # is {a | odot(x, a) <= y} the principal down-set of some element?
+    cand = mask_of(a for a in range(lat.size) if lat.up[odot[x][a]] >> y & 1)
+    return cand in lat.down_masks
+
+
+def test_derive_residuum_matches_reference_fold(corpus6):
+    for lat in corpus6:
+        derived = derive_residuum(lat.up, lat.join, lat.odot)
+        assert derived == _reference_derive_residuum(lat.up, lat.join, lat.odot) == lat.imp
+    # mutants: one to three product cells overwritten, symmetrically or not;
+    # some leave a candidate set that is not principal but holds its join,
+    # which the kernel folds, and some have no residuum.  One in five also
+    # has a join cell overwritten, so that the join table is not the
+    # order's and no lookup may stand in for the fold.
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    sources = [lat for lat in corpus6 if lat.size >= 3]
+    for _ in range(1500):
+        lat = rng.choice(sources)
+        n = lat.size
+        odot = [list(row) for row in lat.odot]
+        for _ in range(rng.randint(1, 3)):
+            x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            odot[x][y] = v
+            if rng.random() < 0.7:
+                odot[y][x] = v
+        join = [list(row) for row in lat.join]
+        if rng.random() < 0.2:
+            join[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        got = _outcome(derive_residuum, lat.up, join, odot)
+        assert got == _outcome(_reference_derive_residuum, lat.up, join, odot), (odot, join)
+        if got[0] == "raised":
+            seen["not realised"] += 1
+        elif all(_principal(lat, odot, x, y) for x in range(n) for y in range(n)):
+            seen["principal"] += 1
+        else:
+            seen["folded"] += 1
+    assert set(seen) == {"not realised", "principal", "folded"}
+
+
 def test_cached_hash_survives_pickling_across_hash_seeds():
     # the first interpreter hashes a6 and pickles it; the second, with
     # other str hashes, must find the unpickled copy in the spectrum cache
@@ -258,6 +430,23 @@ def test_out_of_range_entry_is_structural(a6):
             [[a6.leq(i, j) for j in range(6)] for i in range(6)],
             a6.join, a6.meet, rows, a6.imp, a6.bottom, a6.top,
         )
+
+
+def test_oversized_carrier_is_structural(monkeypatch):
+    import reslat.core
+
+    def unreachable(*args):
+        raise AssertionError("reached on a carrier over the size limit")
+
+    monkeypatch.setattr(reslat.core, "bounded_lattice_ops", unreachable)
+    n = MAX_SIZE + 1
+    labels = [str(i) for i in range(n)]
+    leq = [[i <= j for j in range(n)] for i in range(n)]
+    table = [[min(i, j) for j in range(n)] for i in range(n)]
+    with pytest.raises(StructureError, match="at most 256"):
+        from_order(labels, leq, table)
+    with pytest.raises(StructureError, match="at most 256"):
+        from_tables(labels, leq, table, table, table, table, 0, n - 1)
 
 
 def test_non_lattice_order_is_reported():

@@ -19,7 +19,7 @@ from reslat.latfile import (
     to_document_dict,
 )
 
-from lattices import build_a6
+from lattices import build_a6, godel_chain_document
 
 
 def test_bundled_round_trips_are_byte_exact():
@@ -130,6 +130,20 @@ def test_boolean_size_rejected(capsys, tmp_path):
     p.write_text(text)
     assert main(["validate", str(p)]) == 1
     assert capsys.readouterr().err.startswith("error: size")
+
+
+def test_oversized_document_rejected_before_any_table_work(monkeypatch):
+    import reslat.core
+    import reslat.latfile
+
+    def unreachable(*args):
+        raise AssertionError("reached on a document over the size limit")
+
+    monkeypatch.setattr(reslat.latfile, "validate_axioms", unreachable)
+    monkeypatch.setattr(reslat.latfile, "transitive_closure", unreachable)
+    monkeypatch.setattr(reslat.core, "bounded_lattice_ops", unreachable)
+    with pytest.raises(LatticeFormatError, match="at most 256"):
+        parse_document(json.dumps(godel_chain_document(257)))
 
 
 def test_enumerated_three_chains_serialize_distinctly():
