@@ -23,7 +23,6 @@ from .core import (
     from_tables,
     mask_of,
     negation,
-    require_valid,
     validate_axioms,
 )
 from .mp import MpReport, mp_check
@@ -52,7 +51,6 @@ __all__ = [
     "mp_check",
     "negation",
     "parse_lattice",
-    "require_valid",
     "serialize_lattice",
     "validate_axioms",
 ]

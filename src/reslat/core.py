@@ -592,13 +592,6 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     return _report(violations)
 
 
-def require_valid(lat: ResiduatedLattice) -> ResiduatedLattice:
-    report = validate_axioms(lat)
-    if not report.valid:
-        raise ValidationFailed(report)
-    return lat
-
-
 # ---------------------------------------------------------------------------
 # element-level derived operations
 

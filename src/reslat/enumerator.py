@@ -4,12 +4,14 @@ Bounded lattices are generated by backtracking over strict down-sets in
 linear-extension order, pruning any prefix in which some pair acquires
 two incomparable minimal common upper bounds (or maximal common lower
 bounds); such a defect can never be repaired later.  Products are filled
-cell by cell with monotonicity, associativity and join-distributivity
-propagated over the filled prefix.  Since the prefix already satisfies
-every instance it can evaluate and filled cells never change, each new
-cell is checked only against the instances that read it: O(n^2) work per
-candidate value, not O(n^3).  Isomorph rejection uses the
-lexicographically minimal table under relabelings fixing bottom and top.
+cell by cell with associativity and join-distributivity propagated over
+the filled prefix; monotonicity follows from distributivity, so it is
+not checked (see residuated_products).  Since the prefix already
+satisfies every instance it can evaluate and filled cells never change,
+each new cell is checked only against the instances that read it:
+O(n^2) work per candidate value, not O(n^3).  Isomorph rejection uses
+the lexicographically minimal table under relabelings fixing bottom and
+top.
 
 That exact canonical form costs (n-2)! relabelings, so it is computed
 once per isomorphism class, not once per generated lattice.  Each
@@ -21,8 +23,8 @@ permute only inside each cell.  The key is a complete invariant, and a
 lattice whose key is new gets the exact canonical form.  Automorphisms
 are found among the permutations that map every cell to itself.
 
-A brute-force oracle (naive_residuated) covers orders up to four for
-cross-validation and is kept free of the fast path's pruning logic.
+The brute-force oracle that cross-validates this module lives with the
+tests (tests/oracles.py) and shares none of its pruning logic.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from .core import (
     InternalCheckError,
     ResiduatedLattice,
     ResiduumError,
+    _check_table,
+    _converse,
     bits,
     bounded_lattice_ops,
     derive_residuum,
-    from_order,
-    from_tables,
     is_subset,
     validate_axioms,
 )
@@ -98,7 +100,7 @@ def _invariant_cells(up: tuple[int, ...]) -> list[tuple[int, ...]]:
     listed in increasing invariant order.
     """
     n = len(up)
-    down = [sum(1 << y for y in range(n) if up[y] >> x & 1) for x in range(n)]
+    down = _converse(up, n)
     rank = _ranks([(bin(up[x]).count("1"), bin(down[x]).count("1")) for x in range(n)])
     while True:
         refined = _ranks([
@@ -183,11 +185,7 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
     def pairs_ok(k: int) -> bool:
         # incomparable minimal common upper bounds, or maximal common lower
         # bounds, can never be merged by later elements
-        above = [0] * (k + 1)
-        for j in range(k + 1):
-            for i in range(k + 1):
-                if below[j] >> i & 1:
-                    above[i] |= 1 << j
+        above = _converse(below, k + 1)
         for x in range(k + 1):
             for y in range(x + 1, k + 1):
                 ubs = above[x] & above[y]
@@ -208,9 +206,7 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
 
     def extend(i: int) -> None:
         if i == n:
-            up = tuple(
-                sum(1 << j for j in range(n) if below[j] >> x & 1) for x in range(n)
-            )
+            up = tuple(_converse(below, n))
             # the exact canonical form only for the first leaf of each class
             key = lattice_cell_key(up)
             if key not in keys:
@@ -241,24 +237,45 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
 # product tables on a fixed lattice
 
 
-def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All products making the lattice residuated, up to lattice automorphism.
+def residuated_products(
+    up: tuple[int, ...], ops: tuple
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All products making the lattice residuated, up to lattice automorphism;
+    ops = bounded_lattice_ops(up).
 
-    The middle cells {i, j} are filled in row order; a value is kept only if
-    every monotonicity, associativity and join-distributivity instance that
-    the filled cells can evaluate still holds.  The prefix before the new
-    cell passed every instance it could evaluate, and filled cells never
-    change, so a new failure must come from an instance that reads the new
-    cell: only those are checked, O(n^2) per candidate value instead of a
-    rescan of all O(n^3) triples.  Emitted as full n x n tables in a
-    deterministic order, one canonical representative per automorphism orbit.
+    The middle cells {i, j} are filled in row order with values below
+    meet(i, j); a value is kept only if every associativity and
+    join-distributivity instance that the filled cells can evaluate still
+    holds.  The prefix before the new cell passed every instance it could
+    evaluate, and filled cells never change, so a new failure must come
+    from an instance that reads the new cell: only those are checked,
+    O(n^2) per candidate value instead of a rescan of all O(n^3) triples.
+    Emitted as full n x n tables in a deterministic order, one canonical
+    representative per automorphism orbit.
+
+    Monotonicity is not checked, and the emitted tables are the same as
+    with a monotonicity check on every prefix:
+
+    1. Every leaf table passes every associativity and distributivity
+       instance: each instance is checked when the last of its cells is
+       filled.
+    2. A commutative table that distributes over joins is monotone: if
+       b <= c, then a.c = a.(b v c) = a.b v a.c >= a.b.
+    3. So a prefix that breaks monotonicity is extended by no leaf, and a
+       monotonicity check could only cut prefixes that no leaf extends.
+    4. The automorphism pruning (dominated) and the canonical leaf test
+       read only the prefix and the automorphisms, so they keep or drop
+       the same leaves.
+
+    Only the number of nodes searched could grow.
     """
     n = len(up)
-    bottom, top, join, meet = bounded_lattice_ops(up)
-    down = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
-    below = [tuple(bits(m)) for m in down]
-    above = [tuple(bits(m)) for m in up]
-    auts = lattice_automorphisms(up)
+    bottom, top, join, meet = ops
+    down = _converse(up, n)
+    identity = tuple(range(n))
+    # (perm, inverse) per automorphism
+    auts = [(perm, sorted(identity, key=perm.__getitem__)) for perm in lattice_automorphisms(up)]
+    all_pairs = [(x, y) for x in range(n) for y in range(n)]
     cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
     row_end = {i: max(j for k, j in cells if k == i) for i, _ in cells} if cells else {}
     # table[x][y] is the product, None while unfilled; bottom and top are fixed
@@ -290,20 +307,9 @@ def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
         return True
 
     def consistent(i: int, j: int, v: int) -> bool:
-        for a in below[i]:
-            row = table[a]
-            for b in below[j]:
-                w = row[b]
-                if w is not None and not down[v] >> w & 1:
-                    return False
-        for a in above[i]:
-            row = table[a]
-            for b in above[j]:
-                w = row[b]
-                if w is not None and not up[v] >> w & 1:
-                    return False
-        # every (x, y, z) with {i, j} at one of the lookups x.y, y.z, x.z,
-        # (x.y).z, x.(y.z) or x.(y v z), for each orientation (p, q)
+        # v is already in table[i][j]; check every (x, y, z) with {i, j} at
+        # one of the lookups x.y, y.z, x.z, (x.y).z, x.(y.z) or x.(y v z),
+        # for each orientation (p, q)
         for p, q in ((i, j), (j, i)) if i != j else ((i, j),):
             for z in range(n):
                 if not (triple_ok(p, q, z) and triple_ok(z, p, q) and triple_ok(p, z, q)):
@@ -321,15 +327,10 @@ def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
                     return False
         return True
 
-    def prefix_key(upto: int) -> tuple[int, ...]:
-        return tuple(table[x][y] for x, y in cells[: upto + 1])
-
-    def relabeled_prefix(perm: tuple[int, ...], upto: int) -> tuple[int, ...] | None:
-        inv = [0] * n
-        for a, p in enumerate(perm):
-            inv[p] = a
+    def relabeled(perm: tuple[int, ...], inv: list[int], pairs) -> tuple[int, ...] | None:
+        # the relabeled table at each (x, y) of pairs; None if one is unfilled
         out = []
-        for x, y in cells[: upto + 1]:
+        for x, y in pairs:
             w = table[inv[x]][inv[y]]
             if w is None:
                 return None
@@ -338,42 +339,25 @@ def residuated_products(up: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
 
     def dominated(ci: int, i: int) -> bool:
         filled = set(range(1, i + 1))
-        cur = prefix_key(ci)
-        for perm in auts:
-            if perm == tuple(range(n)):
+        cur = tuple(table[x][y] for x, y in cells[: ci + 1])
+        for perm, inv in auts:
+            if perm == identity or {perm[x] for x in filled} != filled:
                 continue
-            if {perm[x] for x in filled} != filled:
-                continue
-            rel = relabeled_prefix(perm, ci)
+            rel = relabeled(perm, inv, cells[: ci + 1])
             if rel is not None and rel < cur:
                 return True
         return False
 
     results: list[tuple[tuple[int, ...], ...]] = []
 
-    def full_table() -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in table)
-
-    def canonical_product(tab) -> tuple[int, ...]:
-        best = None
-        for perm in auts:
-            inv = [0] * n
-            for a, p in enumerate(perm):
-                inv[p] = a
-            cand = tuple(perm[tab[inv[x]][inv[y]]] for x in range(n) for y in range(n))
-            if best is None or cand < best:
-                best = cand
-        return best
-
     def fill(ci: int) -> None:
         if ci == len(cells):
-            tab = full_table()
-            flat = tuple(tab[x][y] for x in range(n) for y in range(n))
-            if canonical_product(tab) == flat:
-                results.append(tab)
+            flat = tuple(v for row in table for v in row)
+            if min(relabeled(perm, inv, all_pairs) for perm, inv in auts) == flat:
+                results.append(tuple(tuple(row) for row in table))
             return
         i, j = cells[ci]
-        for v in below[meet[i][j]]:
+        for v in bits(down[meet[i][j]]):
             table[i][j] = table[j][i] = v
             if consistent(i, j, v):
                 if j != row_end.get(i) or not dominated(ci, i):
@@ -393,16 +377,24 @@ def _build(up: tuple[int, ...], ops: tuple, odot) -> ResiduatedLattice:
         imp = derive_residuum(up, join, odot)
     except ResiduumError as exc:
         raise InternalCheckError(f"enumerated product has no residuum: {exc}") from exc
-    leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
-    lat = from_tables(_labels(n), leq, join, meet, odot, imp, bottom, top)
+    lat = ResiduatedLattice(
+        labels=_labels(n),
+        up=up,
+        join=join,
+        meet=meet,
+        odot=_check_table("odot", odot, n),
+        imp=_check_table("imp", imp, n),
+        bottom=bottom,
+        top=top,
+    )
     report = validate_axioms(lat)
     if not report.valid:
         raise InternalCheckError(f"enumerated lattice fails validation: {report}")
     return lat
 
 
-def _extension_worker(up: tuple[int, ...]) -> tuple:
-    return residuated_products(up)
+def _extension_worker(job: tuple) -> tuple:
+    return residuated_products(*job)
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -433,18 +425,16 @@ def enumerate_residuated(
 def _residuated_over(
     lattices: tuple[tuple[int, ...], ...], workers: int | None
 ) -> tuple[ResiduatedLattice, ...]:
-    w = min(worker_count(workers), len(lattices))
+    jobs = [(up, bounded_lattice_ops(up)) for up in lattices]
+    w = min(worker_count(workers), len(jobs))
     if w <= 1:
-        products = [residuated_products(up) for up in lattices]
+        products = [residuated_products(up, ops) for up, ops in jobs]
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:
-            products = list(pool.map(_extension_worker, lattices))
-    out = []
-    for up, tabs in zip(lattices, products):
-        ops = bounded_lattice_ops(up)
-        for tab in tabs:
-            out.append(_build(up, ops, tab))
-    return tuple(out)
+            products = list(pool.map(_extension_worker, jobs))
+    return tuple(
+        _build(up, ops, tab) for (up, ops), tabs in zip(jobs, products) for tab in tabs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,113 +473,3 @@ def census(n_max: int, workers: int | None = None, cap: int = DEFAULT_CAP) -> tu
             CensusRow(n, len(lattices), residuated, mp_count, rickart, baer, domains)
         )
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# the brute-force oracle
-
-
-def full_canonical_key(lat: ResiduatedLattice) -> tuple:
-    """Isomorphism key over all permutations: least (order bits, product bits)."""
-    n = lat.size
-    best = None
-    for perm in permutations(range(n)):
-        leq_bits = tuple(
-            1 if lat.leq(perm.index(x), perm.index(y)) else 0
-            for x in range(n)
-            for y in range(n)
-        )
-        odot_bits = tuple(
-            perm[lat.odot[perm.index(x)][perm.index(y)]]
-            for x in range(n)
-            for y in range(n)
-        )
-        cand = (leq_bits, odot_bits)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def naive_bounded_orders(n: int) -> list[tuple[int, ...]]:
-    """Every labeled bounded-lattice order on n elements, by brute force."""
-    if n > 4:
-        raise ContractError("naive order scan capped at 4 elements")
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    orders = []
-    for choice in range(1 << len(pairs)):
-        up = [1 << i for i in range(n)]
-        ok = True
-        for k, (i, j) in enumerate(pairs):
-            if choice >> k & 1:
-                up[i] |= 1 << j
-        for i, j in pairs:
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        for i in range(n):
-            for j in range(n):
-                if up[i] >> j & 1 and up[j] & ~up[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        try:
-            bounded_lattice_ops(tuple(up))
-        except Exception:
-            continue
-        orders.append(tuple(up))
-    return orders
-
-
-def naive_residuated(n: int) -> list[ResiduatedLattice]:
-    """Brute-force all products over all bounded orders, filtered by the
-    axiom checker and deduplicated by a full permutation scan.
-
-    Deliberately shares none of the fast path's propagation or canonical
-    pruning; cost is roughly n to the n squared, so the order is capped.
-    """
-    if n > 4:
-        raise ContractError("naive oracle capped at 4 elements")
-    out: dict[tuple, ResiduatedLattice] = {}
-    for up in naive_bounded_orders(n):
-        bottom, top, join, meet = bounded_lattice_ops(up)
-        cells = [(i, j) for i in range(n) for j in range(n)]
-        odot = [[None] * n for _ in range(n)]
-
-        def leaf() -> None:
-            try:
-                imp = derive_residuum(up, join, odot)
-            except Exception:
-                return
-            leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
-            lat = from_order(_labels(n), leq, [list(r) for r in odot], imp)
-            if not validate_axioms(lat).valid:
-                return
-            key = full_canonical_key(lat)
-            if key not in out:
-                out[key] = lat
-
-        def fill(ci: int) -> None:
-            if ci == len(cells):
-                leaf()
-                return
-            i, j = cells[ci]
-            for v in range(n):
-                if i > j and odot[j][i] != v:
-                    continue
-                if (i == bottom or j == bottom) and v != bottom:
-                    continue
-                if i == top and v != j:
-                    continue
-                if j == top and v != i:
-                    continue
-                odot[i][j] = v
-                fill(ci + 1)
-                odot[i][j] = None
-
-        fill(0)
-    return [out[k] for k in sorted(out)]

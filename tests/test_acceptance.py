@@ -30,11 +30,9 @@ from reslat.spectra import (
     prime_spectrum,
     separation_check,
 )
-from reslat.enumerator import (
-    enumerate_residuated,
-    full_canonical_key,
-    naive_residuated,
-)
+from reslat.enumerator import enumerate_residuated
+
+from oracles import full_canonical_key, naive_residuated
 
 
 def _bundled_path(name: str) -> str:

@@ -1,25 +1,26 @@
 from __future__ import annotations
 
+import collections
 import itertools
+import random
 import sys
 
 import pytest
 
-from reslat import ContractError, InternalCheckError, enumerator, validate_axioms
+from reslat import ContractError, InternalCheckError, core, enumerator, validate_axioms
 from reslat.core import bounded_lattice_ops
 from reslat.enumerator import (
     bounded_lattices,
     census,
     enumerate_residuated,
-    full_canonical_key,
     lattice_automorphisms,
     lattice_canonical,
     lattice_cell_key,
-    naive_bounded_orders,
-    naive_residuated,
     residuated_products,
     worker_count,
 )
+
+from oracles import full_canonical_key, naive_bounded_orders, naive_residuated
 
 # unlabeled bounded lattice counts for orders 1..8 (OEIS A006966); the
 # order-5 value also follows by hand: the chain, both kites, the diamond
@@ -195,7 +196,7 @@ def test_automorphism_groups():
         auts = lattice_automorphisms(up)
         assert tuple(range(len(up))) in auts
         # products per lattice are canonical under exactly these symmetries
-        for tab in residuated_products(up):
+        for tab in residuated_products(up, bounded_lattice_ops(up)):
             flats = set()
             n = len(up)
             for perm in auts:
@@ -220,9 +221,41 @@ def test_build_rejects_a_product_without_residuum():
         enumerator._build(up, ops, broken)
 
 
+def test_lattice_tables_made_and_checked_once_per_lattice(monkeypatch):
+    # join and meet come from one bounded_lattice_ops call per lattice and
+    # are not re-checked per product; the product and residuum tables are
+    ops_calls, checked = [], collections.Counter()
+    real_ops, real_check = bounded_lattice_ops, core._check_table
+
+    def check(name, table, n):
+        checked[name] += 1
+        return real_check(name, table, n)
+
+    monkeypatch.setattr(
+        enumerator, "bounded_lattice_ops", lambda up: ops_calls.append(up) or real_ops(up)
+    )
+    for module in (core, enumerator):
+        monkeypatch.setattr(module, "_check_table", check)
+    assert len(enumerate_residuated(7, workers=1)) == 723
+    assert len(ops_calls) == 53
+    assert checked == {"odot": 723, "imp": 723}
+
+
+def test_converse_matches_the_double_loop():
+    # rows may be narrower than n, as the growing down-set prefix is
+    rng = random.Random(0)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        masks = [rng.getrandbits(rng.randint(0, n)) for _ in range(n)]
+        expected = [sum(1 << y for y in range(n) if masks[y] >> x & 1) for x in range(n)]
+        assert core._converse(masks, n) == expected, masks
+
+
 def test_residuated_counts():
     for n, expected in RESIDUATED_COUNTS.items():
-        assert sum(len(residuated_products(up)) for up in bounded_lattices(n)) == expected
+        assert sum(
+            len(residuated_products(up, bounded_lattice_ops(up))) for up in bounded_lattices(n)
+        ) == expected
 
 
 def _full_prefix_search(up):
@@ -352,7 +385,7 @@ def _incremental_search(up):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        tables = residuated_products(up)
+        tables = residuated_products(up, bounded_lattice_ops(up))
     finally:
         sys.setprofile(previous)
     return tables, checks

@@ -22,9 +22,10 @@ from reslat.filters import (
     quotient,
 )
 from reslat.spectra import prime_spectrum
-from reslat.enumerator import enumerate_residuated, full_canonical_key
+from reslat.enumerator import enumerate_residuated
 
 from lattices import build_a6, build_a8, build_product, build_two_chain, mask
+from oracles import full_canonical_key
 
 
 def filter_sets(lat):
