@@ -15,18 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .core import InternalCheckError, ResiduatedLattice, bits
+from .core import InternalCheckError, ResiduatedLattice
 from .filters import all_filters, canonical_sort, filter_join
-from .spectra import prime_spectrum
+from .spectra import meet_rows, prime_spectrum
 
 
 def coannihilator(lat: ResiduatedLattice, subset: int) -> int:
     """Intersection of the primes that do not contain the subset."""
-    coannulets = prime_spectrum(lat).coannulets
-    out = lat.full_mask
-    for x in bits(subset):
-        out &= coannulets[x]
-    return out
+    return meet_rows(prime_spectrum(lat).coannulets, subset, lat.full_mask)
 
 
 def coannulet(lat: ResiduatedLattice, x: int) -> int:

@@ -98,7 +98,7 @@ def _converse(masks: Sequence[int], n: int) -> list[int]:
     of the result's row j is bit j of masks[i].  A string transpose, O(n)
     C-level slices."""
     flat = "".join(_digit_rows(masks, n))
-    return [int(flat[j::n][::-1], 2) for j in range(n)]
+    return [int(flat[j::n][::-1] or "0", 2) for j in range(n)]
 
 
 def _is_partial_order(up: Sequence[int], down: Sequence[int]) -> bool:

@@ -30,6 +30,7 @@ from .core import (
     bits,
     format_set,
     from_tables,
+    is_subset,
     validate_axioms,
 )
 
@@ -62,6 +63,11 @@ def is_filter(lat: ResiduatedLattice, subset: int) -> bool:
 def canonical_sort(masks) -> tuple[int, ...]:
     """Canonical order for families of subsets: by size, then by bitmask."""
     return tuple(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
+
+
+def maximal_members(masks) -> list[int]:
+    """The members of a family of subsets inside no other member, in order."""
+    return [f for f in masks if not any(g != f and is_subset(f, g) for g in masks)]
 
 
 class FilterLattice:
@@ -204,6 +210,26 @@ def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
     return qlat
 
 
+def first_join_into(lat: ResiduatedLattice, subset: int) -> tuple[int, int] | None:
+    """The first pair x <= y (by index), both outside the subset, whose join
+    lies in it; None when there is none.
+
+    A proper filter is prime exactly when this is None.
+    """
+    outside = [x for x in range(lat.size) if not subset >> x & 1]
+    for i, x in enumerate(outside):
+        row = lat.join[x]
+        for y in outside[i:]:
+            if subset >> row[y] & 1:
+                return x, y
+    return None
+
+
+def is_join_closed(lat: ResiduatedLattice, subset: int) -> bool:
+    els = list(bits(subset))
+    return all(subset >> lat.join[x][y] & 1 for x in els for y in els)
+
+
 def is_domain(lat: ResiduatedLattice) -> tuple[bool, tuple[int, int] | None]:
     """No two elements below the top join to the top.
 
@@ -214,13 +240,5 @@ def is_domain(lat: ResiduatedLattice) -> tuple[bool, tuple[int, int] | None]:
     """
     if lat.bottom == lat.top:
         return False, None
-    n = lat.size
-    for x in range(n):
-        if x == lat.top:
-            continue
-        for y in range(x, n):
-            if y == lat.top:
-                continue
-            if lat.join[x][y] == lat.top:
-                return False, (x, y)
-    return True, None
+    pair = first_join_into(lat, 1 << lat.top)
+    return pair is None, pair

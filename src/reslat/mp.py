@@ -367,11 +367,11 @@ FAMILIES = (
 )
 
 
-def mp_check(lat: ResiduatedLattice, strict: bool = True) -> MpReport:
+def mp_check(lat: ResiduatedLattice) -> MpReport:
     """Run every characterization family and assert their agreement.
 
-    With strict=True a disagreement raises MpDisagreement carrying the
-    serialized lattice; the report is still attached to the exception.
+    A disagreement raises MpDisagreement carrying the serialized lattice;
+    the report is attached to the exception.
     """
     verdicts: dict[str, Verdict] = {}
     families: dict[str, tuple[str, ...]] = {}
@@ -387,7 +387,7 @@ def mp_check(lat: ResiduatedLattice, strict: bool = True) -> MpReport:
         agree=agree,
         final=values.pop() if agree else None,
     )
-    if not agree and strict:
+    if not agree:
         from .latfile import serialize_lattice
 
         raise MpDisagreement(report, serialize_lattice(lat))

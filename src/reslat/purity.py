@@ -15,16 +15,26 @@ from .core import (
     ContractError,
     InternalCheckError,
     ResiduatedLattice,
+    _converse,
     bits,
     is_subset,
 )
-from .filters import all_filters, canonical_sort, filter_join, is_filter
+from .filters import (
+    all_filters,
+    canonical_sort,
+    filter_join,
+    is_filter,
+    is_join_closed,
+    maximal_members,
+)
 from .spectra import (
     FiniteTopology,
+    _meet_prime,
     generalization,
     hull,
     hull_kernel_topology,
     kernel,
+    meet_rows,
     prime_spectrum,
 )
 from .coann import coannulet
@@ -40,10 +50,7 @@ def is_lattice_ideal(lat: ResiduatedLattice, subset: int) -> bool:
     down = 0
     for x in bits(subset):
         down |= lat.down(x)
-    if down != subset:
-        return False
-    els = list(bits(subset))
-    return all(subset >> lat.join[x][y] & 1 for x in els for y in els)
+    return down == subset and is_join_closed(lat, subset)
 
 
 def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
@@ -214,18 +221,8 @@ class PureSpectrum:
         if one not in self.pure or lat.full_mask not in self.pure:
             raise InternalCheckError("the one filter and the carrier must be pure")
         proper = [f for f in self.pure if f != lat.full_mask]
-        self.purely_maximal = tuple(
-            f for f in proper
-            if not any(g != f and is_subset(f, g) for g in proper)
-        )
-        self.purely_prime = tuple(
-            p for p in proper
-            if all(
-                not is_subset(f1 & f2, p) or is_subset(f1, p) or is_subset(f2, p)
-                for f1 in self.pure
-                for f2 in self.pure
-            )
-        )
+        self.purely_maximal = tuple(maximal_members(proper))
+        self.purely_prime = tuple(p for p in proper if _meet_prime(p, self.pure))
         for f in self.purely_maximal:
             if f not in self.purely_prime:
                 raise InternalCheckError("purely-maximal must be purely-prime")
@@ -233,18 +230,12 @@ class PureSpectrum:
 
     def _build_topology(self) -> FiniteTopology:
         points = self.purely_prime
-        k = len(points)
-        subbasic = [
-            sum(1 << i for i in range(k) if not is_subset(f, points[i]))
-            for f in self.pure
-        ]
+        full = (1 << len(points)) - 1
+        incidence = _converse(points, self.lattice.size)
+        hulls = [meet_rows(incidence, f, full) for f in self.pure]
+        subbasic = [full & ~h for h in hulls]
         top = FiniteTopology.from_subbasis("spp", "pure", points, subbasic)
-        closed = set(top.closed_sets())
-        hulls = {
-            sum(1 << i for i in range(k) if is_subset(f, points[i]))
-            for f in self.pure
-        }
-        if closed != hulls:
+        if set(top.closed_sets()) != set(hulls):
             raise InternalCheckError(
                 "closed sets of the pure spectrum are not the pure hulls"
             )

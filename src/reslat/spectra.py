@@ -5,6 +5,14 @@ element-wise condition (x v y in P implies x in P or y in P) and
 cross-checked against meet-primality in the filter lattice.  Every finite
 topology is Alexandrov, so spaces are stored as minimal-open-neighbourhood
 maps and all predicates reduce to preorder computations.
+
+The hull h(X) of a set X of elements is the set of primes containing X,
+and the kernel k(S) of a set S of primes is their intersection: a Galois
+connection.  The spectrum stores the one relation "prime i contains x" as
+the incidence table ``hulls`` (bit i of ``hulls[x]``).  h(X) is the AND of
+hulls[x] over x in X, k(S) the AND of the primes in S, and the coannulet
+of x is k of the primes outside hulls[x]; ``meet_rows`` is that one fold.
+The hull-kernel topologies take their subbases from the incidence.
 """
 
 from __future__ import annotations
@@ -16,21 +24,39 @@ from .core import (
     ContractError,
     InternalCheckError,
     ResiduatedLattice,
+    _converse,
     bits,
     is_subset,
     transitive_closure,
 )
-from .filters import all_filters, canonical_sort, filter_join, is_filter
+from .filters import (
+    all_filters,
+    canonical_sort,
+    filter_join,
+    first_join_into,
+    is_filter,
+    is_join_closed,
+    maximal_members,
+)
+
+
+def meet_rows(rows, selected: int, empty: int) -> int:
+    """The AND of rows[i] over the set bits i of selected; empty when none is."""
+    out = empty
+    for i in bits(selected):
+        out &= rows[i]
+    return out
 
 
 class Spectrum:
     """The prime filters of a lattice with maximal/minimal flags.
 
+    ``hulls[x]`` is the bitmask of prime positions i with x in primes[i].
     ``above[i]`` is the bitmask of prime positions j with primes[i] a
-    subset of primes[j]; ``below[i]`` is the converse.  Positions are
-    indices into the canonically ordered ``primes`` tuple.
-    ``coannulets[x]`` is the intersection of the primes not containing
-    the element x (the carrier when every prime contains x).
+    subset of primes[j], which is the hull of primes[i]; ``below[i]`` is
+    the converse.  Positions are indices into the canonically ordered
+    ``primes`` tuple.  ``coannulets[x]`` is the intersection of the primes
+    not containing the element x (the carrier when every prime contains x).
     """
 
     def __init__(self, lat: ResiduatedLattice, primes: tuple[int, ...]):
@@ -38,23 +64,17 @@ class Spectrum:
         self.primes = primes
         self.index = {p: i for i, p in enumerate(primes)}
         k = len(primes)
-        self.above = tuple(
-            sum(1 << j for j in range(k) if is_subset(primes[i], primes[j]))
-            for i in range(k)
-        )
-        self.below = tuple(
-            sum(1 << j for j in range(k) if is_subset(primes[j], primes[i]))
-            for i in range(k)
-        )
+        everything = (1 << k) - 1
+        self.hulls = tuple(_converse(primes, lat.size))
+        self.above = tuple(meet_rows(self.hulls, p, everything) for p in primes)
+        self.below = tuple(_converse(self.above, k))
         self.is_maximal = tuple(self.above[i] == 1 << i for i in range(k))
         self.is_minimal = tuple(self.below[i] == 1 << i for i in range(k))
         self.maximal = tuple(i for i in range(k) if self.is_maximal[i])
         self.minimal = tuple(i for i in range(k) if self.is_minimal[i])
-        coannulets = [lat.full_mask] * lat.size
-        for p in primes:
-            for x in bits(lat.full_mask & ~p):
-                coannulets[x] &= p
-        self.coannulets = tuple(coannulets)
+        self.coannulets = tuple(
+            meet_rows(primes, everything & ~h, lat.full_mask) for h in self.hulls
+        )
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -68,16 +88,8 @@ class Spectrum:
         return sum(1 << i for i in self.minimal)
 
 
-def _elementwise_prime(lat: ResiduatedLattice, p: int) -> bool:
-    n = lat.size
-    for x in range(n):
-        for y in range(x, n):
-            if p >> lat.join[x][y] & 1 and not (p >> x & 1 or p >> y & 1):
-                return False
-    return True
-
-
-def _meet_prime(lat: ResiduatedLattice, p: int, filters: tuple[int, ...]) -> bool:
+def _meet_prime(p: int, filters: tuple[int, ...]) -> bool:
+    """No two of the filters outside p meet inside p."""
     for f in filters:
         if is_subset(f, p):
             continue
@@ -95,8 +107,8 @@ def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
     for p in filters:
         if p == lat.full_mask:
             continue
-        elementwise = _elementwise_prime(lat, p)
-        lattice_wise = _meet_prime(lat, p, filters)
+        elementwise = first_join_into(lat, p) is None
+        lattice_wise = _meet_prime(p, filters)
         if elementwise != lattice_wise:
             raise InternalCheckError(
                 f"primality tests disagree on {lat.label_set(p)}"
@@ -112,11 +124,6 @@ def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
     return spec
 
 
-def is_join_closed(lat: ResiduatedLattice, subset: int) -> bool:
-    els = list(bits(subset))
-    return all(subset >> lat.join[x][y] & 1 for x in els for y in els)
-
-
 def prime_avoiding(lat: ResiduatedLattice, f: int, avoid: int) -> int:
     """A filter containing f that is maximal among those disjoint from avoid.
 
@@ -130,11 +137,7 @@ def prime_avoiding(lat: ResiduatedLattice, f: int, avoid: int) -> int:
     if not is_join_closed(lat, avoid):
         raise ContractError("prime_avoiding: avoided set is not join closed")
     candidates = [g for g in all_filters(lat) if is_subset(f, g) and not g & avoid]
-    maximal = [
-        g for g in candidates
-        if not any(h != g and is_subset(g, h) for h in candidates)
-    ]
-    result = maximal[0]
+    result = maximal_members(candidates)[0]
     spec = prime_spectrum(lat)
     if result not in spec.index:
         raise InternalCheckError("maximal avoiding filter is not prime")
@@ -145,46 +148,33 @@ def prime_avoiding(lat: ResiduatedLattice, f: int, avoid: int) -> int:
 # hull / kernel
 
 
-def hull(lat: ResiduatedLattice, subset: int, points: int | None = None) -> int:
-    """Positions of the primes (within points) containing the subset."""
+def hull(lat: ResiduatedLattice, subset: int) -> int:
+    """Positions of the primes containing the subset."""
     spec = prime_spectrum(lat)
-    if points is None:
-        points = spec.all_points
-    out = 0
-    for i in bits(points):
-        if is_subset(subset, spec.primes[i]):
-            out |= 1 << i
-    return out
+    return meet_rows(spec.hulls, subset, spec.all_points)
 
 
 def kernel(lat: ResiduatedLattice, point_mask: int) -> int:
     """Intersection of the selected primes; the empty intersection is A."""
-    spec = prime_spectrum(lat)
-    out = lat.full_mask
-    for i in bits(point_mask):
-        out &= spec.primes[i]
-    return out
+    return meet_rows(prime_spectrum(lat).primes, point_mask, lat.full_mask)
 
 
-def specialization(lat: ResiduatedLattice, point_mask: int, points: int | None = None) -> int:
-    """Primes (within points) containing some member of the given set."""
+def specialization(lat: ResiduatedLattice, point_mask: int) -> int:
+    """Primes containing some member of the given set."""
     spec = prime_spectrum(lat)
-    if points is None:
-        points = spec.all_points
     out = 0
     for i in bits(point_mask):
         out |= spec.above[i]
-    return out & points
+    return out
 
-def generalization(lat: ResiduatedLattice, point_mask: int, points: int | None = None) -> int:
-    """Primes (within points) contained in some member of the given set."""
+
+def generalization(lat: ResiduatedLattice, point_mask: int) -> int:
+    """Primes contained in some member of the given set."""
     spec = prime_spectrum(lat)
-    if points is None:
-        points = spec.all_points
     out = 0
     for i in bits(point_mask):
         out |= spec.below[i]
-    return out & points
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +241,6 @@ class FiniteTopology:
             if self.min_nbhd[i] & subset
         )
 
-    def interior(self, subset: int) -> int:
-        return sum(
-            1 << i for i in bits(subset) if is_subset(self.min_nbhd[i], subset)
-        )
-
     def open_sets(self) -> list[int]:
         """All opens by brute force; only sensible for small spaces."""
         k = len(self.point_filters)
@@ -268,15 +253,6 @@ class FiniteTopology:
         return [full & ~u for u in self.open_sets()]
 
 
-def point_positions(lat: ResiduatedLattice, space: str) -> tuple[int, ...]:
-    spec = prime_spectrum(lat)
-    if space == "spec":
-        return tuple(range(len(spec)))
-    if space == "min":
-        return spec.minimal
-    raise ContractError(f"unknown space {space!r}")
-
-
 def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> FiniteTopology:
     """Topology on a prime collection from the basis {h(x) | x in A}.
 
@@ -284,17 +260,19 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
     patch: the topology generated by both.
     """
     spec = prime_spectrum(lat)
-    points = tuple(spec.primes[g] for g in point_positions(lat, space))
+    if space == "spec":
+        points = spec.primes
+    elif space == "min":
+        points = tuple(spec.primes[g] for g in spec.minimal)
+    else:
+        raise ContractError(f"unknown space {space!r}")
     full = (1 << len(points)) - 1
-
-    def h_local(x: int) -> int:
-        return sum(1 << i for i, p in enumerate(points) if p >> x & 1)
-
+    hulls = _converse(points, lat.size)
     subbasic: list[int] = []
     if variant in ("dual", "patch"):
-        subbasic.extend(h_local(x) for x in range(lat.size))
+        subbasic.extend(hulls)
     if variant in ("hull", "patch"):
-        subbasic.extend(full & ~h_local(x) for x in range(lat.size))
+        subbasic.extend(full & ~h for h in hulls)
     if variant not in ("hull", "dual", "patch"):
         raise ContractError(f"unknown variant {variant!r}")
     return FiniteTopology.from_subbasis(space, variant, points, subbasic)
@@ -329,10 +307,11 @@ def separation_check(top: FiniteTopology) -> SeparationReport:
     neighbourhoods).
     """
     k = len(top.point_filters)
+    # the closure of point i: the points whose minimal neighbourhood holds i
+    closures = _converse(top.min_nbhd, k)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
     t1 = True
-    for i in range(k):
-        cl = top.closure(1 << i)
+    for i, cl in enumerate(closures):
         if cl != 1 << i:
             t1 = False
             other = next(j for j in bits(cl) if j != i)
@@ -352,7 +331,7 @@ def separation_check(top: FiniteTopology) -> SeparationReport:
         if not normal:
             break
         for j in range(i + 1, k):
-            if top.closure(1 << i) & top.closure(1 << j):
+            if closures[i] & closures[j]:
                 continue
             if top.min_nbhd[i] & top.min_nbhd[j]:
                 normal = False
@@ -518,10 +497,7 @@ def dual_closed_sets(lat: ResiduatedLattice) -> tuple[int, ...]:
     for c in range(1 << k):
         if not top.is_closed(c):
             continue
-        witness_x = 0
-        for x in range(lat.size):
-            if not hull(lat, 1 << x) & c:
-                witness_x |= 1 << x
+        witness_x = sum(1 << x for x, h in enumerate(spec.hulls) if not h & c)
         rebuilt = sum(
             1 << i for i in range(k) if not spec.primes[i] & witness_x
         )

@@ -119,7 +119,7 @@ def test_criterion_3_meta_theorem_agreement():
     count = 0
     for n in range(1, 6):
         for lat in enumerate_residuated(n, workers=1):
-            report = mp_check(lat)  # strict: raises on any disagreement
+            report = mp_check(lat)  # raises on any disagreement
             assert report.agree
             count += 1
     elapsed = time.perf_counter() - start

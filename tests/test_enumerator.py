@@ -249,6 +249,8 @@ def test_converse_matches_the_double_loop():
         masks = [rng.getrandbits(rng.randint(0, n)) for _ in range(n)]
         expected = [sum(1 << y for y in range(n) if masks[y] >> x & 1) for x in range(n)]
         assert core._converse(masks, n) == expected, masks
+        # zero rows, as for a lattice with no primes
+        assert core._converse([], n) == [0] * n
 
 
 def test_residuated_counts():

@@ -15,6 +15,7 @@ from reslat.filters import (
     filter_join,
     filter_lattice,
     filter_meet,
+    first_join_into,
     generated_filter,
     is_domain,
     is_filter,
@@ -277,6 +278,25 @@ def test_is_domain_golden(a6, a8):
     x, y = witness
     assert x != a8.top and y != a8.top
     assert a8.join[x][y] == a8.top
+
+
+def _join_into_by_pairs(lat, subset):
+    # the double loop over all pairs x <= y (by index)
+    n = lat.size
+    for x in range(n):
+        for y in range(x, n):
+            if subset >> lat.join[x][y] & 1 and not (subset >> x & 1 or subset >> y & 1):
+                return x, y
+    return None
+
+
+def test_first_join_into_matches_pair_scan(oracle_set):
+    for lat in oracle_set:
+        for f in (1 << lat.top, *all_filters(lat)):
+            assert first_join_into(lat, f) == _join_into_by_pairs(lat, f)
+        if lat.bottom != lat.top:
+            pair = _join_into_by_pairs(lat, 1 << lat.top)
+            assert is_domain(lat) == (pair is None, pair)
 
 
 def test_chains_are_domains():

@@ -104,11 +104,11 @@ def test_prelinearity_does_not_force_mp():
 
 def test_strict_mode_never_raises_on_corpus(corpus5):
     for lat in corpus5:
-        mp_check(lat, strict=True)
+        mp_check(lat)
 
 
 def test_disagreement_is_detectable():
-    report = mp_check(build_two_chain(), strict=False)
+    report = mp_check(build_two_chain())
     assert report.agree and report.final is True
     flipped = report.families["algebraic"][0]
     verdicts = dict(report.verdicts)

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reslat import ContractError, bits
+from reslat.core import is_subset
+from reslat.coann import coannihilator
 from reslat.filters import all_filters, generated_filter, is_filter
+from reslat.purity import pure_spectrum
 from reslat.spectra import (
     FiniteTopology,
+    SeparationReport,
     dual_closed_sets,
     generalization,
     hull,
@@ -453,3 +457,141 @@ def test_ideal_linkage_matches_pair_scan(oracle_set):
                 assert rel.base[i] >> j & 1 == (
                     not _ideal_join_is_everything_by_pairs(lat, p, q)
                 )
+
+
+# ---------------------------------------------------------------------------
+# the element-prime incidence table against the per-point scans it replaced
+
+
+def _hull_by_scan(spec, subset):
+    return sum(1 << i for i, p in enumerate(spec.primes) if is_subset(subset, p))
+
+
+def _kernel_by_scan(lat, spec, point_mask):
+    out = lat.full_mask
+    for i in bits(point_mask):
+        out &= spec.primes[i]
+    return out
+
+
+def _coannulets_by_scan(lat, spec):
+    coannulets = [lat.full_mask] * lat.size
+    for p in spec.primes:
+        for x in bits(lat.full_mask & ~p):
+            coannulets[x] &= p
+    return tuple(coannulets)
+
+
+def _topology_by_scan(lat, space, variant):
+    spec = prime_spectrum(lat)
+    positions = range(len(spec)) if space == "spec" else spec.minimal
+    points = tuple(spec.primes[g] for g in positions)
+    full = (1 << len(points)) - 1
+
+    def h_local(x):
+        return sum(1 << i for i, p in enumerate(points) if p >> x & 1)
+
+    subbasic = []
+    if variant in ("dual", "patch"):
+        subbasic.extend(h_local(x) for x in range(lat.size))
+    if variant in ("hull", "patch"):
+        subbasic.extend(full & ~h_local(x) for x in range(lat.size))
+    return FiniteTopology.from_subbasis(space, variant, points, subbasic)
+
+
+def _separation_by_closures(top):
+    # separation_check as it was, with top.closure recomputed per pair
+    k = len(top)
+    witnesses = []
+    t1 = True
+    for i in range(k):
+        cl = top.closure(1 << i)
+        if cl != 1 << i:
+            t1 = False
+            witnesses.append(("t1", (i, next(j for j in bits(cl) if j != i))))
+            break
+    hausdorff = True
+    for i in range(k):
+        if top.min_nbhd[i] != 1 << i:
+            hausdorff = False
+            witnesses.append(("hausdorff", (i, next(j for j in bits(top.min_nbhd[i]) if j != i))))
+            break
+    normal = True
+    for i in range(k):
+        if not normal:
+            break
+        for j in range(i + 1, k):
+            if top.closure(1 << i) & top.closure(1 << j):
+                continue
+            if top.min_nbhd[i] & top.min_nbhd[j]:
+                normal = False
+                witnesses.append(("normal", (i, j)))
+                break
+    return SeparationReport(t1, hausdorff, normal, tuple(witnesses))
+
+
+INCIDENCE_CHAINS = (2, 3, 4, 7, 16, 33, 64)
+
+
+@pytest.fixture(scope="module")
+def incidence_set(oracle_set):
+    """The oracle set (it holds the order-1 lattice, which has no primes)
+    and Goedel chains of up to 64 elements."""
+    return (*oracle_set, *(build_chain(n) for n in INCIDENCE_CHAINS))
+
+
+def test_incidence_matches_per_point_scans(incidence_set):
+    assert any(len(prime_spectrum(lat)) == 0 for lat in incidence_set)
+    for lat in incidence_set:
+        spec = prime_spectrum(lat)
+        primes = spec.primes
+        assert spec.hulls == tuple(_hull_by_scan(spec, 1 << x) for x in range(lat.size))
+        assert spec.above == tuple(_hull_by_scan(spec, p) for p in primes)
+        assert spec.below == tuple(
+            sum(1 << j for j, q in enumerate(primes) if is_subset(q, p)) for p in primes
+        )
+        assert spec.coannulets == _coannulets_by_scan(lat, spec)
+        for f in (0, *all_filters(lat)):
+            h = hull(lat, f)
+            assert h == _hull_by_scan(spec, f)
+            assert kernel(lat, h) == _kernel_by_scan(lat, spec, h)
+            outside = spec.all_points & ~h
+            assert coannihilator(lat, f) == _kernel_by_scan(lat, spec, outside)
+        for i in range(len(spec)):
+            for points in (spec.above[i], spec.below[i], spec.minimal_mask):
+                assert kernel(lat, points) == _kernel_by_scan(lat, spec, points)
+
+
+def test_topologies_match_per_point_scans(incidence_set):
+    for lat in incidence_set:
+        for space in ("spec", "min"):
+            for variant in ("hull", "dual", "patch"):
+                top = hull_kernel_topology(lat, space, variant)
+                assert top == _topology_by_scan(lat, space, variant)
+                assert separation_check(top) == _separation_by_closures(top)
+
+
+def test_pure_spectrum_matches_per_point_scans(incidence_set):
+    for lat in incidence_set:
+        ps = pure_spectrum(lat)
+        proper = [f for f in ps.pure if f != lat.full_mask]
+        assert ps.purely_maximal == tuple(
+            f for f in proper if not any(g != f and is_subset(f, g) for g in proper)
+        )
+        assert ps.purely_prime == tuple(
+            p for p in proper
+            if all(
+                not is_subset(f1 & f2, p) or is_subset(f1, p) or is_subset(f2, p)
+                for f1 in ps.pure
+                for f2 in ps.pure
+            )
+        )
+        points = ps.purely_prime
+        k = len(points)
+        subbasic = [
+            sum(1 << i for i in range(k) if not is_subset(f, points[i])) for f in ps.pure
+        ]
+        top = FiniteTopology.from_subbasis("spp", "pure", points, subbasic)
+        assert ps.topology == top
+        hulls = {sum(1 << i for i in range(k) if is_subset(f, points[i])) for f in ps.pure}
+        assert set(top.closed_sets()) == hulls
