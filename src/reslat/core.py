@@ -168,8 +168,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+_VALID = ValidationReport(valid=True, violations=())
+
+
 def _report(violations: list[Violation]) -> ValidationReport:
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    # every lattice keeps its report (``validation``): the valid ones share one object
+    if not violations:
+        return _VALID
+    return ValidationReport(valid=False, violations=tuple(violations))
 
 
 class ValidationFailed(ValueError):
@@ -192,7 +198,12 @@ class ResiduatedLattice:
     encodes the order relation.  ``join``, ``meet``, ``odot`` and ``imp``
     are full n x n tables.  The structure is not necessarily valid:
     ``validate_axioms`` reports which axioms hold.  The derived masks
-    (``down_masks``, ``top_joiners``) are computed on first use and kept.
+    (``down_masks``, ``top_joiners``) and the axiom report (``validation``)
+    are computed on first use and kept, so each instance is validated at
+    most once.  A report depends on the int fields alone, never on the
+    labels, so ``filters.quotient`` hands a quotient whose int fields equal
+    its input's (the quotient by {top}, unless it relabels) the input's
+    report.
     """
 
     labels: tuple[str, ...]
@@ -232,15 +243,24 @@ class ResiduatedLattice:
             sum(1 << x for x, v in enumerate(row) if v == top) for row in self.join
         )
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """``validate_axioms(self)``, run on first use."""
+        return validate_axioms(self)
+
     def label_set(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
+
+    def _int_fields(self) -> tuple:
+        """Every field but the labels: all that a report or the hash reads."""
+        return (self.up, self.join, self.meet, self.odot, self.imp, self.bottom, self.top)
 
     @cached_property
     def _hash(self) -> int:
         # Only the int fields: str hashes differ between interpreters, and
         # this value is pickled with the instance.  Equal lattices have
         # equal int fields, so the hash stays consistent with __eq__.
-        return hash((self.up, self.join, self.meet, self.odot, self.imp, self.bottom, self.top))
+        return hash(self._int_fields())
 
     def __hash__(self) -> int:
         return self._hash

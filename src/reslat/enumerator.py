@@ -45,7 +45,6 @@ from .core import (
     bounded_lattice_ops,
     derive_residuum,
     is_subset,
-    validate_axioms,
 )
 
 DEFAULT_CAP = 8
@@ -387,9 +386,8 @@ def _build(up: tuple[int, ...], ops: tuple, odot) -> ResiduatedLattice:
         bottom=bottom,
         top=top,
     )
-    report = validate_axioms(lat)
-    if not report.valid:
-        raise InternalCheckError(f"enumerated lattice fails validation: {report}")
+    if not lat.validation.valid:
+        raise InternalCheckError(f"enumerated lattice fails validation: {lat.validation}")
     return lat
 
 

@@ -4,8 +4,11 @@ A filter is a nonempty subset closed under the product and upward closed;
 filters are bitmasks over the carrier and form a finite distributive
 lattice under intersection and generated join.  Every function here takes
 a lattice that passes ``validate_axioms`` (``parse_document``, the
-enumerator's ``_build`` and ``quotient`` all validate), where every filter
-F is up(e) for exactly one idempotent e:
+enumerator's ``_build`` and ``quotient`` all read the lattice's cached
+``validation`` report; a quotient whose int fields equal its input's,
+such as the quotient by {top}, reuses the input's report, and any other
+quotient is validated in full), where every filter F is up(e) for
+exactly one idempotent e:
 
 - odot(x, y) <= meet(x, y), so e = meet(F) lies in F and F = up(e);
 - odot(e, e) lies in F, so e <= odot(e, e) <= e: e is idempotent;
@@ -31,7 +34,6 @@ from .core import (
     format_set,
     from_tables,
     is_subset,
-    validate_axioms,
 )
 
 
@@ -178,7 +180,16 @@ def congruence_classes(lat: ResiduatedLattice, f: int) -> tuple[int, ...]:
 
 
 def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
-    """The residuated lattice induced on the congruence classes of a filter."""
+    """The residuated lattice induced on the congruence classes of a filter.
+
+    The quotient is validated, except that when its int fields equal the
+    input's (compared as tuples, not by hash), it takes the input's
+    ``validation`` report: a report reads no label, so it would be the
+    same.  The quotient by {top} is the input itself with labels {a}, so it
+    is validated with the input, once; when its class order relabels the
+    carrier (bottom not first, or top not last), its tables differ and it
+    is validated in full.
+    """
     classes = congruence_classes(lat, f)
     n = lat.size
     class_of = [0] * n
@@ -204,7 +215,7 @@ def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
         labels, qleq, tab(lat.join), tab(lat.meet), tab(lat.odot), tab(lat.imp),
         class_of[lat.bottom], class_of[lat.top],
     )
-    report = validate_axioms(qlat)
+    report = lat.validation if qlat._int_fields() == lat._int_fields() else qlat.validation
     if not report.valid:
         raise InternalCheckError(f"quotient is not a residuated lattice: {report}")
     return qlat

@@ -24,7 +24,6 @@ from .core import (
     format_set,
     from_order,
     transitive_closure,
-    validate_axioms,
 )
 
 DOCUMENT_KEYS = {"name", "size", "labels", "order", "odot", "imp"}
@@ -123,9 +122,8 @@ def parse_document(text: str) -> LatticeDocument:
 
     odot = table("odot")
     lat = from_order(labels, leq, odot)
-    report = validate_axioms(lat)
-    if not report.valid:
-        raise ValidationFailed(report)
+    if not lat.validation.valid:
+        raise ValidationFailed(lat.validation)
     if "imp" in doc:
         given = table("imp")
         for x in range(n):

@@ -426,28 +426,36 @@ class LinkageRelation:
         raise KeyError(i)
 
 
-def _ideal_join_is_everything(lat: ResiduatedLattice, p: int, q: int) -> bool:
-    # complements of primes are lattice ideals; their ideal join is the
-    # down-closure of pairwise joins, so it is everything iff some pair
-    # outside p x q joins to the top
-    comp_q = lat.full_mask & ~q
-    joiners = lat.top_joiners
-    return any(joiners[x] & comp_q for x in bits(lat.full_mask & ~p))
-
-
 def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
+    """The linkage relation of the given kind (see ``LinkageRelation``).
+
+    The complements of primes are lattice ideals, and their ideal join is
+    the down-closure of pairwise joins: it is everything iff some x outside
+    p and some y outside q join to the top.  ``reach[i]``, the OR of
+    ``top_joiners[x]`` over the x outside primes[i], holds every such y for
+    p = primes[i], so each pair of kind "ideals" is one AND.
+    """
     spec = prime_spectrum(lat)
+    primes = spec.primes
     k = len(spec)
+    if kind == "filters":
+        def linked(i: int, j: int) -> bool:
+            return filter_join(lat, primes[i], primes[j]) != lat.full_mask
+    elif kind == "ideals":
+        joiners = lat.top_joiners
+        reach = [0] * k
+        for i, p in enumerate(primes):
+            for x in bits(lat.full_mask & ~p):
+                reach[i] |= joiners[x]
+
+        def linked(i: int, j: int) -> bool:
+            return not reach[i] & ~primes[j]
+    else:
+        raise ContractError(f"unknown linkage kind {kind!r}")
     rows = [0] * k
     for i in range(k):
         for j in range(i, k):
-            if kind == "filters":
-                linked = filter_join(lat, spec.primes[i], spec.primes[j]) != lat.full_mask
-            elif kind == "ideals":
-                linked = not _ideal_join_is_everything(lat, spec.primes[i], spec.primes[j])
-            else:
-                raise ContractError(f"unknown linkage kind {kind!r}")
-            if linked:
+            if linked(i, j):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     for i in range(k):

@@ -55,3 +55,24 @@ def a6xa8(a6, a8):
 def oracle_set(corpus5, a6, a8, a6xa8):
     """The lattices on which table lookups are compared with the scans they replace."""
     return (*corpus5, a6, a8, a6xa8)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The lattices passed to validate_axioms.  Every module that might
+    import the name is patched, so a call through such an import counts."""
+    import reslat.core
+    import reslat.enumerator
+    import reslat.filters
+    import reslat.latfile
+
+    calls = []
+    check = reslat.core.validate_axioms
+
+    def counted(lat):
+        calls.append(lat)
+        return check(lat)
+
+    for module in (reslat.core, reslat.enumerator, reslat.filters, reslat.latfile):
+        monkeypatch.setattr(module, "validate_axioms", counted, raising=False)
+    return calls

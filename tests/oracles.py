@@ -1,10 +1,13 @@
-"""The brute-force oracle for the enumerator.
+"""Reference implementations that the fast paths are compared against.
 
-Every labeled bounded order and every product table on it, filtered by
-the axiom checker and deduplicated by a scan over all permutations.  It
-goes through from_order and shares none of the enumerator's propagation
-or canonical pruning; its cost grows like n to the n squared, so the
-order is capped at four.
+The brute-force oracle for the enumerator: every labeled bounded order
+and every product table on it, filtered by the axiom checker and
+deduplicated by a scan over all permutations.  It goes through from_order
+and shares none of the enumerator's propagation or canonical pruning; its
+cost grows like n to the n squared, so the order is capped at four.
+
+The per-pair test of ``prime_linkage("ideals")``, which the one mask per
+prime replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from itertools import permutations
 from reslat.core import (
     ContractError,
     ResiduatedLattice,
+    bits,
     bounded_lattice_ops,
     derive_residuum,
     from_order,
@@ -126,3 +130,12 @@ def naive_residuated(n: int) -> list[ResiduatedLattice]:
 
         fill(0)
     return [out[k] for k in sorted(out)]
+
+
+def ideal_join_is_everything(lat: ResiduatedLattice, p: int, q: int) -> bool:
+    # complements of primes are lattice ideals; their ideal join is the
+    # down-closure of pairwise joins, so it is everything iff some pair
+    # outside p x q joins to the top
+    comp_q = lat.full_mask & ~q
+    joiners = lat.top_joiners
+    return any(joiners[x] & comp_q for x in bits(lat.full_mask & ~p))

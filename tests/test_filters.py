@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from reslat import ContractError, bits, mask_of
+from reslat import ContractError, InternalCheckError, bits, from_tables, mask_of
 from reslat.filters import (
     all_filters,
     canonical_sort,
@@ -25,7 +25,7 @@ from reslat.filters import (
 from reslat.spectra import prime_spectrum
 from reslat.enumerator import enumerate_residuated
 
-from lattices import build_a6, build_a8, build_product, build_two_chain, mask
+from lattices import build_a6, build_a8, build_chain, build_product, build_two_chain, mask
 from oracles import full_canonical_key
 
 
@@ -233,6 +233,49 @@ def test_quotient_by_one_is_isomorphic(a6):
 
 def test_quotient_by_everything_is_degenerate(a6):
     assert quotient(a6, a6.full_mask).size == 1
+
+
+def _unvalidated(lat, perm=None, labels=None):
+    """lat through from_tables, never validated; position i holds element
+    perm[i]."""
+    perm = perm or list(range(lat.size))
+    pos = {x: i for i, x in enumerate(perm)}
+
+    def tab(t):
+        return [[pos[t[x][y]] for y in perm] for x in perm]
+
+    return from_tables(
+        labels or [lat.labels[x] for x in perm],
+        [[lat.leq(x, y) for y in perm] for x in perm],
+        tab(lat.join), tab(lat.meet), tab(lat.odot), tab(lat.imp),
+        pos[lat.bottom], pos[lat.top],
+    )
+
+
+def test_quotient_by_top_of_a_corrupted_lattice_raises(validations):
+    lat = _unvalidated(build_a6())
+    odot = [list(row) for row in lat.odot]
+    odot[1][2] = lat.bottom if odot[1][2] != lat.bottom else lat.top
+    bad = dataclasses.replace(lat, odot=tuple(map(tuple, odot)))
+    with pytest.raises(InternalCheckError, match="quotient is not a residuated lattice"):
+        quotient(bad, 1 << bad.top)
+    assert validations == [bad]
+
+
+def test_quotient_by_top_that_relabels_is_validated_in_full(validations):
+    lat = _unvalidated(build_a6(), perm=[5, 4, 3, 2, 1, 0])
+    q = quotient(lat, 1 << lat.top)
+    # the classes list bottom first and top last: a relabeling of the carrier
+    assert q.up != lat.up
+    assert validations == [q] and q.validation.valid
+
+
+def test_quotient_by_top_with_other_labels_reuses_the_report(validations):
+    lat = _unvalidated(build_a6(), labels=build_chain(6).labels)
+    assert lat.validation.valid and validations == [lat]
+    q = quotient(lat, 1 << lat.top)
+    assert q.labels == tuple(f"{{{s}}}" for s in lat.labels)
+    assert validations == [lat]
 
 
 def test_congruence_classes_partition(a6):

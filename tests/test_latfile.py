@@ -139,7 +139,7 @@ def test_oversized_document_rejected_before_any_table_work(monkeypatch):
     def unreachable(*args):
         raise AssertionError("reached on a document over the size limit")
 
-    monkeypatch.setattr(reslat.latfile, "validate_axioms", unreachable)
+    monkeypatch.setattr(reslat.core, "validate_axioms", unreachable)
     monkeypatch.setattr(reslat.latfile, "transitive_closure", unreachable)
     monkeypatch.setattr(reslat.core, "bounded_lattice_ops", unreachable)
     with pytest.raises(LatticeFormatError, match="at most 256"):

@@ -167,6 +167,24 @@ def test_quotient_family_builds_each_quotient_once(monkeypatch, a6, a8, corpus5)
         assert len(built) == len(set(built)) and set(built) <= divisors
 
 
+def test_census_validates_each_lattice_once(monkeypatch, validations):
+    """Orders <= 6: each of the 166 products is validated when built, and
+    so is each of the 14 quotients by a filter other than {top}.  The other
+    162 quotients are by {top}, have their lattice's tables, and take its
+    report."""
+    from reslat import mp
+    from reslat.enumerator import census
+
+    by_top = []
+    quotient = mp.quotient
+    monkeypatch.setattr(
+        mp, "quotient", lambda lat, f: by_top.append(f == 1 << lat.top) or quotient(lat, f)
+    )
+    census(6, workers=1)
+    assert (len(by_top), sum(by_top)) == (176, 162)
+    assert len(validations) == 166 + 14
+
+
 def test_mp_check_builds_each_linkage_kind_once(monkeypatch, a6, a8, corpus5):
     from reslat import mp
 

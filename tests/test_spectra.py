@@ -26,6 +26,7 @@ from reslat.spectra import (
 )
 
 from lattices import build_a6, build_a8, build_chain, mask, names
+from oracles import ideal_join_is_everything
 
 
 def prime_sets(lat):
@@ -441,22 +442,16 @@ def _ideal_join_is_everything_by_pairs(lat, p, q):
     )
 
 
-def test_ideal_linkage_matches_pair_scan(oracle_set):
-    from reslat.spectra import _ideal_join_is_everything
-
-    for lat in oracle_set:
+def test_ideal_linkage_matches_pair_scan(corpus6, a6, a8, a6xa8):
+    chains = (build_chain(n) for n in INCIDENCE_CHAINS)
+    for lat in (*corpus6, a6, a8, a6xa8, *chains):
         primes = prime_spectrum(lat).primes
-        for p in primes:
-            for q in primes:
-                assert _ideal_join_is_everything(lat, p, q) == (
-                    _ideal_join_is_everything_by_pairs(lat, p, q)
-                )
         rel = prime_linkage(lat, "ideals")
         for i, p in enumerate(primes):
             for j, q in enumerate(primes):
-                assert rel.base[i] >> j & 1 == (
-                    not _ideal_join_is_everything_by_pairs(lat, p, q)
-                )
+                everything = ideal_join_is_everything(lat, p, q)
+                assert everything == _ideal_join_is_everything_by_pairs(lat, p, q)
+                assert rel.base[i] >> j & 1 == (not everything)
 
 
 # ---------------------------------------------------------------------------
