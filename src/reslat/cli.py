@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .core import (
     ContractError,
@@ -283,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except (InternalCheckError, MpDisagreement) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenProcessPool as exc:
+        print(f"internal error: enumerator: a worker process died: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

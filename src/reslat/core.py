@@ -143,8 +143,13 @@ class ResiduumError(ValueError):
     """imp(x, y) cannot be realised as the greatest a with odot(x, a) <= y."""
 
     def __init__(self, x: int, y: int):
+        # args are the constructor's arguments, so unpickling (in the
+        # parent of an enumeration worker) rebuilds the same error
+        super().__init__(x, y)
         self.pair = (x, y)
-        super().__init__(f"residuum not realised at ({x}, {y})")
+
+    def __str__(self) -> str:
+        return f"residuum not realised at {self.pair}"
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,10 @@ class ValidationReport:
             lines.append(f"{v.axiom}: ({names})")
         return "\n".join(lines)
 
+    def __reduce__(self):
+        # a valid report unpickles as the shared _VALID
+        return _report, (list(self.violations),)
+
 
 _VALID = ValidationReport(valid=True, violations=())
 
@@ -182,8 +191,12 @@ class ValidationFailed(ValueError):
     """An operation required a valid residuated lattice but the axioms fail."""
 
     def __init__(self, report: ValidationReport, message: str = "axioms violated"):
+        super().__init__(report, message)  # pickled as these arguments
         self.report = report
-        super().__init__(f"{message}: {[v.axiom for v in report.violations]}")
+
+    def __str__(self) -> str:
+        report, message = self.args
+        return f"{message}: {[v.axiom for v in report.violations]}"
 
 
 # ---------------------------------------------------------------------------

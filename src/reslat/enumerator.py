@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -391,10 +392,6 @@ def _build(up: tuple[int, ...], ops: tuple, odot) -> ResiduatedLattice:
     return lat
 
 
-def _extension_worker(job: tuple) -> tuple:
-    return residuated_products(*job)
-
-
 def worker_count(workers: int | None = None) -> int:
     if workers is not None:
         return max(1, workers)
@@ -408,31 +405,84 @@ def worker_count(workers: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+# ---------------------------------------------------------------------------
+# the per-lattice pipeline
+#
+# Every stage below is a module-level function of one picklable argument, so
+# that it runs the same way in-process (one worker, a plain map) and in a
+# pool worker.
+
+
+def _products_job(job: tuple) -> tuple:
+    return residuated_products(*job)
+
+
+def _build_chunk(chunk: list) -> tuple[ResiduatedLattice, ...]:
+    """The lattices of (up, ops, product table) triples, built and validated."""
+    return tuple(_build(up, ops, odot) for up, ops, odot in chunk)
+
+
+def _census_chunk(chunk: list) -> tuple[int, int, int, int, int]:
+    """(residuated, mp, rickart, baer, domains) counts over the chunk's lattices."""
+    from .coann import classify_baer_rickart
+    from .filters import is_domain
+    from .mp import mp_check
+
+    mp_count = rickart = baer = domains = 0
+    for lat in _build_chunk(chunk):
+        mp_count += mp_check(lat).final
+        cls = classify_baer_rickart(lat)
+        rickart += cls.rickart
+        baer += cls.baer
+        domains += is_domain(lat)[0]
+    return len(chunk), mp_count, rickart, baer, domains
+
+
+@contextmanager
+def _mapper(workers: int):
+    """map, or a process pool's map that lives as long as the block."""
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
+def _comparable_pairs(up: tuple[int, ...]) -> int:
+    return sum(bin(m).count("1") for m in up)
+
+
+def _per_product(lattices: tuple[tuple[int, ...], ...], workers: int | None, stage) -> list:
+    """stage's results, in order, on the products of the lattices.
+
+    The product searches are dispatched longest first (Graham's LPT rule),
+    with the number of comparable pairs as the estimate of their cost; the
+    chain has the most, and at orders 7 and 8 more than half of the
+    products.  The (up, ops, product table) triples, in lattice order, are
+    then split into about 4 chunks per worker of equal count, so that one
+    lattice's products are spread over the workers.
+    """
+    jobs = [(up, bounded_lattice_ops(up)) for up in lattices]
+    w = min(worker_count(workers), len(jobs))
+    longest_first = sorted(range(len(jobs)), key=lambda i: -_comparable_pairs(jobs[i][0]))
+    with _mapper(w) as run:
+        found = dict(zip(longest_first, run(_products_job, [jobs[i] for i in longest_first])))
+        triples = [(up, ops, odot) for i, (up, ops) in enumerate(jobs) for odot in found[i]]
+        size = max(1, -(-len(triples) // (4 * w)))
+        return list(run(stage, [triples[k : k + size] for k in range(0, len(triples), size)]))
+
+
 def enumerate_residuated(
     n: int, workers: int | None = None, cap: int = DEFAULT_CAP
 ) -> tuple[ResiduatedLattice, ...]:
     """All residuated lattices of order n up to isomorphism.
 
-    Work is split across processes by underlying lattice; results are
-    gathered and emitted in a canonical order that does not depend on the
-    worker count.
+    The product search, building and validation run in worker processes;
+    results are gathered and emitted in a canonical order that does not
+    depend on the worker count.
     """
-    return _residuated_over(bounded_lattices(n, cap), workers)
-
-
-def _residuated_over(
-    lattices: tuple[tuple[int, ...], ...], workers: int | None
-) -> tuple[ResiduatedLattice, ...]:
-    jobs = [(up, bounded_lattice_ops(up)) for up in lattices]
-    w = min(worker_count(workers), len(jobs))
-    if w <= 1:
-        products = [residuated_products(up, ops) for up, ops in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            products = list(pool.map(_extension_worker, jobs))
-    return tuple(
-        _build(up, ops, tab) for (up, ops), tabs in zip(jobs, products) for tab in tabs
-    )
+    built = _per_product(bounded_lattices(n, cap), workers, _build_chunk)
+    return tuple(lat for chunk in built for lat in chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +501,10 @@ class CensusRow:
 
 
 def census(n_max: int, workers: int | None = None, cap: int = DEFAULT_CAP) -> tuple[CensusRow, ...]:
-    from .coann import classify_baer_rickart
-    from .filters import is_domain
-    from .mp import mp_check
-
+    """Counts per order 1..n_max; each worker classifies the lattices it builds."""
     rows = []
     for n in range(1, n_max + 1):
         lattices = bounded_lattices(n, cap)
-        mp_count = rickart = baer = domains = residuated = 0
-        for lat in _residuated_over(lattices, workers):
-            residuated += 1
-            if mp_check(lat).final:
-                mp_count += 1
-            cls = classify_baer_rickart(lat)
-            rickart += cls.rickart
-            baer += cls.baer
-            domains += is_domain(lat)[0]
-        rows.append(
-            CensusRow(n, len(lattices), residuated, mp_count, rickart, baer, domains)
-        )
+        counts = map(sum, zip(*_per_product(lattices, workers, _census_chunk)))
+        rows.append(CensusRow(n, len(lattices), *counts))
     return tuple(rows)

@@ -45,10 +45,13 @@ class Verdict:
     witness: Any = None
 
 
-@dataclass(frozen=True)
 class MpDisagreement(Exception):
-    report: "MpReport"
-    lattice_json: str
+    def __init__(self, report: "MpReport", lattice_json: str):
+        # args are the constructor's arguments, so the error pickles from an
+        # enumeration worker to its parent
+        super().__init__(report, lattice_json)
+        self.report = report
+        self.lattice_json = lattice_json
 
     def __str__(self) -> str:
         """Name the minority verdicts by family (False on a tie)."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -269,3 +270,58 @@ def test_enumerate_bytes_identical_across_worker_counts():
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
     assert len(runs[0].stdout) > 0
+
+
+# a patch made in the test process reaches the pool workers only through fork
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patch reaches pool workers only through fork",
+)
+
+
+def _internal_error(capsys, monkeypatch) -> str:
+    # order 4 is the first with two lattices, so two workers start and no more
+    monkeypatch.setenv("RESLAT_THREADS", "2")
+    code, out, err = run(capsys, "enumerate", "--size", "4", "--census")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("internal error:") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@forked_workers
+def test_disagreement_in_a_worker_is_an_internal_error(capsys, monkeypatch):
+    from reslat import mp
+
+    parent = os.getpid()
+    (name, family), *others = mp.FAMILIES
+
+    def flipped(lat):
+        verdicts = family(lat)
+        if os.getpid() == parent:
+            return verdicts
+        return {k: mp.Verdict(not v.value) for k, v in verdicts.items()}
+
+    monkeypatch.setattr(mp, "FAMILIES", ((name, flipped), *others))
+    err = _internal_error(capsys, monkeypatch)
+    assert err.startswith("internal error: mp characterizations disagree")
+    assert "\nlattice: " in err
+
+
+@forked_workers
+def test_dead_worker_is_an_internal_error(capsys, monkeypatch):
+    from reslat import enumerator
+
+    parent = os.getpid()
+    build = enumerator._build
+
+    def exit_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return build(*args)
+
+    monkeypatch.setattr(enumerator, "_build", exit_in_worker)
+    err = _internal_error(capsys, monkeypatch)
+    assert err.startswith("internal error: enumerator: a worker process died")
+    assert err.count("\n") == 1

@@ -2,12 +2,25 @@ from __future__ import annotations
 
 import collections
 import itertools
+import multiprocessing
+import os
+import pickle
 import random
 import sys
 
 import pytest
 
-from reslat import ContractError, InternalCheckError, core, enumerator, validate_axioms
+from reslat import (
+    ContractError,
+    InternalCheckError,
+    ResiduumError,
+    ValidationFailed,
+    ValidationReport,
+    Violation,
+    core,
+    enumerator,
+    validate_axioms,
+)
 from reslat.core import bounded_lattice_ops
 from reslat.enumerator import (
     bounded_lattices,
@@ -403,7 +416,9 @@ def test_products_match_full_prefix_search():
 
 
 def test_census_rows_through_order_6():
+    # the rows do not depend on the worker count
     rows = census(6, workers=1)
+    assert census(6, workers=2) == rows
     columns = {
         "order": [1, 2, 3, 4, 5, 6],
         "lattices": [1, 1, 1, 2, 5, 15],
@@ -414,3 +429,73 @@ def test_census_rows_through_order_6():
         "domains": [0, 1, 2, 6, 25, 124],
     }
     assert {k: [getattr(r, k) for r in rows] for k in columns} == columns
+
+
+# ---------------------------------------------------------------------------
+# the worker boundary: what a pool worker sends back, and what it runs
+
+# a patch made in the test process reaches the pool workers only through fork
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patch reaches pool workers only through fork",
+)
+
+
+def test_errors_survive_a_pickle_round_trip(a6):
+    from reslat.mp import MpDisagreement, mp_check
+
+    report = ValidationReport(False, (Violation("odot-associative", (1, 2, 3)),))
+    errors = [
+        (ResiduumError(1, 0), ("pair",)),
+        (ValidationFailed(report), ("report",)),
+        (ValidationFailed(report, "order is not a bounded lattice"), ("report",)),
+        (MpDisagreement(mp_check(a6), '{"size": 6}'), ("report", "lattice_json")),
+    ]
+    for exc, fields in errors:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert all(getattr(back, f) == getattr(exc, f) for f in fields), exc
+
+
+def test_valid_reports_stay_shared_after_pickling(a6):
+    assert a6.validation is core._VALID
+    assert pickle.loads(pickle.dumps(a6)).validation is core._VALID
+    invalid = ValidationReport(False, (Violation("odot-associative", (1, 2, 3)),))
+    assert pickle.loads(pickle.dumps(invalid)) == invalid
+
+
+@forked_workers
+def test_products_are_validated_once_each_in_the_workers(monkeypatch, validations, tmp_path):
+    # every product is validated in the worker that builds it, and its report
+    # comes back with the lattice: the parent validates nothing
+    log = tmp_path / "validated"
+    counted = core.validate_axioms
+
+    def logged(lat):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return counted(lat)
+
+    monkeypatch.setattr(core, "validate_axioms", logged)
+    lattices = enumerate_residuated(6, workers=2)
+    assert all(lat.validation is core._VALID for lat in lattices)
+    assert validations == []
+    pids = log.read_text(encoding="ascii").split()
+    assert len(pids) == len(lattices) == 129
+    assert str(os.getpid()) not in pids
+
+
+def test_product_searches_go_longest_first(monkeypatch):
+    # the searches are dispatched by decreasing number of comparable pairs,
+    # the chain first; test_enumeration_is_deterministic checks the output order
+    lattices = bounded_lattices(6)
+    searched = []
+    real = enumerator.residuated_products
+    monkeypatch.setattr(
+        enumerator, "residuated_products", lambda up, ops: searched.append(up) or real(up, ops)
+    )
+    enumerate_residuated(6, workers=1)
+    pairs = [enumerator._comparable_pairs(up) for up in searched]
+    assert pairs == sorted(pairs, reverse=True)
+    assert pairs[0] == 6 * 7 // 2  # the chain
+    assert sorted(searched) == sorted(lattices)
