@@ -34,24 +34,17 @@ class SkeletonLattice:
 
     def __init__(
         self,
-        lat: ResiduatedLattice,
         members: tuple[int, ...],
         coannulets: tuple[int, ...],
-        dual_coannulets: tuple[int, ...],
         join_table: tuple[tuple[int, ...], ...],
     ):
-        self.lattice = lat
         self.members = members
         self.coannulets = coannulets
-        self.dual_coannulets = dual_coannulets
         self.index = {f: i for i, f in enumerate(members)}
         self.join_table = join_table
 
     def skeleton_join(self, f: int, g: int) -> int:
         return self.members[self.join_table[self.index[f]][self.index[g]]]
-
-    def complement(self, f: int) -> int:
-        return coannihilator(self.lattice, f)
 
 
 @cache
@@ -70,9 +63,6 @@ def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
     """
     members = canonical_sort({coannihilator(lat, f) for f in all_filters(lat)})
     gamma = canonical_sort({coannulet(lat, x) for x in range(lat.size)})
-    lam = canonical_sort(
-        {coannihilator(lat, coannulet(lat, x)) for x in range(lat.size)}
-    )
     index = {f: i for i, f in enumerate(members)}
     one, full = 1 << lat.top, lat.full_mask
     if one not in index or full not in index:
@@ -105,7 +95,7 @@ def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
         for y in gamma:
             if x & y not in gamma_set or members[join[index[x]][index[y]]] not in gamma_set:
                 raise InternalCheckError("coannulets not a sublattice of the skeleton")
-    return SkeletonLattice(lat, members, gamma, lam, join)
+    return SkeletonLattice(members, gamma, join)
 
 
 @dataclass(frozen=True)

@@ -306,12 +306,19 @@ def _check_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tup
     return _scan_table(name, table, n)
 
 
+def _length(where: str, seq: object) -> int:
+    try:
+        return len(seq)
+    except TypeError:
+        raise StructureError(f"{where}: expected a sequence, got {seq!r}") from None
+
+
 def _scan_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    if len(table) != n:
+    if _length(name, table) != n:
         raise StructureError(f"{name}: expected {n} rows, got {len(table)}")
     rows = []
     for i, row in enumerate(table):
-        if len(row) != n:
+        if _length(f"{name}[{i}]", row) != n:
             raise StructureError(f"{name}[{i}]: expected {n} entries, got {len(row)}")
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
@@ -327,11 +334,11 @@ def _check_size(n: int) -> None:
 
 def _up_masks(leq: Sequence[Sequence[object]], n: int) -> list[int]:
     """Up-masks of an n x n table of truthy/falsy leq entries."""
-    if len(leq) != n:
+    if _length("leq", leq) != n:
         raise StructureError(f"leq: expected {n} rows, got {len(leq)}")
     up = []
     for i, row in enumerate(leq):
-        if len(row) != n:
+        if _length(f"leq[{i}]", row) != n:
             raise StructureError(f"leq[{i}]: expected {n} entries, got {len(row)}")
         up.append(mask_of(j for j, v in enumerate(row) if v))
     return up
@@ -359,8 +366,9 @@ def from_tables(
     if len(set(labels)) != n:
         raise StructureError("labels are not unique")
     up = _up_masks(leq, n)
-    if not 0 <= bottom < n or not 0 <= top < n:
-        raise StructureError("bottom/top index out of range")
+    for name, index in (("bottom", bottom), ("top", top)):
+        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < n:
+            raise StructureError(f"{name}: expected an element index 0..{n - 1}, got {index!r}")
     return ResiduatedLattice(
         labels=tuple(labels),
         up=tuple(up),

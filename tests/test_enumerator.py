@@ -33,7 +33,7 @@ from reslat.enumerator import (
     worker_count,
 )
 
-from oracles import full_canonical_key, naive_bounded_orders, naive_residuated
+from oracles import full_canonical_key, naive_bounded_orders, naive_residuated, two_sided_pairs_ok
 
 # unlabeled bounded lattice counts for orders 1..8 (OEIS A006966); the
 # order-5 value also follows by hand: the chain, both kites, the diamond
@@ -192,6 +192,13 @@ def test_order_cap():
         naive_residuated(5)
 
 
+def test_order_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(enumerator, "DEFAULT_CAP", 3)
+    assert len(bounded_lattices(3)) == 1
+    with pytest.raises(ContractError, match="between 1 and 3"):
+        bounded_lattices(4)
+
+
 def test_census_golden_rows():
     rows = census(4, workers=1)
     by_order = {r.order: r for r in rows}
@@ -276,8 +283,12 @@ def test_residuated_counts():
 def _full_prefix_search(up):
     """Reference product search: after each new cell, rescan every
     monotonicity, associativity and distributivity instance of the whole
-    filled prefix, O(n^3) per candidate value.  Cell order, automorphism
-    pruning and the canonical leaf test are those of residuated_products.
+    filled prefix, O(n^3) per candidate value.  Cell order and the
+    automorphism pruning at each row's end are those of
+    residuated_products.  As the reference it keeps the per-row end
+    columns (row_end) and a canonical test at every leaf, both of which
+    residuated_products drops: every row ends at column n - 2, and the
+    last row's pruning already keeps only the least table of each orbit.
     Returns the tables and the (i, j, v, verdict) of every check made.
     """
     n = len(up)
@@ -383,27 +394,32 @@ def _full_prefix_search(up):
     return tuple(results), checks
 
 
-def _incremental_search(up):
-    """residuated_products(up) and the (i, j, v, verdict) of every call to
-    its nested consistent(), recorded with a profile hook."""
-    code = next(
-        c for c in residuated_products.__code__.co_consts
-        if getattr(c, "co_name", None) == "consistent"
-    )
-    checks = []
+def _recorded_returns(outer, inner, record, *args):
+    """outer(*args), and record(locals, verdict) at every return from the
+    function named inner nested in outer, seen through a profile hook."""
+    code = next(c for c in outer.__code__.co_consts if getattr(c, "co_name", None) == inner)
+    calls = []
 
     def hook(frame, event, arg):
         if event == "return" and frame.f_code is code:
-            f = frame.f_locals
-            checks.append((f["i"], f["j"], f["v"], arg))
+            calls.append(record(frame.f_locals, arg))
 
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        tables = residuated_products(up, bounded_lattice_ops(up))
+        result = outer(*args)
     finally:
         sys.setprofile(previous)
-    return tables, checks
+    return result, calls
+
+
+def _incremental_search(up):
+    """residuated_products(up) and the (i, j, v, verdict) of every call to
+    its nested consistent()."""
+    return _recorded_returns(
+        residuated_products, "consistent", lambda f, verdict: (f["i"], f["j"], f["v"], verdict),
+        up, bounded_lattice_ops(up),
+    )
 
 
 def test_products_match_full_prefix_search():
@@ -413,6 +429,36 @@ def test_products_match_full_prefix_search():
     for n in range(1, 7):
         for up in bounded_lattices(n):
             assert _incremental_search(up) == _full_prefix_search(up), up
+
+
+def _pair_checks(n):
+    """bounded_lattices(n) and the (down-masks of the prefix, verdict) of
+    every call to its nested pairs_ok()."""
+    return _recorded_returns(
+        bounded_lattices, "pairs_ok", lambda f, verdict: (tuple(f["below"]), verdict), n
+    )
+
+
+def test_pair_check_matches_two_sided_oracle():
+    # the upper-bound test alone cuts exactly the prefixes that the test of
+    # both upper and lower bounds cuts, at every node of the search
+    verdicts = collections.Counter()
+    for n in range(1, 8):
+        for below, verdict in _pair_checks(n)[1]:
+            assert verdict == two_sided_pairs_ok(below), below
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_search_sizes_at_order_7():
+    # nodes visited by lattice generation and by the product search: the
+    # sizes of the searches that also test lower bounds, every orientation
+    # of every instance and the canonical form of every leaf, which these
+    # searches must equal node for node
+    _, pairs = _pair_checks(7)
+    assert (len(pairs), sum(verdict for _, verdict in pairs)) == (720, 689)
+    verdicts = [v for up in bounded_lattices(7) for *_, v in _incremental_search(up)[1]]
+    assert (len(verdicts), sum(verdicts)) == (18598, 7940)
 
 
 def test_census_rows_through_order_6():
