@@ -163,15 +163,6 @@ class ValidationReport:
     valid: bool
     violations: tuple[Violation, ...]
 
-    def render(self, labels: Sequence[str]) -> str:
-        if self.valid:
-            return "valid"
-        lines = []
-        for v in self.violations:
-            names = ", ".join(labels[i] for i in v.witness)
-            lines.append(f"{v.axiom}: ({names})")
-        return "\n".join(lines)
-
     def __reduce__(self):
         # a valid report unpickles as the shared _VALID
         return _report, (list(self.violations),)

@@ -63,15 +63,6 @@ def _labels(n: int) -> tuple[str, ...]:
 # bounded lattices
 
 
-def _middle_perms(n: int):
-    """Permutations of 0..n-1 fixing bottom 0 and top n-1."""
-    if n <= 2:
-        yield tuple(range(n))
-        return
-    for mid in permutations(range(1, n - 1)):
-        yield (0,) + mid + (n - 1,)
-
-
 def _members(up: tuple[int, ...]) -> list[list[int]]:
     return [list(bits(m)) for m in up]
 
@@ -151,9 +142,12 @@ def lattice_cell_key(up: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def lattice_canonical(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least up-mask rows over relabelings fixing 0, n-1."""
+    """Lexicographically least up-mask rows over relabelings fixing 0, n-1:
+    the cell maps of the single cell 1..n-2 onto itself."""
+    n = len(up)
+    middle = tuple(range(1, n - 1))
     members = _members(up)
-    return min(_relabeled_rows(members, perm) for perm in _middle_perms(len(up)))
+    return min(_relabeled_rows(members, perm) for perm in _cell_maps(n, [middle], [middle]))
 
 
 def lattice_automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

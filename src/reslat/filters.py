@@ -1,4 +1,4 @@
-"""Filter generation, the filter lattice, comaximality, quotients, domains.
+"""Filter generation, the filter lattice, quotients, domains.
 
 A filter is a nonempty subset closed under the product and upward closed;
 filters are bitmasks over the carrier and form a finite distributive
@@ -23,7 +23,6 @@ two filters is then O(1): two index lookups and one table lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .core import (
@@ -76,7 +75,6 @@ class FilterLattice:
     """All filters of a lattice with a join table over filter indices."""
 
     def __init__(self, lat: ResiduatedLattice, filters: tuple[int, ...]):
-        self.lattice = lat
         self.filters = filters
         self.index = {f: i for i, f in enumerate(filters)}
         least = {lat.up[e]: e for e in range(lat.size)}
@@ -84,9 +82,6 @@ class FilterLattice:
         self.join_table = tuple(
             tuple(self.index[lat.up[lat.odot[e][e2]]] for e2 in gens) for e in gens
         )
-
-    def __len__(self) -> int:
-        return len(self.filters)
 
 
 @cache
@@ -100,10 +95,6 @@ def all_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
     return filter_lattice(lat).filters
 
 
-def filter_meet(lat: ResiduatedLattice, f: int, g: int) -> int:
-    return f & g
-
-
 def filter_join(lat: ResiduatedLattice, f: int, g: int) -> int:
     """up(odot(e, e')) for the least elements e, e' of two filters, in O(1):
     read from the join table of the filter lattice."""
@@ -112,47 +103,6 @@ def filter_join(lat: ResiduatedLattice, f: int, g: int) -> int:
     if i is None or j is None:
         raise ContractError("filter_join: inputs must be filters")
     return fl.filters[fl.join_table[i][j]]
-
-
-@dataclass(frozen=True)
-class ComaximalWitness:
-    """f and g multiply to bottom; single element a has a in F, ~a in G."""
-
-    f: int
-    g: int
-    a: int
-
-
-def comaximal(
-    lat: ResiduatedLattice, f: int, g: int
-) -> tuple[bool, ComaximalWitness | None]:
-    """Whether two proper filters join to the whole carrier, with witnesses.
-
-    When true, returns a pair (f0, g0) with odot(f0, g0) = bottom and the
-    single-element witness a with a in F and imp(a, bottom) in G.
-    """
-    if not is_filter(lat, f) or not is_filter(lat, g):
-        raise ContractError("comaximal: inputs must be filters")
-    if f == lat.full_mask or g == lat.full_mask:
-        raise ContractError("comaximal: inputs must be proper")
-    if filter_join(lat, f, g) != lat.full_mask:
-        return False, None
-    pair = None
-    for x in bits(f):
-        for y in bits(g):
-            if lat.odot[x][y] == lat.bottom:
-                pair = (x, y)
-                break
-        if pair:
-            break
-    single = None
-    for a in bits(f):
-        if g >> lat.imp[a][lat.bottom] & 1:
-            single = a
-            break
-    if pair is None or single is None:
-        raise InternalCheckError("comaximal witnesses missing despite full join")
-    return True, ComaximalWitness(pair[0], pair[1], single)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +184,6 @@ def first_join_into(lat: ResiduatedLattice, subset: int) -> tuple[int, int] | No
             if subset >> row[y] & 1:
                 return x, y
     return None
-
-
-def is_join_closed(lat: ResiduatedLattice, subset: int) -> bool:
-    els = list(bits(subset))
-    return all(subset >> lat.join[x][y] & 1 for x in els for y in els)
 
 
 def is_domain(lat: ResiduatedLattice) -> tuple[bool, tuple[int, int] | None]:

@@ -285,7 +285,7 @@ def mp_via_topology(lat: ResiduatedLattice) -> dict[str, Verdict]:
     sep = separation_check(dual)
     witness = None
     if not sep.normal:
-        i, j = sep.witness("normal")
+        i, j = sep.witness
         witness = _pair(lat, primes[i], primes[j])
     verdicts["spec_dual_normal"] = Verdict(sep.normal, witness)
 

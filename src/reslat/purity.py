@@ -1,6 +1,8 @@
-"""Lattice ideals, omega-filters, pure filters and the pure spectrum.
+"""Omega-filters, divisor filters, pure filters and the pure spectrum.
 
-A filter F is pure when it equals its pure core, the set of elements
+The omega-filter of a lattice ideal I is {a | a v x = top for some x in
+I}, and the divisor filter of a prime is the omega-filter of its
+complement.  A filter F is pure when it equals its pure core, the set of elements
 whose coannulet is comaximal with F; equivalently the kernel of the
 generalization of the hull of F.  Both routes are always computed and
 compared.
@@ -19,14 +21,7 @@ from .core import (
     bits,
     is_subset,
 )
-from .filters import (
-    all_filters,
-    canonical_sort,
-    filter_join,
-    is_filter,
-    is_join_closed,
-    maximal_members,
-)
+from .filters import all_filters, canonical_sort, filter_join, is_filter, maximal_members
 from .spectra import (
     FiniteTopology,
     _meet_prime,
@@ -38,38 +33,6 @@ from .spectra import (
     prime_spectrum,
 )
 from .coann import coannulet
-
-
-# ---------------------------------------------------------------------------
-# ideals of the lattice reduct
-
-
-def is_lattice_ideal(lat: ResiduatedLattice, subset: int) -> bool:
-    if subset == 0:
-        return False
-    down = 0
-    for x in bits(subset):
-        down |= lat.down(x)
-    return down == subset and is_join_closed(lat, subset)
-
-
-def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
-    """All non-empty down-closed join-closed subsets of the lattice reduct.
-
-    In a finite lattice every ideal is the down-set of its largest
-    element, so the principal down-sets exhaust them.
-    """
-    return canonical_sort({lat.down(x) for x in range(lat.size)})
-
-
-def ideal_join(lat: ResiduatedLattice, i: int, j: int) -> int:
-    """Join in the ideal lattice: down-closure of the pairwise joins."""
-    out = 0
-    for x in bits(i):
-        row = lat.join[x]
-        for y in bits(j):
-            out |= lat.down(row[y])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +72,6 @@ def _divisor_of_prime(lat: ResiduatedLattice, i: int) -> int:
     return d
 
 
-def divisor_filter(lat: ResiduatedLattice, prime: int) -> int:
-    """Elements joining to top with something outside the prime.
-
-    Defined only for primes, whose complement is join closed.  Read from
-    ``omega_lattice(lat).divisors``, where each prime's divisor filter is
-    computed and cross-checked once.
-    """
-    spec = prime_spectrum(lat)
-    if prime not in spec.index:
-        raise ContractError("divisor_filter: input must be a prime filter")
-    return omega_lattice(lat).divisors[spec.index[prime]]
-
-
 class OmegaLattice:
     """The omega-filters with their representative-independent join.
 
@@ -136,14 +86,8 @@ class OmegaLattice:
 
     def __init__(self, lat: ResiduatedLattice):
         self.lattice = lat
-        omega = []
-        reps: dict[int, list[int]] = {}
-        for i in lat.down_masks:
-            f = omega_filter(lat, i)
-            omega.append(f)
-            reps.setdefault(f, []).append(i)
-        self.members = canonical_sort(reps)
-        self.representatives = {f: tuple(rs) for f, rs in reps.items()}
+        omega = [omega_filter(lat, i) for i in lat.down_masks]
+        self.members = canonical_sort(set(omega))
         self.index = {f: i for i, f in enumerate(self.members)}
         joins: dict[tuple[int, int], int] = {}
         for m, f in enumerate(omega):
@@ -234,7 +178,7 @@ class PureSpectrum:
         incidence = _converse(points, self.lattice.size)
         hulls = [meet_rows(incidence, f, full) for f in self.pure]
         subbasic = [full & ~h for h in hulls]
-        top = FiniteTopology.from_subbasis("spp", "pure", points, subbasic)
+        top = FiniteTopology.from_subbasis(points, subbasic)
         if set(top.closed_sets()) != set(hulls):
             raise InternalCheckError(
                 "closed sets of the pure spectrum are not the pure hulls"
@@ -261,19 +205,6 @@ def pure_part(lat: ResiduatedLattice, f: int) -> int:
             "join of pure filters failed to be pure "
             f"(witness {lat.label_set(out)} inside {lat.label_set(f)})"
         )
-    return out
-
-
-def pure_envelope(lat: ResiduatedLattice, a: int) -> int:
-    """Intersection of the pure parts of the maximal filters containing a.
-
-    The empty intersection is the whole carrier.
-    """
-    spec = prime_spectrum(lat)
-    out = lat.full_mask
-    for i in spec.maximal:
-        if spec.primes[i] >> a & 1:
-            out &= pure_part(lat, spec.primes[i])
     return out
 
 

@@ -29,15 +29,7 @@ from .core import (
     is_subset,
     transitive_closure,
 )
-from .filters import (
-    all_filters,
-    canonical_sort,
-    filter_join,
-    first_join_into,
-    is_filter,
-    is_join_closed,
-    maximal_members,
-)
+from .filters import all_filters, canonical_sort, filter_join, first_join_into
 
 
 def meet_rows(rows, selected: int, empty: int) -> int:
@@ -60,7 +52,6 @@ class Spectrum:
     """
 
     def __init__(self, lat: ResiduatedLattice, primes: tuple[int, ...]):
-        self.lattice = lat
         self.primes = primes
         self.index = {p: i for i, p in enumerate(primes)}
         k = len(primes)
@@ -124,26 +115,6 @@ def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
     return spec
 
 
-def prime_avoiding(lat: ResiduatedLattice, f: int, avoid: int) -> int:
-    """A filter containing f that is maximal among those disjoint from avoid.
-
-    The avoided set must be join closed and disjoint from f.  The result
-    is prime; this is asserted.
-    """
-    if not is_filter(lat, f):
-        raise ContractError("prime_avoiding: f must be a filter")
-    if f & avoid:
-        raise ContractError("prime_avoiding: f meets the avoided set")
-    if not is_join_closed(lat, avoid):
-        raise ContractError("prime_avoiding: avoided set is not join closed")
-    candidates = [g for g in all_filters(lat) if is_subset(f, g) and not g & avoid]
-    result = maximal_members(candidates)[0]
-    spec = prime_spectrum(lat)
-    if result not in spec.index:
-        raise InternalCheckError("maximal avoiding filter is not prime")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # hull / kernel
 
@@ -157,15 +128,6 @@ def hull(lat: ResiduatedLattice, subset: int) -> int:
 def kernel(lat: ResiduatedLattice, point_mask: int) -> int:
     """Intersection of the selected primes; the empty intersection is A."""
     return meet_rows(prime_spectrum(lat).primes, point_mask, lat.full_mask)
-
-
-def specialization(lat: ResiduatedLattice, point_mask: int) -> int:
-    """Primes containing some member of the given set."""
-    spec = prime_spectrum(lat)
-    out = 0
-    for i in bits(point_mask):
-        out |= spec.above[i]
-    return out
 
 
 def generalization(lat: ResiduatedLattice, point_mask: int) -> int:
@@ -190,8 +152,6 @@ class FiniteTopology:
     neighbourhoods.
     """
 
-    space: str
-    variant: str
     point_filters: tuple[int, ...]
     min_nbhd: tuple[int, ...]
 
@@ -206,9 +166,7 @@ class FiniteTopology:
                     raise InternalCheckError("neighbourhood map is not transitive")
 
     @classmethod
-    def from_subbasis(
-        cls, space: str, variant: str, point_filters: tuple[int, ...], subbasis: list[int]
-    ) -> "FiniteTopology":
+    def from_subbasis(cls, point_filters: tuple[int, ...], subbasis: list[int]) -> "FiniteTopology":
         """The topology generated by a subbasis of open point masks: the
         minimal neighbourhood of a point is the intersection of the
         subbasic opens containing it."""
@@ -220,7 +178,7 @@ class FiniteTopology:
                 if u >> i & 1:
                     nb &= u
             min_nbhd.append(nb)
-        return cls(space, variant, point_filters, tuple(min_nbhd))
+        return cls(point_filters, tuple(min_nbhd))
 
     def __len__(self) -> int:
         return len(self.point_filters)
@@ -275,7 +233,7 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
         subbasic.extend(full & ~h for h in hulls)
     if variant not in ("hull", "dual", "patch"):
         raise ContractError(f"unknown variant {variant!r}")
-    return FiniteTopology.from_subbasis(space, variant, points, subbasic)
+    return FiniteTopology.from_subbasis(points, subbasic)
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +242,17 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
 
 @dataclass(frozen=True)
 class SeparationReport:
+    """``witness`` is a pair of points with disjoint closures and meeting
+    minimal neighbourhoods when the space is not normal, else None."""
+
     t1: bool
     hausdorff: bool
     normal: bool
-    witnesses: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def witness(self, kind: str):
-        for k, w in self.witnesses:
-            if k == kind:
-                return w
-        return None
+    witness: tuple[int, int] | None
 
 
 def separation_check(top: FiniteTopology) -> SeparationReport:
-    """T1, Hausdorff and normality of a finite space, with witnesses.
+    """T1, Hausdorff and normality of a finite space, with a normality witness.
 
     Finite spaces are T1 iff Hausdorff iff discrete.  Normality uses the
     pointwise criterion: whenever two point closures are disjoint, the two
@@ -309,35 +264,20 @@ def separation_check(top: FiniteTopology) -> SeparationReport:
     k = len(top.point_filters)
     # the closure of point i: the points whose minimal neighbourhood holds i
     closures = _converse(top.min_nbhd, k)
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
-    t1 = True
-    for i, cl in enumerate(closures):
-        if cl != 1 << i:
-            t1 = False
-            other = next(j for j in bits(cl) if j != i)
-            witnesses.append(("t1", (i, other)))
-            break
-    hausdorff = True
-    for i in range(k):
-        if top.min_nbhd[i] != 1 << i:
-            hausdorff = False
-            other = next(j for j in bits(top.min_nbhd[i]) if j != i)
-            witnesses.append(("hausdorff", (i, other)))
-            break
+    t1 = all(cl == 1 << i for i, cl in enumerate(closures))
+    hausdorff = all(nb == 1 << i for i, nb in enumerate(top.min_nbhd))
     if t1 != hausdorff:
         raise InternalCheckError("finite space: T1 and Hausdorff must coincide")
-    normal = True
-    for i in range(k):
-        if not normal:
-            break
-        for j in range(i + 1, k):
-            if closures[i] & closures[j]:
-                continue
-            if top.min_nbhd[i] & top.min_nbhd[j]:
-                normal = False
-                witnesses.append(("normal", (i, j)))
-                break
-    return SeparationReport(t1, hausdorff, normal, tuple(witnesses))
+    witness = next(
+        (
+            (i, j)
+            for i in range(k)
+            for j in range(i + 1, k)
+            if not closures[i] & closures[j] and top.min_nbhd[i] & top.min_nbhd[j]
+        ),
+        None,
+    )
+    return SeparationReport(t1, hausdorff, witness is None, witness)
 
 
 def minimal_primes_separated(lat: ResiduatedLattice) -> tuple[bool, tuple[int, int, int] | None]:
@@ -365,7 +305,6 @@ def minimal_primes_separated(lat: ResiduatedLattice) -> tuple[bool, tuple[int, i
 @dataclass(frozen=True)
 class RetractionReport:
     exists: bool
-    mapping: tuple[int, ...] | None
     continuous: bool
     fixes_minimal: bool
     witness: int | None
@@ -376,7 +315,7 @@ def retraction_check(lat: ResiduatedLattice) -> RetractionReport:
 
     Continuity in the dual topologies amounts to the map being constant
     on the up-set of every prime.  When some prime contains two minimal
-    primes the witness names it and no retraction is returned.
+    primes the witness names it.
     """
     spec = prime_spectrum(lat)
     k = len(spec)
@@ -384,13 +323,13 @@ def retraction_check(lat: ResiduatedLattice) -> RetractionReport:
     for i in range(k):
         below_min = [j for j in bits(spec.below[i]) if spec.is_minimal[j]]
         if len(below_min) != 1:
-            return RetractionReport(False, None, False, False, i)
+            return RetractionReport(False, False, False, i)
         mapping.append(below_min[0])
     continuous = all(
         mapping[j] == mapping[i] for i in range(k) for j in bits(spec.above[i])
     )
     fixes = all(mapping[i] == i for i in spec.minimal)
-    return RetractionReport(True, tuple(mapping), continuous, fixes, None)
+    return RetractionReport(True, continuous, fixes, None)
 
 
 # ---------------------------------------------------------------------------
@@ -401,37 +340,25 @@ def retraction_check(lat: ResiduatedLattice) -> RetractionReport:
 class LinkageRelation:
     """Transitive closure of a reflexive symmetric relation on Spec.
 
-    kind "filters": p related to q when their filter join stays proper.
-    kind "ideals": p related to q when the lattice-ideal join of their
-    complements stays proper.  The classes partition the prime space; the
-    map sending a minimal prime to its class is a homeomorphism onto the
-    quotient of the dual prime space exactly when the partition consists
-    of the up-sets of the minimal primes.
+    ``closed[i]`` is the class of prime i.  The classes partition the
+    prime space; the map sending a minimal prime to its class is a
+    homeomorphism onto the quotient of the dual prime space exactly when
+    the partition consists of the up-sets of the minimal primes.
     """
 
-    kind: str
-    base: tuple[int, ...]
     closed: tuple[int, ...]
-    classes: tuple[int, ...]
     collapse_bijective: bool
     collapse_homeomorphism: bool
-
-    def related(self, i: int, j: int) -> bool:
-        return bool(self.closed[i] >> j & 1)
-
-    def class_of(self, i: int) -> int:
-        for cls in self.classes:
-            if cls >> i & 1:
-                return cls
-        raise KeyError(i)
 
 
 def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
     """The linkage relation of the given kind (see ``LinkageRelation``).
 
-    The complements of primes are lattice ideals, and their ideal join is
-    the down-closure of pairwise joins: it is everything iff some x outside
-    p and some y outside q join to the top.  ``reach[i]``, the OR of
+    kind "filters": p related to q when their filter join stays proper.
+    kind "ideals": p related to q when the lattice-ideal join of their
+    complements stays proper.  The complements of primes are lattice
+    ideals, and their ideal join is the down-closure of pairwise joins: it
+    is everything iff some x outside p and some y outside q join to the top.  ``reach[i]``, the OR of
     ``top_joiners[x]`` over the x outside primes[i], holds every such y for
     p = primes[i], so each pair of kind "ideals" is one AND.
     """
@@ -462,7 +389,7 @@ def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
         if not rows[i] >> i & 1:
             raise InternalCheckError("linkage relation must be reflexive")
     closed = transitive_closure(rows)
-    classes = canonical_sort({closed[i] for i in range(k)})
+    classes = set(closed)
     # the collapse map sends a minimal prime to its class; it is always
     # onto (every prime is linked to each minimal prime below it)
     mins = spec.minimal
@@ -475,45 +402,7 @@ def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
         is_subset(spec.above[i], cls) for cls in classes for i in bits(cls)
     )
     return LinkageRelation(
-        kind=kind,
-        base=tuple(rows),
         closed=closed,
-        classes=classes,
         collapse_bijective=bijective,
         collapse_homeomorphism=bijective and classes_open,
     )
-
-
-# ---------------------------------------------------------------------------
-# closed sets of the dual prime space
-
-
-def dual_closed_sets(lat: ResiduatedLattice) -> tuple[int, ...]:
-    """Every closed set of the dual topology on the prime space.
-
-    Each one is verified to have the form {p | p disjoint from X} for some
-    subset X of the carrier, and to be patch-closed and stable under
-    generalization.
-    """
-    spec = prime_spectrum(lat)
-    k = len(spec)
-    if k > 20:
-        raise ContractError("closed-set enumeration capped at 20 points")
-    top = hull_kernel_topology(lat, "spec", "dual")
-    patch = hull_kernel_topology(lat, "spec", "patch")
-    out = []
-    for c in range(1 << k):
-        if not top.is_closed(c):
-            continue
-        witness_x = sum(1 << x for x, h in enumerate(spec.hulls) if not h & c)
-        rebuilt = sum(
-            1 << i for i in range(k) if not spec.primes[i] & witness_x
-        )
-        if rebuilt != c:
-            raise InternalCheckError("dual-closed set is not an avoidance set")
-        if not patch.is_closed(c):
-            raise InternalCheckError("dual-closed set is not patch-closed")
-        if generalization(lat, c) != c:
-            raise InternalCheckError("dual-closed set is not generalization-stable")
-        out.append(c)
-    return tuple(out)

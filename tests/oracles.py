@@ -11,6 +11,35 @@ bounds, which the upper-bound test alone replaced.
 
 The per-pair test of ``prime_linkage("ideals")``, which the one mask per
 prime replaced.
+
+Prime avoidance: a filter maximal among those containing f and disjoint
+from a join-closed set is prime.  ``prime_avoiding`` finds one by scanning
+every filter and checks that ``prime_spectrum`` lists it, so the tests
+cross-check the spectrum against the avoidance lemma on a6, a8 and the
+order-4 corpus.
+
+Comaximality: two proper filters F and G join to the carrier exactly
+when odot(x, y) = bottom for some x in F and y in G, and exactly when
+imp(a, bottom) lies in G for some a in F.
+``comaximal`` reads the join from the filter lattice's table and returns
+both witnesses; a full join without them is an internal error.
+
+Lattice ideals and their join: ``is_lattice_ideal`` is the definition
+(non-empty, down-closed, join-closed), ``lattice_ideals`` the principal
+down-sets, and ``ideal_join`` the down-closure of pairwise joins.  Every
+omega-filter is omega of some ideal, so these are the reference for
+``OmegaLattice.vee``: omega of the ideal join of any two representatives.
+
+The pure envelope of an element a: the intersection of the pure parts of
+the maximal filters containing a.  On mp lattices it meets the coannulet
+of a in {1}, and the envelopes of the members of a minimal prime join to
+that prime.
+
+The closed sets of the dual prime space, by brute force over every set
+of primes.  ``dual_closed_sets`` checks that each is the set of primes
+disjoint from some subset of the carrier, is patch-closed and is stable
+under generalization; on mp lattices the pure filters are the kernels of
+their traces on the minimal primes.
 """
 
 from __future__ import annotations
@@ -19,14 +48,19 @@ from itertools import permutations
 
 from reslat.core import (
     ContractError,
+    InternalCheckError,
     ResiduatedLattice,
     bits,
     bounded_lattice_ops,
     derive_residuum,
     from_order,
+    is_subset,
     validate_axioms,
 )
 from reslat.enumerator import _labels
+from reslat.filters import all_filters, canonical_sort, filter_join, maximal_members
+from reslat.purity import pure_part
+from reslat.spectra import generalization, hull_kernel_topology, prime_spectrum
 
 
 def full_canonical_key(lat: ResiduatedLattice) -> tuple:
@@ -156,3 +190,86 @@ def ideal_join_is_everything(lat: ResiduatedLattice, p: int, q: int) -> bool:
     comp_q = lat.full_mask & ~q
     joiners = lat.top_joiners
     return any(joiners[x] & comp_q for x in bits(lat.full_mask & ~p))
+
+
+def prime_avoiding(lat: ResiduatedLattice, f: int, avoid: int) -> int:
+    """A filter containing the filter f that is maximal among those
+    disjoint from avoid, a join-closed set disjoint from f; it is prime."""
+    candidates = [g for g in all_filters(lat) if is_subset(f, g) and not g & avoid]
+    result = maximal_members(candidates)[0]
+    if result not in prime_spectrum(lat).index:
+        raise InternalCheckError("maximal avoiding filter is not prime")
+    return result
+
+
+def comaximal(lat: ResiduatedLattice, f: int, g: int) -> tuple[bool, tuple[int, int, int] | None]:
+    """Whether two proper filters join to the whole carrier; when they do,
+    the witness (x, y, a) has x in F, y in G, odot(x, y) = bottom, a in F
+    and imp(a, bottom) in G."""
+    if filter_join(lat, f, g) != lat.full_mask:
+        return False, None
+    pair = next(((x, y) for x in bits(f) for y in bits(g) if lat.odot[x][y] == lat.bottom), None)
+    single = next((a for a in bits(f) if g >> lat.imp[a][lat.bottom] & 1), None)
+    if pair is None or single is None:
+        raise InternalCheckError("comaximal witnesses missing despite full join")
+    return True, (*pair, single)
+
+
+def is_lattice_ideal(lat: ResiduatedLattice, subset: int) -> bool:
+    if subset == 0:
+        return False
+    down = 0
+    for x in bits(subset):
+        down |= lat.down(x)
+    els = list(bits(subset))
+    return down == subset and all(subset >> lat.join[x][y] & 1 for x in els for y in els)
+
+
+def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """All lattice ideals: in a finite lattice every ideal is the down-set
+    of its largest element."""
+    return canonical_sort({lat.down(x) for x in range(lat.size)})
+
+
+def ideal_join(lat: ResiduatedLattice, i: int, j: int) -> int:
+    """Join in the ideal lattice: down-closure of the pairwise joins."""
+    out = 0
+    for x in bits(i):
+        row = lat.join[x]
+        for y in bits(j):
+            out |= lat.down(row[y])
+    return out
+
+
+def pure_envelope(lat: ResiduatedLattice, a: int) -> int:
+    """Intersection of the pure parts of the maximal filters containing a;
+    the empty intersection is the whole carrier."""
+    spec = prime_spectrum(lat)
+    out = lat.full_mask
+    for i in spec.maximal:
+        if spec.primes[i] >> a & 1:
+            out &= pure_part(lat, spec.primes[i])
+    return out
+
+
+def dual_closed_sets(lat: ResiduatedLattice) -> tuple[int, ...]:
+    """Every closed set of the dual topology on the prime space, each
+    checked to be an avoidance set, patch-closed and generalization-stable."""
+    spec = prime_spectrum(lat)
+    k = len(spec)
+    top = hull_kernel_topology(lat, "spec", "dual")
+    patch = hull_kernel_topology(lat, "spec", "patch")
+    out = []
+    for c in range(1 << k):
+        if not top.is_closed(c):
+            continue
+        witness_x = sum(1 << x for x, h in enumerate(spec.hulls) if not h & c)
+        rebuilt = sum(1 << i for i in range(k) if not spec.primes[i] & witness_x)
+        if rebuilt != c:
+            raise InternalCheckError("dual-closed set is not an avoidance set")
+        if not patch.is_closed(c):
+            raise InternalCheckError("dual-closed set is not patch-closed")
+        if generalization(lat, c) != c:
+            raise InternalCheckError("dual-closed set is not generalization-stable")
+        out.append(c)
+    return tuple(out)

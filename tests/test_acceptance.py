@@ -16,13 +16,8 @@ from reslat import bits, boolean_center
 from reslat.coann import coannulet
 from reslat.filters import all_filters, filter_join, is_domain, quotient
 from reslat.mp import mp_check
-from reslat.purity import (
-    pure_envelope,
-    pure_part,
-    pure_spectrum,
-)
+from reslat.purity import pure_part, pure_spectrum
 from reslat.spectra import (
-    dual_closed_sets,
     generalization,
     hull,
     hull_kernel_topology,
@@ -32,7 +27,7 @@ from reslat.spectra import (
 )
 from reslat.enumerator import enumerate_residuated
 
-from oracles import full_canonical_key, naive_residuated
+from oracles import dual_closed_sets, full_canonical_key, naive_residuated, pure_envelope
 
 
 def _bundled_path(name: str) -> str:

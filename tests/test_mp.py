@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from reslat.core import format_set as _lab
 from reslat.filters import all_filters, generated_filter, principal_filter
+from reslat.purity import omega_lattice
 from reslat.mp import (
     FAMILIES,
     MpDisagreement,
@@ -154,8 +155,6 @@ def test_conormal_matches_definitional_scan(a6, a8, corpus5):
 
 def test_quotient_family_builds_each_quotient_once(monkeypatch, a6, a8, corpus5):
     from reslat import mp
-    from reslat.purity import divisor_filter
-    from reslat.spectra import prime_spectrum
 
     built = []
     quotient = mp.quotient
@@ -163,7 +162,7 @@ def test_quotient_family_builds_each_quotient_once(monkeypatch, a6, a8, corpus5)
     for lat in (a6, a8, *corpus5):
         built.clear()
         mp_via_quotient(lat)
-        divisors = {divisor_filter(lat, p) for p in prime_spectrum(lat).primes}
+        divisors = set(omega_lattice(lat).divisors)
         assert len(built) == len(set(built)) and set(built) <= divisors
 
 

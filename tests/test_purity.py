@@ -2,18 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from reslat import ContractError, InternalCheckError, bits, purity
+from reslat import InternalCheckError, bits, purity
 from reslat.coann import coannulet
 from reslat.filters import all_filters, filter_join, is_filter
 from reslat.purity import (
-    divisor_filter,
-    ideal_join,
-    is_lattice_ideal,
-    lattice_ideals,
     omega_filter,
     omega_lattice,
     pure_core,
-    pure_envelope,
     pure_min_identity,
     pure_part,
     pure_spectrum,
@@ -21,6 +16,11 @@ from reslat.purity import (
 from reslat.spectra import prime_spectrum
 
 from lattices import build_boolean4, build_chain, build_two_chain, mask
+from oracles import ideal_join, is_lattice_ideal, lattice_ideals, pure_envelope
+
+
+def _divisor_filter(lat, prime):
+    return omega_lattice(lat).divisors[prime_spectrum(lat).index[prime]]
 
 
 def test_lattice_ideals_golden(a6):
@@ -63,10 +63,10 @@ def test_omega_results_are_filters(a6, a8, corpus4):
 
 
 def test_divisor_filter_golden(a6, a8):
-    assert divisor_filter(a6, mask(a6, "a b d 1")) == mask(a6, "1")
+    assert _divisor_filter(a6, mask(a6, "a b d 1")) == mask(a6, "1")
     spec8 = prime_spectrum(a8)
     top_prime = spec8.primes[spec8.maximal[0]]
-    d = divisor_filter(a8, top_prime)
+    d = _divisor_filter(a8, top_prime)
     assert d == mask(a8, "1")
     assert d not in spec8.index  # not prime: the failure that marks non-mp
 
@@ -75,13 +75,8 @@ def test_divisor_filter_fixes_minimal_primes(corpus5):
     for lat in corpus5:
         spec = prime_spectrum(lat)
         for i, p in enumerate(spec.primes):
-            fixed = divisor_filter(lat, p) == p
+            fixed = _divisor_filter(lat, p) == p
             assert fixed == spec.is_minimal[i]
-
-
-def test_divisor_filter_rejects_non_prime(a8):
-    with pytest.raises(ContractError):
-        divisor_filter(a8, mask(a8, "1"))  # not prime in this lattice
 
 
 def test_omega_lattice_golden(a6, a8):
@@ -101,12 +96,16 @@ def test_coannulets_are_omega_filters(a6, a8, corpus4):
 def test_omega_vee_is_representative_independent(a6, a8, corpus5):
     for lat in (a6, a8, *corpus5):
         om = omega_lattice(lat)
+        representatives = {}
+        for ideal in lattice_ideals(lat):
+            representatives.setdefault(omega_filter(lat, ideal), []).append(ideal)
+        assert set(representatives) == set(om.members)
         for f in om.members:
             for g in om.members:
                 results = {
                     omega_filter(lat, ideal_join(lat, i, j))
-                    for i in om.representatives[f]
-                    for j in om.representatives[g]
+                    for i in representatives[f]
+                    for j in representatives[g]
                 }
                 assert len(results) == 1
                 assert om.vee(f, g) == results.pop()
@@ -139,7 +138,7 @@ def test_pure_core_of_maximal_is_divisor_filter(a6, a8, corpus4):
         spec = prime_spectrum(lat)
         for i in spec.maximal:
             m = spec.primes[i]
-            assert pure_core(lat, m) == divisor_filter(lat, m)
+            assert pure_core(lat, m) == _divisor_filter(lat, m)
 
 
 def test_pure_core_is_monotone_and_deflationary(a6, a8, corpus4):
@@ -250,7 +249,7 @@ def test_omega_filter_matches_join_scan_on_every_ideal(oracle_set):
 def test_divisor_filter_is_omega_of_the_complement(oracle_set):
     for lat in oracle_set:
         for p in prime_spectrum(lat).primes:
-            assert divisor_filter(lat, p) == _omega_by_scan(lat, lat.full_mask & ~p)
+            assert _divisor_filter(lat, p) == _omega_by_scan(lat, lat.full_mask & ~p)
 
 
 def test_wrong_divisor_filter_fails_the_kernel_check(monkeypatch, a6, a8):
