@@ -68,6 +68,7 @@ def cmd_analyze(args) -> int:
     spec = prime_spectrum(lat)
     cls = classify_baer_rickart(lat)
     domain, _ = is_domain(lat)
+    center = boolean_center(lat)
     data = {
         "name": doc.name,
         "size": lat.size,
@@ -75,7 +76,7 @@ def cmd_analyze(args) -> int:
         "primes": [lat.label_set(p) for p in spec.primes],
         "maximal": [lat.label_set(spec.primes[i]) for i in spec.maximal],
         "minimal": [lat.label_set(spec.primes[i]) for i in spec.minimal],
-        "boolean_center": lat.label_set(boolean_center(lat)),
+        "boolean_center": lat.label_set(center),
         "coannulets": sorted(
             {format_set(lat, coannulet(lat, x)) for x in range(lat.size)}
         ),
@@ -93,7 +94,7 @@ def cmd_analyze(args) -> int:
     print(f"  primes: {', '.join(format_set(lat, p) for p in spec.primes)}")
     print(f"  maximal: {', '.join(format_set(lat, spec.primes[i]) for i in spec.maximal)}")
     print(f"  minimal: {', '.join(format_set(lat, spec.primes[i]) for i in spec.minimal)}")
-    print(f"  boolean center: {{{','.join(data['boolean_center'])}}}")
+    print(f"  boolean center: {format_set(lat, center)}")
     print(f"  domain: {domain}   baer: {cls.baer}   rickart: {cls.rickart}")
     return EXIT_OK
 

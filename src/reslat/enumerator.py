@@ -33,7 +33,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from operator import itemgetter
 
 from .core import (
     ContractError,
@@ -112,13 +113,23 @@ def _invariant_cells(up: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _cell_maps(n: int, cells, targets):
-    """Permutations fixing 0 and n-1 that send each cell onto its target."""
+    """Permutations fixing 0 and n-1 that send each cell onto its target.
+
+    The cells partition 1..n-2.  The targets' images, laid end to end
+    between 0 and n-1, list the image of each element in cell order;
+    ``gather`` reads them back in element order.
+    """
+    if n < 3:  # no middle elements: only the identity
+        yield tuple(range(n))
+        return
+    slot = [0] * n
+    for k, x in enumerate(chain.from_iterable(cells), 1):
+        slot[x] = k
+    slot[-1] = n - 1
+    gather = itemgetter(*slot)
+    head, tail = (0,), (n - 1,)
     for images in product(*(permutations(t) for t in targets)):
-        perm = list(range(n))
-        for cell, image in zip(cells, images):
-            for x, y in zip(cell, image):
-                perm[x] = y
-        yield tuple(perm)
+        yield gather(head + sum(images, ()) + tail)
 
 
 def lattice_cell_key(up: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,9 +6,11 @@ algebraic, quotient-based, topological and purity-based.  All verdicts
 must agree; a disagreement would falsify an equivalence theorem and is
 raised as a hard error carrying the lattice for reproduction.
 
-Most verdicts search their candidates for a counterexample: a false
-verdict's witness is the first failing candidate in the family's
-iteration order (``_first``), so witnesses are reproducible.
+Every verdict but three is one lazy search for a counterexample over
+the spectrum's tables (``_first``): a false verdict's witness is the
+first failing candidate in the family's iteration order, so witnesses
+are reproducible.  The three are ``spec_dual_normal``, read from
+``separation_check``, and the two ``min_equals_*`` set comparisons.
 """
 
 from __future__ import annotations
@@ -21,22 +23,9 @@ from typing import Any, Iterable
 
 from .core import ResiduatedLattice, bits, format_set, negation
 from .filters import all_filters, filter_join, filter_lattice, is_domain, principal_filter, quotient
-from .spectra import (
-    hull,
-    hull_kernel_topology,
-    minimal_primes_separated,
-    prime_linkage,
-    prime_spectrum,
-    retraction_check,
-    separation_check,
-)
+from .spectra import hull, hull_kernel_topology, prime_linkage, prime_spectrum, separation_check
 from .coann import coannulet
-from .purity import (
-    omega_lattice,
-    pure_core,
-    pure_min_identity,
-    pure_spectrum,
-)
+from .purity import omega_lattice, pure_core, pure_spectrum
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,7 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
             "contains": [format_set(lat, primes[j]) for j in mins],
         }
         for i in range(len(spec))
-        if len(mins := [j for j in bits(spec.below[i]) if spec.is_minimal[j]]) > 1
+        if len(mins := list(bits(spec.below[i] & spec.minimal_mask))) > 1
     )
     verdicts["minimal_pairwise_comaximal"] = _first(
         _pair(lat, f, g)
@@ -131,7 +120,7 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
 # algebraic family
 
 
-def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> tuple[bool, Any]:
+def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> Verdict:
     """Whether all members f, g with f meet g = {1} have members u, v with
     u meet f = {1}, v meet g = {1} and u join v = A.  The witness is the
     first failing (f, g) in member order.
@@ -149,13 +138,12 @@ def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> tuple[bool, A
         sum(1 << j for j, q in enumerate(pos) if fl.join_table[p][q] == full) for p in pos
     ]
     reach = [reduce(or_, (comax[u] for u in bits(d)), 0) for d in disjoint]
-    verdict = _first(
+    return _first(
         _pair(lat, f, members[j])
         for i, f in enumerate(members)
         for j in bits(disjoint[i])
         if not reach[i] & disjoint[j]
     )
-    return verdict.value, verdict.witness
 
 
 def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
@@ -165,8 +153,8 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
     principal = tuple(sorted({principal_filter(lat, x) for x in range(n)}))
     ann = [coannulet(lat, x) for x in range(n)]
 
-    verdicts["filter_lattice_conormal"] = Verdict(*_conormal(lat, filters))
-    verdicts["principal_filter_lattice_conormal"] = Verdict(*_conormal(lat, principal))
+    verdicts["filter_lattice_conormal"] = _conormal(lat, filters)
+    verdicts["principal_filter_lattice_conormal"] = _conormal(lat, principal)
 
     join = partial(filter_join, lat)
     pairs = [(x, y) for x in range(n) for y in range(n)]
@@ -260,13 +248,16 @@ def mp_via_topology(lat: ResiduatedLattice) -> dict[str, Verdict]:
     primes = spec.primes
     verdicts: dict[str, Verdict] = {}
 
-    separated, wit = minimal_primes_separated(lat)
-    witness = None
-    if not separated:
-        i, j, shared = wit
-        witness = _pair(lat, primes[i], primes[j])
-        witness["shared_prime"] = format_set(lat, primes[shared])
-    verdicts["min_dual_hausdorff"] = Verdict(separated, witness)
+    # the minimal dual-open around a prime is its up-set, so two minimal
+    # primes are separated exactly when no prime contains both
+    verdicts["min_dual_hausdorff"] = _first(
+        {
+            **_pair(lat, primes[i], primes[j]),
+            "shared_prime": format_set(lat, primes[next(bits(shared))]),
+        }
+        for i, j in combinations(spec.minimal, 2)
+        if (shared := spec.above[i] & spec.above[j])
+    )
 
     dual = hull_kernel_topology(lat, "spec", "dual")
     verdicts["min_hull_closed_in_spec_dual"] = _first(
@@ -275,12 +266,17 @@ def mp_via_topology(lat: ResiduatedLattice) -> dict[str, Verdict]:
         if not dual.is_closed(hull(lat, primes[i]))
     )
 
-    retr = retraction_check(lat)
-    value = retr.exists and retr.continuous and retr.fixes_minimal
-    witness = None
-    if not value and retr.witness is not None:
-        witness = {"prime": format_set(lat, primes[retr.witness])}
-    verdicts["retraction_to_minimal"] = Verdict(value, witness)
+    # The retraction sends each prime to the unique minimal prime below it,
+    # so it exists when every prime has exactly one.  It is then continuous
+    # in the dual topologies, i.e. constant on the up-set of every prime:
+    # if p <= q, the minimal prime under p is under q, so it is q's unique
+    # one.  It fixes Min, since a minimal prime is the only minimal prime
+    # under itself.  Only existence is searched.
+    verdicts["retraction_to_minimal"] = _first(
+        {"prime": format_set(lat, primes[i])}
+        for i, below in enumerate(spec.below)
+        if (below & spec.minimal_mask).bit_count() != 1
+    )
 
     sep = separation_check(dual)
     witness = None
@@ -349,11 +345,21 @@ def mp_via_purity(lat: ResiduatedLattice) -> dict[str, Verdict]:
             }
         verdicts[f"min_equals_{key}"] = Verdict(value, witness)
 
-    ident = pure_min_identity(lat)
-    verdicts["pure_min_identity_homeomorphism"] = Verdict(
-        ident.homeomorphism,
-        None if ident.homeomorphism else {"bijective": ident.bijective},
-    )
+    def identity_failures():
+        # the identity from the purely-prime filters to Min with the dual
+        # topology is a homeomorphism when the point sets coincide and
+        # every point has the same minimal neighbourhood in both
+        if set(ps.purely_prime) != mins:
+            yield {"bijective": False}
+            return
+        spp, min_top = ps.topology, hull_kernel_topology(lat, "min", "dual")
+        pos = {f: i for i, f in enumerate(min_top.point_filters)}
+        for i, f in enumerate(spp.point_filters):
+            image = sum(1 << pos[spp.point_filters[j]] for j in bits(spp.min_nbhd[i]))
+            if image != min_top.min_nbhd[pos[f]]:
+                yield {"bijective": True}
+
+    verdicts["pure_min_identity_homeomorphism"] = _first(identity_failures())
     return verdicts
 
 

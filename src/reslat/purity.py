@@ -10,7 +10,6 @@ compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .core import (
@@ -18,7 +17,6 @@ from .core import (
     InternalCheckError,
     ResiduatedLattice,
     _converse,
-    bits,
     is_subset,
 )
 from .filters import all_filters, canonical_sort, filter_join, is_filter, maximal_members
@@ -27,7 +25,6 @@ from .spectra import (
     _meet_prime,
     generalization,
     hull,
-    hull_kernel_topology,
     kernel,
     meet_rows,
     prime_spectrum,
@@ -206,32 +203,3 @@ def pure_part(lat: ResiduatedLattice, f: int) -> int:
             f"(witness {lat.label_set(out)} inside {lat.label_set(f)})"
         )
     return out
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    bijective: bool
-    homeomorphism: bool
-
-
-def pure_min_identity(lat: ResiduatedLattice) -> IdentityCheck:
-    """Compare the pure spectrum with the minimal primes in the dual topology.
-
-    The identity map is a homeomorphism exactly when the two point sets
-    coincide and carry identical minimal neighbourhoods.
-    """
-    ps = pure_spectrum(lat)
-    spec = prime_spectrum(lat)
-    mins = tuple(spec.primes[i] for i in spec.minimal)
-    if set(ps.purely_prime) != set(mins):
-        return IdentityCheck(bijective=False, homeomorphism=False)
-    min_top = hull_kernel_topology(lat, "min", "dual")
-    spp_top = ps.topology
-    pos_min = {f: i for i, f in enumerate(min_top.point_filters)}
-    for i, f in enumerate(spp_top.point_filters):
-        image = sum(
-            1 << pos_min[spp_top.point_filters[j]] for j in bits(spp_top.min_nbhd[i])
-        )
-        if image != min_top.min_nbhd[pos_min[f]]:
-            return IdentityCheck(bijective=True, homeomorphism=False)
-    return IdentityCheck(bijective=True, homeomorphism=True)

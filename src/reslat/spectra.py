@@ -41,7 +41,7 @@ def meet_rows(rows, selected: int, empty: int) -> int:
 
 
 class Spectrum:
-    """The prime filters of a lattice with maximal/minimal flags.
+    """The prime filters of a lattice with their maximal and minimal positions.
 
     ``hulls[x]`` is the bitmask of prime positions i with x in primes[i].
     ``above[i]`` is the bitmask of prime positions j with primes[i] a
@@ -59,10 +59,9 @@ class Spectrum:
         self.hulls = tuple(_converse(primes, lat.size))
         self.above = tuple(meet_rows(self.hulls, p, everything) for p in primes)
         self.below = tuple(_converse(self.above, k))
-        self.is_maximal = tuple(self.above[i] == 1 << i for i in range(k))
-        self.is_minimal = tuple(self.below[i] == 1 << i for i in range(k))
-        self.maximal = tuple(i for i in range(k) if self.is_maximal[i])
-        self.minimal = tuple(i for i in range(k) if self.is_minimal[i])
+        self.maximal = tuple(i for i in range(k) if self.above[i] == 1 << i)
+        self.minimal = tuple(i for i in range(k) if self.below[i] == 1 << i)
+        self.minimal_mask = sum(1 << i for i in self.minimal)
         self.coannulets = tuple(
             meet_rows(primes, everything & ~h, lat.full_mask) for h in self.hulls
         )
@@ -73,10 +72,6 @@ class Spectrum:
     @property
     def all_points(self) -> int:
         return (1 << len(self.primes)) - 1
-
-    @property
-    def minimal_mask(self) -> int:
-        return sum(1 << i for i in self.minimal)
 
 
 def _meet_prime(p: int, filters: tuple[int, ...]) -> bool:
@@ -107,10 +102,8 @@ def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
         if elementwise:
             primes.append(p)
     spec = Spectrum(lat, canonical_sort(primes))
-    for i in range(len(spec)):
-        if not spec.is_minimal[i] and not any(
-            spec.is_minimal[j] for j in bits(spec.below[i])
-        ):
+    for below in spec.below:
+        if not below & spec.minimal_mask:
             raise InternalCheckError("a prime contains no minimal prime")
     return spec
 
@@ -156,14 +149,11 @@ class FiniteTopology:
     min_nbhd: tuple[int, ...]
 
     def __post_init__(self):
-        k = len(self.point_filters)
-        for i in range(k):
-            if not self.min_nbhd[i] >> i & 1:
+        for i, nb in enumerate(self.min_nbhd):
+            if not nb >> i & 1:
                 raise InternalCheckError("point outside its own neighbourhood")
-        for i in range(k):
-            for j in bits(self.min_nbhd[i]):
-                if not is_subset(self.min_nbhd[j], self.min_nbhd[i]):
-                    raise InternalCheckError("neighbourhood map is not transitive")
+        if transitive_closure(self.min_nbhd) != self.min_nbhd:
+            raise InternalCheckError("neighbourhood map is not transitive")
 
     @classmethod
     def from_subbasis(cls, point_filters: tuple[int, ...], subbasis: list[int]) -> "FiniteTopology":
@@ -278,58 +268,6 @@ def separation_check(top: FiniteTopology) -> SeparationReport:
         None,
     )
     return SeparationReport(t1, hausdorff, witness is None, witness)
-
-
-def minimal_primes_separated(lat: ResiduatedLattice) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whether distinct minimal primes have disjoint neighbourhoods in the
-    dual topology on the whole prime space.
-
-    The minimal dual-open around a prime p is h(p), so two minimal primes
-    are separated exactly when no prime contains both.  The witness is
-    (position of m1, position of m2, position of a shared prime).
-    """
-    spec = prime_spectrum(lat)
-    mins = spec.minimal
-    for ai in range(len(mins)):
-        for bi in range(ai + 1, len(mins)):
-            shared = spec.above[mins[ai]] & spec.above[mins[bi]]
-            if shared:
-                return False, (mins[ai], mins[bi], next(bits(shared)))
-    return True, None
-
-
-# ---------------------------------------------------------------------------
-# retraction
-
-
-@dataclass(frozen=True)
-class RetractionReport:
-    exists: bool
-    continuous: bool
-    fixes_minimal: bool
-    witness: int | None
-
-
-def retraction_check(lat: ResiduatedLattice) -> RetractionReport:
-    """The map sending a prime to its unique minimal prime, when it exists.
-
-    Continuity in the dual topologies amounts to the map being constant
-    on the up-set of every prime.  When some prime contains two minimal
-    primes the witness names it.
-    """
-    spec = prime_spectrum(lat)
-    k = len(spec)
-    mapping = []
-    for i in range(k):
-        below_min = [j for j in bits(spec.below[i]) if spec.is_minimal[j]]
-        if len(below_min) != 1:
-            return RetractionReport(False, False, False, i)
-        mapping.append(below_min[0])
-    continuous = all(
-        mapping[j] == mapping[i] for i in range(k) for j in bits(spec.above[i])
-    )
-    fixes = all(mapping[i] == i for i in spec.minimal)
-    return RetractionReport(True, continuous, fixes, None)
 
 
 # ---------------------------------------------------------------------------

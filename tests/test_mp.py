@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 from reslat.core import format_set as _lab
 from reslat.filters import all_filters, generated_filter, principal_filter
 from reslat.purity import omega_lattice
@@ -8,7 +11,6 @@ from reslat.mp import (
     MpDisagreement,
     MpReport,
     Verdict,
-    _conormal,
     mp_check,
     mp_via_algebraic,
     mp_via_purity,
@@ -137,19 +139,22 @@ def _conormal_by_definition(lat, members):
                 for u in members
                 for v in members
             ):
-                return False, {"pair": [_lab(lat, f), _lab(lat, g)]}
-    return True, None
+                return Verdict(False, {"pair": [_lab(lat, f), _lab(lat, g)]})
+    return Verdict(True)
 
 
 def test_conormal_matches_definitional_scan(a6, a8, corpus5):
     # a8 x 2 fails on several pairs per filter, which pins the witness order
     seen = set()
     for lat in (a6, a8, build_product(a8, build_two_chain()), *corpus5):
+        verdicts = mp_via_algebraic(lat)
         principal = tuple(sorted({principal_filter(lat, x) for x in range(lat.size)}))
-        for members in (all_filters(lat), principal):
-            result = _conormal(lat, members)
-            assert result == _conormal_by_definition(lat, members)
-            seen.add(result[0])
+        for name, members in (
+            ("filter_lattice_conormal", all_filters(lat)),
+            ("principal_filter_lattice_conormal", principal),
+        ):
+            assert verdicts[name] == _conormal_by_definition(lat, members)
+            seen.add(verdicts[name].value)
     assert seen == {True, False}
 
 
@@ -291,3 +296,22 @@ def test_a6xa8_witnesses_are_pinned(a6xa8):
         "min_equals_purely_prime": {"minimal": minimal, "purely_prime": purely},
         "pure_min_identity_homeomorphism": {"bijective": False},
     })
+
+
+# sha256 of every verdict's value and witness, as sorted-key JSON, over
+# a6, a8, a8 x 2, a6 x a8, a8 x a8 and the 166 lattices of order <= 6: any
+# change to a verdict, a witness or a search order changes it
+VERDICT_DIGEST = "a4397cab870fe0dee926bdca666c66c9dcff06f3c7d1e4209d0f9c5cd4390cf7"
+
+
+def test_verdicts_and_witnesses_are_pinned(a6, a8, a6xa8, corpus6):
+    lattices = (
+        a6, a8, build_product(a8, build_two_chain()), a6xa8, build_product(a8, a8), *corpus6,
+    )
+    assert len(lattices) == 171
+    rows = [
+        {name: [v.value, v.witness] for name, v in mp_check(lat).verdicts.items()}
+        for lat in lattices
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == VERDICT_DIGEST

@@ -9,10 +9,10 @@ from reslat.purity import (
     omega_filter,
     omega_lattice,
     pure_core,
-    pure_min_identity,
     pure_part,
     pure_spectrum,
 )
+from reslat.mp import Verdict, mp_via_purity
 from reslat.spectra import prime_spectrum
 
 from lattices import build_boolean4, build_chain, build_two_chain, mask
@@ -76,7 +76,7 @@ def test_divisor_filter_fixes_minimal_primes(corpus5):
         spec = prime_spectrum(lat)
         for i, p in enumerate(spec.primes):
             fixed = _divisor_filter(lat, p) == p
-            assert fixed == spec.is_minimal[i]
+            assert fixed == (i in spec.minimal)
 
 
 def test_omega_lattice_golden(a6, a8):
@@ -225,11 +225,13 @@ def test_pure_envelope_of_top_is_one(a6, a8, corpus4):
 
 
 def test_identity_comparison_golden(a6, a8):
-    assert pure_min_identity(a6) == pure_min_identity(build_two_chain())
-    c6 = pure_min_identity(a6)
-    assert c6.bijective and c6.homeomorphism
-    c8 = pure_min_identity(a8)
-    assert not c8.bijective and not c8.homeomorphism
+    def identity(lat):
+        return mp_via_purity(lat)["pure_min_identity_homeomorphism"]
+
+    assert identity(a6) == identity(build_two_chain())
+    # a6: bijective and a homeomorphism; a8: not even bijective
+    assert identity(a6) == Verdict(True, None)
+    assert identity(a8) == Verdict(False, {"bijective": False})
 
 
 def _omega_by_scan(lat, ideal):

@@ -18,12 +18,11 @@ from reslat.spectra import (
     hull,
     hull_kernel_topology,
     kernel,
-    minimal_primes_separated,
     prime_linkage,
     prime_spectrum,
-    retraction_check,
     separation_check,
 )
+from reslat.mp import Verdict, mp_via_topology
 
 from lattices import build_a6, build_a8, build_chain, mask, names
 from oracles import dual_closed_sets, ideal_join_is_everything, prime_avoiding
@@ -84,13 +83,13 @@ def test_every_prime_contains_a_minimal_prime(corpus5):
     for lat in corpus5:
         spec = prime_spectrum(lat)
         for i in range(len(spec)):
-            assert any(spec.is_minimal[j] for j in bits(spec.below[i]))
+            assert any(j in spec.minimal for j in bits(spec.below[i]))
 
 
 def test_prime_avoiding_golden(a6, a8):
     p = prime_avoiding(a6, mask(a6, "1"), mask(a6, "0"))
     spec = prime_spectrum(a6)
-    assert p in spec.index and spec.is_maximal[spec.index[p]]
+    assert p in spec.index and spec.index[p] in spec.maximal
     assert prime_avoiding(a8, mask(a8, "f 1"), mask(a8, "c e")) == mask(a8, "f 1")
 
 
@@ -329,38 +328,64 @@ def test_clopens_of_dual_prime_space_are_central_hulls(a6, a8, corpus4):
         assert clopen == central
 
 
+def _prime_at(lat, text):
+    # the spectrum position of a prime that a witness names as "{a,b,1}"
+    return prime_spectrum(lat).index[mask(lat, " ".join(text.strip("{}").split(",")))]
+
+
 def test_minimal_primes_separated(a6, a8):
-    assert minimal_primes_separated(a6) == (True, None)
-    ok, witness = minimal_primes_separated(a8)
-    assert not ok
-    i, j, shared = witness
+    assert mp_via_topology(a6)["min_dual_hausdorff"] == Verdict(True, None)
+    verdict = mp_via_topology(a8)["min_dual_hausdorff"]
+    assert not verdict.value
+    i, j = (_prime_at(a8, p) for p in verdict.witness["pair"])
+    shared = _prime_at(a8, verdict.witness["shared_prime"])
     spec = prime_spectrum(a8)
-    assert spec.is_minimal[i] and spec.is_minimal[j]
-    assert spec.is_maximal[shared]
+    assert i in spec.minimal and j in spec.minimal
+    assert shared in spec.maximal
+
+
+def _retraction_by_scan(lat):
+    # (exists, continuous, fixes_minimal) of the map sending each prime to
+    # the minimal primes inside it, by scan; continuity in the dual
+    # topologies is being constant on the up-set of every prime
+    spec = prime_spectrum(lat)
+    image = [[j for j in spec.minimal if is_subset(spec.primes[j], p)] for p in spec.primes]
+    exists = all(len(m) == 1 for m in image)
+    continuous = exists and all(
+        image[j] == image[i] for i in range(len(spec)) for j in bits(spec.above[i])
+    )
+    fixes_minimal = exists and all(image[i] == [i] for i in spec.minimal)
+    return exists, continuous, fixes_minimal
 
 
 def test_retraction_golden(a6, a8):
-    r6 = retraction_check(a6)
-    assert r6.exists and r6.continuous and r6.fixes_minimal
-    r8 = retraction_check(a8)
-    assert not r8.exists
-    assert prime_spectrum(a8).is_maximal[r8.witness]
+    assert mp_via_topology(a6)["retraction_to_minimal"] == Verdict(True, None)
+    assert _retraction_by_scan(a6) == (True, True, True)
+    r8 = mp_via_topology(a8)["retraction_to_minimal"]
+    assert not r8.value and not _retraction_by_scan(a8)[0]
+    assert _prime_at(a8, r8.witness["prime"]) in prime_spectrum(a8).maximal
 
 
 def test_retraction_on_chains():
     for n in (2, 3, 4):
-        r = retraction_check(build_chain(n))
-        assert r.exists and r.continuous and r.fixes_minimal
+        lat = build_chain(n)
+        assert mp_via_topology(lat)["retraction_to_minimal"] == Verdict(True, None)
+        assert _retraction_by_scan(lat) == (True, True, True)
 
 
 def test_retraction_exists_iff_unique_minimal(corpus5):
+    # the verdict searches for existence only: wherever the retraction
+    # exists, it is continuous and fixes the minimal primes
     for lat in corpus5:
         spec = prime_spectrum(lat)
-        unique = all(
-            sum(spec.is_minimal[j] for j in bits(spec.below[i])) == 1
-            for i in range(len(spec))
-        )
-        assert retraction_check(lat).exists == unique
+        counts = [sum(j in spec.minimal for j in bits(spec.below[i])) for i in range(len(spec))]
+        unique = all(c == 1 for c in counts)
+        verdict = mp_via_topology(lat)["retraction_to_minimal"]
+        assert verdict.value == unique
+        assert _retraction_by_scan(lat) == (unique, unique, unique)
+        if not unique:
+            first = next(i for i, c in enumerate(counts) if c != 1)
+            assert _prime_at(lat, verdict.witness["prime"]) == first
 
 
 def _linkage_base(lat, kind):
