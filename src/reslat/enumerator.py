@@ -340,7 +340,7 @@ def residuated_products(
                         return False
             for y, z in joins_to[q]:
                 if not triple_ok(p, y, z):
-                    return False
+                    return False  # never fires through order 9: ROADMAP item 17
         return True
 
     def dominated(ci: int, i: int) -> bool:

@@ -170,13 +170,21 @@ class PureSpectrum:
         self.topology = self._build_topology()
 
     def _build_topology(self) -> FiniteTopology:
+        """Subbasic opens: the complements of the pure hulls {P | F <= P}.
+        The hulls are closed by construction, and a finite space's closed
+        sets are the unions of point closures, so the closed sets are the
+        hulls iff the empty set and every point closure are hulls and the
+        hulls are closed under binary union."""
         points = self.purely_prime
         full = (1 << len(points)) - 1
         incidence = _converse(points, self.lattice.size)
-        hulls = [meet_rows(incidence, f, full) for f in self.pure]
-        subbasic = [full & ~h for h in hulls]
-        top = FiniteTopology.from_subbasis(points, subbasic)
-        if set(top.closed_sets()) != set(hulls):
+        hulls = {meet_rows(incidence, f, full) for f in self.pure}
+        top = FiniteTopology.from_subbasis(points, [full & ~h for h in hulls])
+        # the closure of point i: the points whose minimal neighbourhood holds i
+        closures = _converse(top.min_nbhd, len(points))
+        if 0 not in hulls or not hulls.issuperset(closures) or any(
+            g | h not in hulls for g in hulls for h in hulls
+        ):
             raise InternalCheckError(
                 "closed sets of the pure spectrum are not the pure hulls"
             )

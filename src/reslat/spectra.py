@@ -4,7 +4,8 @@ Prime filters are the meet-irreducible proper filters, detected by the
 element-wise condition (x v y in P implies x in P or y in P) and
 cross-checked against meet-primality in the filter lattice.  Every finite
 topology is Alexandrov, so spaces are stored as minimal-open-neighbourhood
-maps and all predicates reduce to preorder computations.
+maps and all predicates reduce to preorder computations: no space's open
+or closed sets are enumerated.
 
 The hull h(X) of a set X of elements is the set of primes containing X,
 and the kernel k(S) of a set S of primes is their intersection: a Galois
@@ -142,7 +143,7 @@ class FiniteTopology:
 
     ``point_filters[i]`` is the filter sitting at position i; min_nbhd
     masks are over positions.  Opens are exactly the unions of minimal
-    neighbourhoods.
+    neighbourhoods; open and closed sets are tested, never enumerated.
     """
 
     point_filters: tuple[int, ...]
@@ -182,23 +183,6 @@ class FiniteTopology:
 
     def is_closed(self, subset: int) -> bool:
         return self.is_open(self.all_points & ~subset)
-
-    def closure(self, subset: int) -> int:
-        return sum(
-            1 << i for i in range(len(self.point_filters))
-            if self.min_nbhd[i] & subset
-        )
-
-    def open_sets(self) -> list[int]:
-        """All opens by brute force; only sensible for small spaces."""
-        k = len(self.point_filters)
-        if k > 20:
-            raise ContractError("open-set enumeration capped at 20 points")
-        return [u for u in range(1 << k) if self.is_open(u)]
-
-    def closed_sets(self) -> list[int]:
-        full = self.all_points
-        return [full & ~u for u in self.open_sets()]
 
 
 def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> FiniteTopology:

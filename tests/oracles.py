@@ -35,6 +35,12 @@ the maximal filters containing a.  On mp lattices it meets the coannulet
 of a in {1}, and the envelopes of the members of a minimal prime join to
 that prime.
 
+Finite topologies by brute force: ``open_sets`` lists every set of points
+that is a union of minimal neighbourhoods (capped at 20 points),
+``closed_sets`` their complements and ``closure`` the closure of a set of
+points.  ``pure_hulls_are_closed_sets`` is the scan of all closed sets that
+the pure spectrum's union-closure check replaced.
+
 The closed sets of the dual prime space, by brute force over every set
 of primes.  ``dual_closed_sets`` checks that each is the set of primes
 disjoint from some subset of the carrier, is patch-closed and is stable
@@ -60,7 +66,7 @@ from reslat.core import (
 from reslat.enumerator import _labels
 from reslat.filters import all_filters, canonical_sort, filter_join, maximal_members
 from reslat.purity import pure_part
-from reslat.spectra import generalization, hull_kernel_topology, prime_spectrum
+from reslat.spectra import FiniteTopology, generalization, hull_kernel_topology, prime_spectrum
 
 
 def full_canonical_key(lat: ResiduatedLattice) -> tuple:
@@ -273,3 +279,31 @@ def dual_closed_sets(lat: ResiduatedLattice) -> tuple[int, ...]:
             raise InternalCheckError("dual-closed set is not generalization-stable")
         out.append(c)
     return tuple(out)
+
+
+def open_sets(top: FiniteTopology) -> list[int]:
+    """All opens by brute force; only sensible for small spaces."""
+    k = len(top)
+    if k > 20:
+        raise ContractError("open-set enumeration capped at 20 points")
+    return [u for u in range(1 << k) if top.is_open(u)]
+
+
+def closed_sets(top: FiniteTopology) -> list[int]:
+    full = top.all_points
+    return [full & ~u for u in open_sets(top)]
+
+
+def closure(top: FiniteTopology, subset: int) -> int:
+    """The points whose minimal neighbourhood meets the subset."""
+    return sum(1 << i for i in range(len(top)) if top.min_nbhd[i] & subset)
+
+
+def pure_hulls_are_closed_sets(lat: ResiduatedLattice, pure, points) -> bool:
+    """Whether the topology on the points with the complements of the hulls
+    {P | F <= P}, F in pure, as subbasis has exactly those hulls as its
+    closed sets, by listing every closed set."""
+    full = (1 << len(points)) - 1
+    hulls = {sum(1 << i for i, p in enumerate(points) if is_subset(f, p)) for f in pure}
+    top = FiniteTopology.from_subbasis(points, [full & ~h for h in hulls])
+    return set(closed_sets(top)) == hulls

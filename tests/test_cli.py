@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -193,6 +194,16 @@ def test_dot_command(capsys, a6_path):
     assert out.startswith("digraph")
 
 
+def test_module_entry_point(capsys, monkeypatch, a6_path):
+    import runpy
+
+    monkeypatch.setattr(sys, "argv", ["reslat", "validate", a6_path])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("reslat", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "A6: valid (6 elements)\n"
+
+
 def test_unknown_flag_is_input_error(capsys, a6_path):
     with pytest.raises(SystemExit) as exc:
         main(["mp", a6_path, "--bogus"])
@@ -248,6 +259,58 @@ def test_non_string_label_is_input_error(capsys, tmp_path):
     doc["order"][0][0] = ["a"]
     err = _mp_input_error(capsys, tmp_path / "pair.json", json.dumps(doc).encode())
     assert err == "error: order[0]: unknown label ['a']\n"
+
+
+# The exit code and the sha256 of stdout of each run through cli.main.  The
+# "mp --json --witness" and "dot" digests equal the ones the CI workflow
+# checks on the bundled files; the text output is pinned only here.
+OUTPUT_PINS = {
+    "analyze {a6}": (0, "77f9212347594dada07748d0737d11e5af37c6ce98fc95285781478dabacced5"),
+    "pure {a6}": (0, "1417913ffb562516f20af629acded8e090bd8bfa9fbd4fcb426a506f5956cef0"),
+    "topology {a6} --space spec --variant hull": (0, "ee8534d9015b69336b270624e0de433b7ef2a7f91cb280cbf973458a8f20ca72"),
+    "topology {a6} --space spec --variant dual": (0, "3278d3a954c43621b04a2b86c9d627c5ac09a19be1afad41495695482843ba1a"),
+    "topology {a6} --space spec --variant patch": (0, "a34bceb380d8a286bcbb4c96e3d6fc3c60fc1567914bb740e1c45ad4d2872cad"),
+    "topology {a6} --space min --variant hull": (0, "c73eb6f4c684aae0715665efe663033d7743bcb7a2cb14b4b539cf03bea31374"),
+    "topology {a6} --space min --variant dual": (0, "220f1b3a143bb94f7a9c28edf00489c51e229f6464cf2b74421bd903905ea32d"),
+    "topology {a6} --space min --variant patch": (0, "afcd4c5fefd2b351404f07893e3554248f1c423275645819190b7928d735b969"),
+    "mp {a6} --witness": (0, "0b0557113518c4a54611c0daff1f5ae38cd3159d9313c41eaebbfaa88662e346"),
+    "mp {a6} --json --witness": (0, "d6763f2556ad6acee7afc333aea67e5dc8d6ada98a2820e3a2f519acdf274ec5"),
+    "dot {a6}": (0, "b1366797cc41e5e27775b6670d99fd8f4871bf22d1e86156b858f2e37703c8af"),
+    "analyze {a8}": (0, "97ad15b1bd682feb7041888dac5b0fd767dc8691dce4b896c367e0183b328b55"),
+    "pure {a8}": (0, "ae81efa2a4a414d45daa7a6b1f05a6fb9118281f100d6f9264c26d2019e05da8"),
+    "topology {a8} --space spec --variant hull": (0, "2ae973bfdacee1b55d967eb05ffa357bd88c7d2379864669175c179d28eae251"),
+    "topology {a8} --space spec --variant dual": (0, "c6a14747a0414e4316de933505f3b9e1fbff83cf2e8cf337e9263aae60d6f6b3"),
+    "topology {a8} --space spec --variant patch": (0, "78164baf04173954486dce5732224156fc399e4d63eca27fb7944bf16163e7c3"),
+    "topology {a8} --space min --variant hull": (0, "1295a97215f4fec12d40d3adc177520bc69e3517589783ab9b9ebad2c41c142c"),
+    "topology {a8} --space min --variant dual": (0, "b958d338f9241fe34c95fd43f6d79093b2ab14f40abba9a88ae30856175f1703"),
+    "topology {a8} --space min --variant patch": (0, "bf9e4c5755fb87ed94178f8ab07224fd670c36024f0017e0bff52e31253cb0b0"),
+    "mp {a8} --witness": (3, "a970f03deb35d8bcecc3dc3139471bf4a55df3d73c7c7f80a810c775444a055a"),
+    "mp {a8} --json --witness": (3, "0c2e7b7733752acb735af6435c569becc7ae9afbca5a31e6428a18b838482d68"),
+    "dot {a8}": (0, "5a4f6a1455720be5f3deef56ad7d97402a828b5312666e728df8c22dbd18e44c"),
+    "enumerate --size 7 --census --json": (0, "48fe716aa4b3e60d80a8a395aa33ac30d935a9e3427264b539e7d56aa0d4d568"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_PINS))
+def test_output_is_pinned(capsys, monkeypatch, a6_path, a8_path, command):
+    monkeypatch.setenv("RESLAT_THREADS", "1")
+    argv = [arg.format(a6=a6_path, a8=a8_path) for arg in command.split()]
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_PINS[command]
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("quotient {a6} --filter a,z", "error: --filter: unknown label 'z'"),
+        ("enumerate --size 0", "error: --size must be between 1 and 8"),
+    ],
+)
+def test_input_error_is_one_line(capsys, a6_path, command, message):
+    code, out, err = run(capsys, *(arg.format(a6=a6_path) for arg in command.split()))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [message]
 
 
 def _run_cli(args, env=None):

@@ -458,6 +458,37 @@ def test_non_sequence_leq_row_is_structural():
         from_order(("0", "1"), [1, 1], [[0, 0], [0, 1]])
 
 
+def test_malformed_carrier_or_order_is_structural():
+    with pytest.raises(StructureError, match="^empty carrier$"):
+        from_tables(**_two_chain_tables(labels=()))
+    with pytest.raises(StructureError, match="^labels are not unique$"):
+        from_tables(**_two_chain_tables(labels=("x", "x")))
+    with pytest.raises(StructureError, match=r"^leq: expected 2 rows, got 3$"):
+        from_tables(**_two_chain_tables(leq=[[1, 1], [0, 1], [0, 1]]))
+    with pytest.raises(StructureError, match=r"^leq\[1\]: expected 2 entries, got 1$"):
+        from_tables(**_two_chain_tables(leq=[[1, 1], [1]]))
+
+
+def test_product_without_a_residuum_fails_validation():
+    # odot(1, 0) = 1, so no a has odot(1, a) <= 0
+    with pytest.raises(ValidationFailed) as exc:
+        from_order(("0", "1"), [[1, 1], [0, 1]], [[0, 1], [1, 1]])
+    assert str(exc.value) == "no residuum exists for this product: ['residuum-not-realised']"
+    assert exc.value.report.violations == (Violation("residuum-not-realised", (1, 0)),)
+
+
+def test_int_subclass_entries_are_accepted():
+    # only plain ints take the one-pass check; the entry scan accepts the rest
+    import enum
+
+    Two = enum.IntEnum("Two", {"zero": 0, "one": 1}, start=0)
+    leq = [[1, 1], [0, 1]]
+    enum_odot = [[Two.zero, Two.zero], [Two.zero, Two.one]]
+    lat = from_order(("0", "1"), leq, enum_odot)
+    assert lat == from_order(("0", "1"), leq, [[0, 0], [0, 1]])
+    assert validate_axioms(lat).valid
+
+
 def test_bottom_and_top_must_be_element_indices():
     for name, bad in (("top", 1.0), ("bottom", False), ("top", 2), ("bottom", -1)):
         message = rf"^{name}: expected an element index 0\.\.1, got {bad}$"

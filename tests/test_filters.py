@@ -275,6 +275,12 @@ def test_congruence_classes_partition(a6):
     assert len(classes) == 2
 
 
+def test_congruence_classes_reject_non_filters(a6):
+    for bad in (0, mask(a6, "d"), mask(a6, "0 1")):
+        with pytest.raises(ContractError, match="^quotient: modulus must be a filter$"):
+            congruence_classes(a6, bad)
+
+
 def _imp_pair_classes(lat, f):
     """congruence_classes by its definition: a ~ b iff imp(a,b), imp(b,a) in f."""
     classes, seen = [], 0

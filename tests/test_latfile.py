@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from reslat import ValidationFailed, from_order
+from reslat import ValidationFailed, from_order, parse_lattice
 from reslat.cli import main
 from reslat.enumerator import enumerate_residuated
 from reslat.latfile import (
@@ -36,6 +36,8 @@ def test_bundled_names():
 
 def test_parse_matches_hand_built(a6):
     assert load_bundled("a6").lattice == build_a6()
+    assert parse_lattice(bundled_text("a6")) == a6
+    assert repr(a6) == "ResiduatedLattice(0,a,b,c,d,1)"
 
 
 def _doc(**overrides):

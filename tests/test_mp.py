@@ -3,6 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
+from reslat import parse_lattice
 from reslat.core import format_set as _lab
 from reslat.filters import all_filters, generated_filter, principal_filter
 from reslat.purity import omega_lattice
@@ -124,6 +127,22 @@ def test_disagreement_is_detectable():
         f" the rest True; algebraic: {flipped}"
     )
     assert lattice_line == 'lattice: {"size": 2}'
+
+
+def test_disagreement_raises_with_the_lattice(monkeypatch):
+    import reslat.mp
+
+    lat = build_two_chain()
+    (name, family), *others = FAMILIES
+
+    def flipped(lat):
+        return {k: Verdict(not v.value, v.witness) for k, v in family(lat).items()}
+
+    monkeypatch.setattr(reslat.mp, "FAMILIES", ((name, flipped), *others))
+    with pytest.raises(MpDisagreement) as exc:
+        mp_check(lat)
+    assert (exc.value.report.agree, exc.value.report.final) == (False, None)
+    assert parse_lattice(exc.value.lattice_json) == lat
 
 
 def _conormal_by_definition(lat, members):

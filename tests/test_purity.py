@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
+from types import SimpleNamespace
+
 import pytest
 
-from reslat import InternalCheckError, bits, purity
+from reslat import ContractError, InternalCheckError, bits, purity
 from reslat.coann import coannulet
 from reslat.filters import all_filters, filter_join, is_filter
 from reslat.purity import (
+    PureSpectrum,
     omega_filter,
     omega_lattice,
     pure_core,
@@ -13,10 +17,16 @@ from reslat.purity import (
     pure_spectrum,
 )
 from reslat.mp import Verdict, mp_via_purity
-from reslat.spectra import prime_spectrum
+from reslat.spectra import FiniteTopology, hull_kernel_topology, prime_spectrum
 
-from lattices import build_boolean4, build_chain, build_two_chain, mask
-from oracles import ideal_join, is_lattice_ideal, lattice_ideals, pure_envelope
+from lattices import build_boolean4, build_chain, build_product, build_two_chain, mask
+from oracles import (
+    ideal_join,
+    is_lattice_ideal,
+    lattice_ideals,
+    pure_envelope,
+    pure_hulls_are_closed_sets,
+)
 
 
 def _divisor_filter(lat, prime):
@@ -242,6 +252,16 @@ def _omega_by_scan(lat, ideal):
     )
 
 
+def test_purity_functions_reject_bad_input(a6):
+    with pytest.raises(ContractError, match="^omega_filter: ideal must be non-empty$"):
+        omega_filter(a6, 0)
+    for bad in (0, mask(a6, "d"), mask(a6, "0 1")):
+        with pytest.raises(ContractError, match="^pure_core: input must be a filter$"):
+            pure_core(a6, bad)
+        with pytest.raises(ContractError, match="^pure_part: input must be a filter$"):
+            pure_part(a6, bad)
+
+
 def test_omega_filter_matches_join_scan_on_every_ideal(oracle_set):
     for lat in oracle_set:
         for ideal in lattice_ideals(lat):
@@ -277,3 +297,73 @@ def test_mp_check_cross_checks_each_divisor_filter_once(monkeypatch, a6, a8, cor
         checked.clear()
         mp_check(lat)
         assert sorted(checked) == list(range(len(prime_spectrum(lat))))
+
+
+# ---------------------------------------------------------------------------
+# the pure spectrum's closed sets and the identity onto Min, by theorem
+
+
+CLOSED_SETS_MESSAGE = "closed sets of the pure spectrum are not the pure hulls"
+
+
+@pytest.fixture(scope="module")
+def topology_set(corpus6, a6, a8, a6xa8):
+    """The order <= 6 corpus, a6, a8 and the a8 products."""
+    return (*corpus6, a6, a8, build_product(a8, build_two_chain()), a6xa8, build_product(a8, a8))
+
+
+def _closed_set_check_passes(lat, pure, points) -> bool:
+    candidate = SimpleNamespace(lattice=lat, pure=pure, purely_prime=points)
+    try:
+        PureSpectrum._build_topology(candidate)
+    except InternalCheckError as exc:
+        assert str(exc) == CLOSED_SETS_MESSAGE
+        return False
+    return True
+
+
+def test_closed_set_check_matches_brute_force(topology_set):
+    # the pure filters pass both checks; each family with one pure filter
+    # left out gets the same answer from both
+    failures = 0
+    for lat in topology_set:
+        ps = pure_spectrum(lat)
+        assert pure_hulls_are_closed_sets(lat, ps.pure, ps.purely_prime)
+        for f in ps.pure:
+            family = tuple(g for g in ps.pure if g != f)
+            expected = pure_hulls_are_closed_sets(lat, family, ps.purely_prime)
+            assert _closed_set_check_passes(lat, family, ps.purely_prime) == expected
+            failures += not expected
+    assert failures > 0
+
+
+def test_min_dual_topology_is_discrete(topology_set):
+    # pure_min_identity_homeomorphism compares with Min by this theorem
+    for lat in topology_set:
+        top = hull_kernel_topology(lat, "min", "dual")
+        assert top.min_nbhd == tuple(1 << i for i in range(len(top)))
+
+
+def test_hulls_not_closed_under_union_fail_the_closed_set_check():
+    # Boolean 4 without the pure filter {1}: the hulls of {a,1} and {b,1}
+    # are the two points, whose union, the hull of {1}, is missing; the
+    # space is discrete, so the empty set and every point closure are hulls
+    lat = build_boolean4()
+    ps = pure_spectrum(lat)
+    assert len(ps.purely_prime) == 2
+    family = tuple(f for f in ps.pure if f != 1 << lat.top)
+    assert not pure_hulls_are_closed_sets(lat, family, ps.purely_prime)
+    assert not _closed_set_check_passes(lat, family, ps.purely_prime)
+
+
+def test_non_discrete_pure_spectrum_fails_the_identity(monkeypatch):
+    import reslat.mp
+
+    lat = build_boolean4()
+    assert mp_via_purity(lat)["pure_min_identity_homeomorphism"] == Verdict(True, None)
+    ps = copy.copy(pure_spectrum(lat))
+    # point 1 is in the minimal neighbourhood of point 0
+    ps.topology = FiniteTopology(ps.purely_prime, (0b11, 0b10))
+    monkeypatch.setattr(reslat.mp, "pure_spectrum", lambda lat: ps)
+    verdict = mp_via_purity(lat)["pure_min_identity_homeomorphism"]
+    assert verdict == Verdict(False, {"bijective": True})

@@ -6,7 +6,7 @@ from operator import or_
 import pytest
 from hypothesis import given, strategies as st
 
-from reslat import bits
+from reslat import ContractError, bits
 from reslat.core import is_subset, transitive_closure
 from reslat.coann import coannihilator
 from reslat.filters import all_filters, filter_join, generated_filter, is_filter
@@ -25,7 +25,14 @@ from reslat.spectra import (
 from reslat.mp import Verdict, mp_via_topology
 
 from lattices import build_a6, build_a8, build_chain, mask, names
-from oracles import dual_closed_sets, ideal_join_is_everything, prime_avoiding
+from oracles import (
+    closed_sets,
+    closure,
+    dual_closed_sets,
+    ideal_join_is_everything,
+    open_sets,
+    prime_avoiding,
+)
 
 
 def prime_sets(lat):
@@ -150,7 +157,16 @@ def test_hull_topology_specialization_is_containment(a6, a8, corpus4):
         spec = prime_spectrum(lat)
         top = hull_kernel_topology(lat, "spec", "hull")
         for i in range(len(spec)):
-            assert top.closure(1 << i) == spec.above[i]
+            assert closure(top, 1 << i) == spec.above[i]
+
+
+def test_unknown_space_variant_and_linkage_kind_are_contract_errors(a6):
+    with pytest.raises(ContractError, match="^unknown space 'max'$"):
+        hull_kernel_topology(a6, "max", "dual")
+    with pytest.raises(ContractError, match="^unknown variant 'zariski'$"):
+        hull_kernel_topology(a6, "spec", "zariski")
+    with pytest.raises(ContractError, match="^unknown linkage kind 'primes'$"):
+        prime_linkage(a6, "primes")
 
 
 def test_patch_topology_is_discrete(a6, a8, corpus4):
@@ -168,8 +184,8 @@ def test_containment_closure_equivalence(a6, a8, corpus4):
         for i in range(len(spec)):
             for j in range(len(spec)):
                 contained = bool(spec.above[i] >> j & 1)
-                assert contained == bool(h.closure(1 << i) >> j & 1)
-                assert contained == bool(d.closure(1 << j) >> i & 1)
+                assert contained == bool(closure(h, 1 << i) >> j & 1)
+                assert contained == bool(closure(d, 1 << j) >> i & 1)
 
 
 def test_closure_of_point_is_hull_and_specialization(a6, a8):
@@ -177,8 +193,8 @@ def test_closure_of_point_is_hull_and_specialization(a6, a8):
         spec = prime_spectrum(lat)
         h = hull_kernel_topology(lat, "spec", "hull")
         for i in range(len(spec)):
-            assert h.closure(1 << i) == hull(lat, spec.primes[i])
-            assert h.closure(1 << i) == spec.above[i]  # the specialization of prime i
+            assert closure(h, 1 << i) == hull(lat, spec.primes[i])
+            assert closure(h, 1 << i) == spec.above[i]  # the specialization of prime i
 
 
 def test_generalization_of_maximal_is_everything(a8):
@@ -202,7 +218,7 @@ def test_specialization_is_a_closure_operator(a6, a8):
 
 
 def _brute_t1(top: FiniteTopology) -> bool:
-    opens = top.open_sets()
+    opens = open_sets(top)
     k = len(top)
     return all(
         any(u >> i & 1 and not u >> j & 1 for u in opens)
@@ -213,7 +229,7 @@ def _brute_t1(top: FiniteTopology) -> bool:
 
 
 def _brute_hausdorff(top: FiniteTopology) -> bool:
-    opens = top.open_sets()
+    opens = open_sets(top)
     k = len(top)
     for i in range(k):
         for j in range(i + 1, k):
@@ -227,8 +243,8 @@ def _brute_hausdorff(top: FiniteTopology) -> bool:
 
 
 def _brute_normal(top: FiniteTopology) -> bool:
-    opens = top.open_sets()
-    closed = top.closed_sets()
+    opens = open_sets(top)
+    closed = closed_sets(top)
     for c in closed:
         for d in closed:
             if c & d:
@@ -259,7 +275,7 @@ def test_normality_witness_is_genuine(a8):
     sep = separation_check(top)
     assert not sep.normal
     i, j = sep.witness
-    assert not top.closure(1 << i) & top.closure(1 << j)
+    assert not closure(top, 1 << i) & closure(top, 1 << j)
     assert top.min_nbhd[i] & top.min_nbhd[j]
 
 
@@ -269,7 +285,7 @@ def test_dual_opens_are_avoidance_complements(a6, a8, corpus4):
     for lat in (a6, a8, *corpus4):
         spec = prime_spectrum(lat)
         top = hull_kernel_topology(lat, "spec", "dual")
-        opens = set(top.open_sets())
+        opens = set(open_sets(top))
         for u in opens:
             x = 0
             for e in range(lat.size):
@@ -303,7 +319,7 @@ def test_dual_closed_sets_enumeration(a6, a8):
         closed = dual_closed_sets(lat)
         assert 0 in closed and spec.all_points in closed
         top = hull_kernel_topology(lat, "spec", "dual")
-        assert set(closed) == set(top.closed_sets())
+        assert set(closed) == set(closed_sets(top))
 
 
 def test_hull_of_minimal_closed_only_in_mp_case(a6, a8):
@@ -323,7 +339,7 @@ def test_clopens_of_dual_prime_space_are_central_hulls(a6, a8, corpus4):
 
     for lat in (a6, a8, *corpus4):
         top = hull_kernel_topology(lat, "spec", "dual")
-        clopen = {u for u in top.open_sets() if top.is_closed(u)}
+        clopen = {u for u in open_sets(top) if top.is_closed(u)}
         central = {hull(lat, 1 << e) for e in bits(boolean_center(lat))}
         assert clopen == central
 
@@ -449,7 +465,7 @@ def test_linkage_collapse_against_brute_force(a6, a8, corpus4):
             bijective = len(set(images)) == len(mins) == len(classes)
             homeo = bijective
             if bijective:
-                min_opens = set(min_top.open_sets())
+                min_opens = set(open_sets(min_top))
                 for u in min_opens:
                     image = sum(1 << images[i] for i in bits(u))
                     if image not in quotient_opens:
@@ -532,14 +548,14 @@ def _topology_by_scan(lat, space, variant):
 def _separation_by_closures(top):
     # separation_check as it was, with top.closure recomputed per pair
     k = len(top)
-    t1 = all(top.closure(1 << i) == 1 << i for i in range(k))
+    t1 = all(closure(top, 1 << i) == 1 << i for i in range(k))
     hausdorff = all(top.min_nbhd[i] == 1 << i for i in range(k))
     witness = None
     for i in range(k):
         if witness:
             break
         for j in range(i + 1, k):
-            if top.closure(1 << i) & top.closure(1 << j):
+            if closure(top, 1 << i) & closure(top, 1 << j):
                 continue
             if top.min_nbhd[i] & top.min_nbhd[j]:
                 witness = (i, j)
@@ -611,4 +627,4 @@ def test_pure_spectrum_matches_per_point_scans(incidence_set):
         top = FiniteTopology.from_subbasis(points, subbasic)
         assert ps.topology == top
         hulls = {sum(1 << i for i in range(k) if is_subset(f, points[i])) for f in ps.pure}
-        assert set(top.closed_sets()) == hulls
+        assert set(closed_sets(top)) == hulls
