@@ -2,15 +2,14 @@
 
 Bounded lattices are generated by backtracking over strict down-sets in
 linear-extension order, pruning any prefix in which some pair acquires
-two incomparable minimal common upper bounds; such a defect can never be
-repaired later, and lower bounds need no test of their own (see
+two incomparable minimal common upper bounds; only pairs below the new
+element can, and lower bounds need no test of their own (see
 bounded_lattices).  Products are filled cell by cell with associativity
 and join-distributivity propagated over the filled prefix; monotonicity
-follows from distributivity, so it is not checked.  Since the prefix
-already satisfies every instance it can evaluate and filled cells never
-change, each new cell is checked only against the instances that read
-it, in one of two mirror images: O(n^2) work per candidate value, not
-O(n^3) (see residuated_products).  Isomorph rejection uses the
+follows from distributivity, so it is not checked.  Each new cell is
+checked only against the instances that read it, in one of two mirror
+images: O(n^2) work per candidate value, not O(n^3); tables come out
+already sorted (see residuated_products).  Isomorph rejection uses the
 lexicographically minimal table under relabelings fixing bottom and top.
 
 That exact canonical form costs (n-2)! relabelings, so it is computed
@@ -33,7 +32,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 
 from .core import (
@@ -179,6 +178,15 @@ def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
     Element 0 is the bottom and n-1 the top; output rows are canonical
     representatives in a deterministic order; n is at most DEFAULT_CAP.
 
+    pairs_ok(k) tests only the pairs below the new element k.  Elements
+    come in a linear extension, so k is above no earlier element and the
+    order among them stays as it was; the parent node left no pair of
+    0..k-1 with two minimal common upper bounds.  A pair with k in it has
+    at most one, k.  Only a pair in d, the elements strictly below k, gains
+    an upper bound, k alone.  If it had none, k is the only one; if one of
+    them is below k (in d), k is not minimal; otherwise its old minimal
+    bound and k are incomparable, and no later element can merge them.
+
     pairs_ok tests upper bounds only.  If x and y had two maximal common
     lower bounds a != b, then a and b would have a minimal common upper
     bound u <= x and another, v <= y.  u != v, since an element below x and
@@ -194,18 +202,13 @@ def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
     below = [1]  # below[i] = mask of elements <= i, including i
 
     def pairs_ok(k: int) -> bool:
-        # incomparable minimal common upper bounds can never be merged by
-        # later elements
-        above = _converse(below, k + 1)
-        for x in range(k + 1):
-            for y in range(x + 1, k + 1):
-                ubs = above[x] & above[y]
-                minimal = 0
-                for u in bits(ubs):
-                    if not ubs & (below[u] ^ (1 << u)):
-                        minimal += 1
-                        if minimal > 1:
-                            return False
+        # only pairs below the new element k gain an upper bound
+        d = below[k] ^ (1 << k)
+        above = _converse(below[:k], k)
+        for x, y in combinations(bits(d), 2):
+            ubs = above[x] & above[y]
+            if ubs and not ubs & d:
+                return False
         return True
 
     def extend(i: int) -> None:
@@ -220,13 +223,9 @@ def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
         if i == n - 1:
             candidates = [(1 << i) - 1]
         else:
-            candidates = []
-            prefix_full = (1 << i) - 1
-            for d in range(1, prefix_full + 1):
-                if not d & 1:
-                    continue
-                if all(is_subset(below[j], d) for j in bits(d)):
-                    candidates.append(d)
+            candidates = [
+                d for d in range(1, 1 << i, 2) if all(is_subset(below[j], d) for j in bits(d))
+            ]
         for d in candidates:
             below.append(d | 1 << i)
             if pairs_ok(i):
@@ -254,8 +253,8 @@ def residuated_products(
     evaluate, and filled cells never change, so a new failure must come
     from an instance that reads the new cell: only those are checked,
     O(n^2) per candidate value instead of a rescan of all O(n^3) triples.
-    Emitted as full n x n tables in a deterministic order, one canonical
-    representative per automorphism orbit.
+    Emitted as full n x n tables in increasing row-major order, one
+    canonical representative per automorphism orbit.
 
     Each instance is checked in one of its mirror images.  The table is
     symmetric at every node, so (x.y).z = x.(y.z) holds exactly when
@@ -283,12 +282,14 @@ def residuated_products(
     Only the number of nodes searched could grow.
 
     dominated runs when row i is complete and tries the automorphisms that
-    map rows 1..i onto themselves, which read only filled cells; at the
-    last row, that is every automorphism.  Two symmetric tables with the
-    same bottom and top rows, as a table and its image are, first differ
-    in row-major order in the upper triangle, which cells lists in that
-    order.  So the last-row call keeps only the least table of each orbit,
-    and a leaf needs no canonical test.
+    map rows 1..i onto themselves (stabilizers[i]), which read only filled
+    cells; at the last row, that is every automorphism.  Two symmetric
+    tables with the same bottom and top rows, as a table and its image
+    are, first differ in row-major order in the upper triangle, which
+    cells lists in that order.  So the last-row call keeps only the least
+    table of each orbit, and a leaf needs no canonical test.  And as fill
+    tries the cells in that order and each cell's values in increasing
+    order, the leaves come out in increasing row-major order: no sort.
     """
     n = len(up)
     bottom, top, join, meet = ops
@@ -296,6 +297,8 @@ def residuated_products(
     identity = tuple(range(n))
     # (perm, inverse) per automorphism but the identity, which comes first
     auts = [(p, sorted(identity, key=p.__getitem__)) for p in lattice_automorphisms(up)[1:]]
+    # stabilizers[i]: those that map rows 1..i onto themselves (perm[0] = 0)
+    stabilizers = [[a for a in auts if max(a[0][: i + 1]) <= i] for i in range(n - 1)]
     cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
     # table[x][y] is the product, None while unfilled; bottom and top are fixed
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -345,13 +348,10 @@ def residuated_products(
 
     def dominated(ci: int, i: int) -> bool:
         # rows 1..i are complete, and cells[ci] ends row i
-        filled = set(range(1, i + 1))
         prefix = cells[: ci + 1]
         cur = tuple(table[x][y] for x, y in prefix)
-        for perm, inv in auts:
-            if {perm[x] for x in filled} == filled and (
-                tuple(perm[table[inv[x]][inv[y]]] for x, y in prefix) < cur
-            ):
+        for perm, inv in stabilizers[i]:
+            if tuple(perm[table[inv[x]][inv[y]]] for x, y in prefix) < cur:
                 return True
         return False
 
@@ -370,7 +370,6 @@ def residuated_products(
         table[i][j] = table[j][i] = None
 
     fill(0)
-    results.sort(key=lambda tab: tuple(v for row in tab for v in row))
     return tuple(results)
 
 

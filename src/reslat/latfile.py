@@ -196,25 +196,21 @@ def load_bundled(name: str) -> LatticeDocument:
 # DOT export
 
 
-def dot_hasse(lat: ResiduatedLattice, name: str = "lattice") -> str:
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=circle];"]
-    for s in lat.labels:
-        lines.append(f'  "{s}";')
-    for lo, hi in cover_pairs(lat.up):
-        lines.append(f'  "{lat.labels[lo]}" -> "{lat.labels[hi]}";')
+def _dot(name: str, shape: str, nodes: tuple[str, ...], up: tuple[int, ...]) -> str:
+    """A DOT digraph of the covers of the order given by up-masks."""
+    lines = [f'digraph "{name}" {{', "  rankdir=BT;", f"  node [shape={shape}];"]
+    lines += [f'  "{s}";' for s in nodes]
+    lines += [f'  "{nodes[lo]}" -> "{nodes[hi]}";' for lo, hi in cover_pairs(up)]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dot_hasse(lat: ResiduatedLattice, name: str = "lattice") -> str:
+    return _dot(name, "circle", lat.labels, lat.up)
 
 
 def dot_spectrum(lat: ResiduatedLattice, name: str = "spectrum") -> str:
     from .spectra import prime_spectrum
 
     spec = prime_spectrum(lat)
-    node = [format_set(lat, p) for p in spec.primes]
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=box];"]
-    for s in node:
-        lines.append(f'  "{s}";')
-    for i, j in cover_pairs(spec.above):
-        lines.append(f'  "{node[i]}" -> "{node[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, "box", tuple(format_set(lat, p) for p in spec.primes), spec.above)

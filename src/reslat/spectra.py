@@ -13,7 +13,7 @@ connection.  The spectrum stores the one relation "prime i contains x" as
 the incidence table ``hulls`` (bit i of ``hulls[x]``).  h(X) is the AND of
 hulls[x] over x in X, k(S) the AND of the primes in S, and the coannulet
 of x is k of the primes outside hulls[x]; ``meet_rows`` is that one fold.
-The hull-kernel topologies take their subbases from the incidence.
+The hull-kernel topologies are read off the containment order of the primes.
 """
 
 from __future__ import annotations
@@ -189,7 +189,11 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
     """Topology on a prime collection from the basis {h(x) | x in A}.
 
     hull: the h(x) form a closed basis; dual: they form an open basis;
-    patch: the topology generated by both.
+    patch: the topology generated by both.  The minimal open set around a
+    prime P is read off the containment order.  Dual: the h(x) with x in P
+    intersect in the primes above P.  Hull: the complements of the h(x)
+    with x not in P intersect in the primes below P.  Patch: P alone.  Min
+    is an antichain, so all three are discrete there.
     """
     spec = prime_spectrum(lat)
     if space == "spec":
@@ -198,16 +202,11 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
         points = tuple(spec.primes[g] for g in spec.minimal)
     else:
         raise ContractError(f"unknown space {space!r}")
-    full = (1 << len(points)) - 1
-    hulls = _converse(points, lat.size)
-    subbasic: list[int] = []
-    if variant in ("dual", "patch"):
-        subbasic.extend(hulls)
-    if variant in ("hull", "patch"):
-        subbasic.extend(full & ~h for h in hulls)
     if variant not in ("hull", "dual", "patch"):
         raise ContractError(f"unknown variant {variant!r}")
-    return FiniteTopology.from_subbasis(points, subbasic)
+    if space == "min" or variant == "patch":
+        return FiniteTopology(points, tuple(1 << i for i in range(len(points))))
+    return FiniteTopology(points, spec.below if variant == "hull" else spec.above)
 
 
 # ---------------------------------------------------------------------------

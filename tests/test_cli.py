@@ -276,6 +276,7 @@ OUTPUT_PINS = {
     "mp {a6} --witness": (0, "0b0557113518c4a54611c0daff1f5ae38cd3159d9313c41eaebbfaa88662e346"),
     "mp {a6} --json --witness": (0, "d6763f2556ad6acee7afc333aea67e5dc8d6ada98a2820e3a2f519acdf274ec5"),
     "dot {a6}": (0, "b1366797cc41e5e27775b6670d99fd8f4871bf22d1e86156b858f2e37703c8af"),
+    "dot {a6} --what spec": (0, "45c1c8aa59a7950d8e88df632f1b0470b861047d9d1a969e48c3d6583102500d"),
     "analyze {a8}": (0, "97ad15b1bd682feb7041888dac5b0fd767dc8691dce4b896c367e0183b328b55"),
     "pure {a8}": (0, "ae81efa2a4a414d45daa7a6b1f05a6fb9118281f100d6f9264c26d2019e05da8"),
     "topology {a8} --space spec --variant hull": (0, "2ae973bfdacee1b55d967eb05ffa357bd88c7d2379864669175c179d28eae251"),
@@ -287,6 +288,7 @@ OUTPUT_PINS = {
     "mp {a8} --witness": (3, "a970f03deb35d8bcecc3dc3139471bf4a55df3d73c7c7f80a810c775444a055a"),
     "mp {a8} --json --witness": (3, "0c2e7b7733752acb735af6435c569becc7ae9afbca5a31e6428a18b838482d68"),
     "dot {a8}": (0, "5a4f6a1455720be5f3deef56ad7d97402a828b5312666e728df8c22dbd18e44c"),
+    "dot {a8} --what spec": (0, "9a81e99dd51135ffaa806b005f0ed30ba5f0ce54c195fd83680c4c8dfdb7eb81"),
     "enumerate --size 7 --census --json": (0, "48fe716aa4b3e60d80a8a395aa33ac30d935a9e3427264b539e7d56aa0d4d568"),
 }
 

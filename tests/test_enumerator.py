@@ -459,6 +459,17 @@ def test_search_sizes_at_order_7():
     assert (len(pairs), sum(verdict for _, verdict in pairs)) == (720, 689)
     verdicts = [v for up in bounded_lattices(7) for *_, v in _incremental_search(up)[1]]
     assert (len(verdicts), sum(verdicts)) == (18598, 7940)
+    # calls to dominated and their rejections; the last row, 5, rejects none
+    rows = [
+        row
+        for up in bounded_lattices(7)
+        for row in _recorded_returns(
+            residuated_products, "dominated", lambda f, verdict: (f["i"], verdict),
+            up, bounded_lattice_ops(up),
+        )[1]
+    ]
+    assert (len(rows), sum(v for _, v in rows)) == (2950, 82)
+    assert sum(v for i, v in rows if i == 5) == 0
 
 
 def test_census_rows_through_order_6():
