@@ -8,9 +8,12 @@ bounded_lattices).  Products are filled cell by cell with associativity
 and join-distributivity propagated over the filled prefix; monotonicity
 follows from distributivity, so it is not checked.  Each new cell is
 checked only against the instances that read it, in one of two mirror
-images: O(n^2) work per candidate value, not O(n^3); tables come out
-already sorted (see residuated_products).  Isomorph rejection uses the
-lexicographically minimal table under relabelings fixing bottom and top.
+images: O(n^2) work per candidate value, not O(n^3).  Canonical labels
+list higher elements first, so an instance that reads the new cell as
+x.(y v z) reads an empty cell or is checked in another form, and two
+instance families remain; tables come out already sorted (see
+residuated_products).  Isomorph rejection uses the lexicographically
+minimal table under relabelings fixing bottom and top.
 
 That exact canonical form costs (n-2)! relabelings, so it is computed
 once per isomorphism class, not once per generated lattice.  Each
@@ -153,7 +156,18 @@ def lattice_cell_key(up: tuple[int, ...]) -> tuple[int, ...]:
 
 def lattice_canonical(up: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least up-mask rows over relabelings fixing 0, n-1:
-    the cell maps of the single cell 1..n-2 onto itself."""
+    the cell maps of the single cell 1..n-2 onto itself.
+
+    In the least form a middle element's index is larger than that of
+    every middle element above it: the labels are a reverse linear
+    extension.  Suppose x < y in the order with indices i < j, and swap
+    labels i and j.  Only bits i and j of each row change, and no row has
+    bit i without bit j, since an element below x is below y.  If an
+    earlier row has bit j and not bit i, the first such row loses bit j
+    for bit i and gets smaller.  Otherwise rows 0..i-1 stay the same and
+    row i becomes the row of y: bit i, no bit j, and otherwise a subset of
+    x's row, so smaller.  Either way the swapped table is smaller.
+    """
     n = len(up)
     middle = tuple(range(1, n - 1))
     members = _members(up)
@@ -262,9 +276,22 @@ def residuated_products(
     x.(z v y) = x.z v x.y does; each pair reads the same cells.  Of an
     instance that reads the new cell p.q, in either orientation, it or its
     mirror image reads it as x.y, as (x.y).z with x.y = p and z = q, or as
-    x.(y v z) with x = p and y v z = q: the three families of consistent.
-    An instance that reads neither orientation of the new cell was already
-    checked at the parent node.
+    x.(y v z) with x = p and y v z = q.  An instance that reads neither
+    orientation of the new cell was already checked at the parent node.
+    consistent checks the first two families; the third can be evaluated
+    only where the first already checks it.
+
+    The lattice must come labeled as lattice_canonical labels it, every
+    middle element after the middle elements above it; anything else
+    raises ContractError.  If q's index is below y's, the cell {p, q} comes
+    before {p, y} in row-major order, for every p: in row p, at column
+    q < y, if p <= q, and otherwise in row q, before row min(p, y) > q.
+    Now let q = y v z with y, z != q.  Then y and z are middle elements
+    strictly below q, with larger indices, so p.y and p.z are still empty:
+    the instance is checked later, as the first family's x.y at
+    (p, y, z) or its mirror, when the later of the two cells is filled.
+    If y = q, the instance is the first family's at (p, q, z), and if
+    z = q, the mirror image of the first family's at (p, q, y).
 
     Monotonicity is not checked, and the emitted tables are the same as
     with a monotonicity check on every prefix:
@@ -292,6 +319,9 @@ def residuated_products(
     order, the leaves come out in increasing row-major order: no sort.
     """
     n = len(up)
+    # (1 << n - 1) - (2 << x): the middle elements after x
+    if any(up[x] & ((1 << n - 1) - (2 << x)) for x in range(1, n - 1)):
+        raise ContractError("a middle element must have a larger index than those above it")
     bottom, top, join, meet = ops
     down = _converse(up, n)
     identity = tuple(range(n))
@@ -305,17 +335,12 @@ def residuated_products(
     for x in range(n):
         table[x][top] = table[top][x] = x
         table[x][bottom] = table[bottom][x] = bottom
-    joins_to = [[] for _ in range(n)]
-    for y in range(n):
-        for z in range(n):
-            joins_to[join[y][z]].append((y, z))
 
     def triple_ok(x: int, y: int, z: int) -> bool:
-        # (x.y).z = x.(y.z) and x.(y v z) = x.y v x.z, where evaluable
+        # (x.y).z = x.(y.z) and x.(y v z) = x.y v x.z, where evaluable;
+        # consistent calls it only with x.y filled
         row = table[x]
         txy = row[y]
-        if txy is None:
-            return True
         tyz = table[y][z]
         if tyz is not None:
             l, r = table[txy][z], row[tyz]
@@ -330,8 +355,8 @@ def residuated_products(
 
     def consistent(i: int, j: int, v: int) -> bool:
         # v is already in table[i][j]; check every (x, y, z) with {i, j} at
-        # the lookup x.y, (x.y).z or x.(y v z), for each orientation (p, q);
-        # the mirror images read the same cells
+        # the lookup x.y or (x.y).z, for each orientation (p, q); the mirror
+        # images read the same cells
         for p, q in ((i, j), (j, i)) if i != j else ((i, j),):
             for z in range(n):
                 if not triple_ok(p, q, z):
@@ -341,9 +366,6 @@ def residuated_products(
                 for y in range(n):
                     if row[y] == p and not triple_ok(x, y, q):
                         return False
-            for y, z in joins_to[q]:
-                if not triple_ok(p, y, z):
-                    return False  # never fires through order 9: ROADMAP item 17
         return True
 
     def dominated(ci: int, i: int) -> bool:
