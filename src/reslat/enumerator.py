@@ -15,15 +15,14 @@ instance families remain; tables come out already sorted (see
 residuated_products).  Isomorph rejection uses the lexicographically
 minimal table under relabelings fixing bottom and top.
 
-That exact canonical form costs (n-2)! relabelings, so it is computed
-once per isomorphism class, not once per generated lattice.  Each
-generated lattice first gets a cell key: the middle elements are split
-into cells by an order invariant (up and down degrees, refined by the
-invariants of the elements above and below), and the key is the least
-table over the relabelings that keep the cells in invariant order and
-permute only inside each cell.  The key is a complete invariant, and a
-lattice whose key is new gets the exact canonical form.  Automorphisms
-are found among the permutations that map every cell to itself.
+That least table lists every middle element after the middle elements
+above it, so it is found by one search that gives the labels in order,
+each to an element whose elements above are labeled, and keeps at each
+label only the partial labelings with the least row (_least_labelings),
+not by a scan of all (n-2)! relabelings.  Every generated lattice gets
+this canonical form.  The same search gives the automorphisms: the
+labelings that reach the least table differ from each other by exactly
+the automorphisms.
 
 The brute-force oracle that cross-validates this module lives with the
 tests (tests/oracles.py) and shares none of its pruning logic.
@@ -35,8 +34,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
-from operator import itemgetter
+from itertools import combinations
 
 from .core import (
     ContractError,
@@ -66,97 +64,50 @@ def _labels(n: int) -> tuple[str, ...]:
 # bounded lattices
 
 
-def _members(up: tuple[int, ...]) -> list[list[int]]:
-    return [list(bits(m)) for m in up]
+def _least_labelings(up: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The lexicographically least up-mask rows over relabelings fixing 0
+    and n-1, and every relabeling that gives them (perm[x] is x's label).
 
-
-def _relabeled_rows(members: list[list[int]], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Up-mask rows after relabeling x as perm[x]; members = _members(up)."""
-    bit = [1 << p for p in perm]
-    rows = [0] * len(perm)
-    for x, above in enumerate(members):
-        rows[perm[x]] = sum(map(bit.__getitem__, above))
-    return tuple(rows)
-
-
-def _ranks(values: list) -> list[int]:
-    index = {v: r for r, v in enumerate(sorted(set(values)))}
-    return [index[v] for v in values]
-
-
-def _invariant_cells(up: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The middle elements split into cells by an isomorphism invariant.
-
-    The invariant starts as (|up x|, |down x|) and is refined by the sorted
-    invariants of the elements strictly above and strictly below x until
-    the number of cells stops growing.  It reads only the order, so every
-    isomorphism maps each cell onto the cell of the same rank.  Cells are
-    listed in increasing invariant order.
+    The least rows list every middle element after the middle elements
+    above it (see lattice_canonical), so only such labelings are tried.
+    Labels 1..n-2 are given in order, each to a middle element whose middle
+    elements above it are already labeled.  Row k is then bit k, bit n-1
+    and the labels of the elements above, all given before k: it is fixed
+    the moment k is given.  At each level the search keeps every partial
+    labeling that gives the least row k and drops the rest.  That is exact:
+    the kept labelings share rows 0..k-1, every partial labeling of this
+    kind can be completed, and completions differ only from row k+1 on, so
+    a complete labeling gives the least rows exactly when each of its
+    prefixes was kept.
     """
     n = len(up)
-    down = _converse(up, n)
-    rank = _ranks([(bin(up[x]).count("1"), bin(down[x]).count("1")) for x in range(n)])
-    while True:
-        refined = _ranks([
-            (
-                rank[x],
-                tuple(sorted(rank[y] for y in bits(up[x] & ~(1 << x)))),
-                tuple(sorted(rank[y] for y in bits(down[x] & ~(1 << x)))),
-            )
-            for x in range(n)
-        ])
-        if max(refined) == max(rank):
-            break
-        rank = refined
-    cells: dict[int, list[int]] = {}
-    for x in range(1, n - 1):
-        cells.setdefault(rank[x], []).append(x)
-    return [tuple(cells[r]) for r in sorted(cells)]
-
-
-def _cell_maps(n: int, cells, targets):
-    """Permutations fixing 0 and n-1 that send each cell onto its target.
-
-    The cells partition 1..n-2.  The targets' images, laid end to end
-    between 0 and n-1, list the image of each element in cell order;
-    ``gather`` reads them back in element order.
-    """
     if n < 3:  # no middle elements: only the identity
-        yield tuple(range(n))
-        return
-    slot = [0] * n
-    for k, x in enumerate(chain.from_iterable(cells), 1):
-        slot[x] = k
-    slot[-1] = n - 1
-    gather = itemgetter(*slot)
-    head, tail = (0,), (n - 1,)
-    for images in product(*(permutations(t) for t in targets)):
-        yield gather(head + sum(images, ()) + tail)
-
-
-def lattice_cell_key(up: tuple[int, ...]) -> tuple[int, ...]:
-    """A complete isomorphism invariant: the least up-mask rows over the
-    relabelings that put the invariant cells in order on 1..n-2 and
-    permute only inside each cell.
-
-    An isomorphism maps each cell onto the cell of the same rank, so
-    isomorphic lattices range over the same relabeled tables; equal keys
-    are one table, so the lattices are isomorphic.  The key is not the
-    lexicographically least form over all relabelings; lattice_canonical
-    gives that.
-    """
-    cells = _invariant_cells(up)
-    targets, start = [], 1
-    for cell in cells:
-        targets.append(tuple(range(start, start + len(cell))))
-        start += len(cell)
-    members = _members(up)
-    return min(_relabeled_rows(members, perm) for perm in _cell_maps(len(up), cells, targets))
+        return up, [tuple(range(n))]
+    top = n - 1
+    # the middle elements strictly above each element
+    above = [up[x] & ~(1 << x | 1 << top) for x in range(n)]
+    rows = [(1 << n) - 1]
+    # (labels, or None while unlabeled; mask of the unlabeled middle elements)
+    level = [((0,) + (None,) * (n - 2) + (top,), (1 << top) - 2)]
+    for k in range(1, top):
+        best, kept = None, []
+        for perm, unlabeled in level:
+            for x in bits(unlabeled):
+                if above[x] & unlabeled:
+                    continue
+                row = 1 << k | 1 << top | sum(1 << perm[y] for y in bits(above[x]))
+                if best is None or row < best:
+                    best, kept = row, []
+                if row == best:
+                    kept.append((perm[:x] + (k,) + perm[x + 1 :], unlabeled ^ 1 << x))
+        rows.append(best)
+        level = kept
+    rows.append(1 << top)
+    return tuple(rows), [perm for perm, _ in level]
 
 
 def lattice_canonical(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least up-mask rows over relabelings fixing 0, n-1:
-    the cell maps of the single cell 1..n-2 onto itself.
+    """Lexicographically least up-mask rows over relabelings fixing 0, n-1.
 
     In the least form a middle element's index is larger than that of
     every middle element above it: the labels are a reverse linear
@@ -168,22 +119,19 @@ def lattice_canonical(up: tuple[int, ...]) -> tuple[int, ...]:
     row i becomes the row of y: bit i, no bit j, and otherwise a subset of
     x's row, so smaller.  Either way the swapped table is smaller.
     """
-    n = len(up)
-    middle = tuple(range(1, n - 1))
-    members = _members(up)
-    return min(_relabeled_rows(members, perm) for perm in _cell_maps(n, [middle], [middle]))
+    return _least_labelings(up)[0]
 
 
 def lattice_automorphisms(up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Automorphisms as permutations, in increasing order.
 
-    An automorphism preserves the invariant, so only the permutations that
-    map every invariant cell onto itself are tried.
+    The relabelings that give the least rows are q composed with each
+    automorphism, for any one of them q; so the automorphisms are q^-1 o p
+    over those relabelings p.  This holds for any labeling of the lattice.
     """
-    cells, members = _invariant_cells(up), _members(up)
-    return tuple(sorted(
-        perm for perm in _cell_maps(len(up), cells, cells) if _relabeled_rows(members, perm) == up
-    ))
+    perms = _least_labelings(up)[1]
+    inverse = sorted(range(len(up)), key=perms[0].__getitem__)
+    return tuple(sorted(tuple(inverse[i] for i in p) for p in perms))
 
 
 def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
@@ -212,7 +160,6 @@ def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 1:
         return ((1,),)
     found: set[tuple[int, ...]] = set()
-    keys: set[tuple[int, ...]] = set()
     below = [1]  # below[i] = mask of elements <= i, including i
 
     def pairs_ok(k: int) -> bool:
@@ -227,12 +174,7 @@ def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
 
     def extend(i: int) -> None:
         if i == n:
-            up = tuple(_converse(below, n))
-            # the exact canonical form only for the first leaf of each class
-            key = lattice_cell_key(up)
-            if key not in keys:
-                keys.add(key)
-                found.add(lattice_canonical(up))
+            found.add(lattice_canonical(tuple(_converse(below, n))))
             return
         if i == n - 1:
             candidates = [(1 << i) - 1]

@@ -6,6 +6,10 @@ deduplicated by a scan over all permutations.  It goes through from_order
 and shares none of the enumerator's propagation or canonical pruning; its
 cost grows like n to the n squared, so the order is capped at four.
 
+The canonical form of a bounded lattice by a scan of every relabeling
+that fixes bottom and top, which the enumerator's search over reverse
+linear extensions replaced.
+
 The pair test of lattice generation on both sides, upper and lower
 bounds, which the upper-bound test alone replaced.
 
@@ -123,6 +127,20 @@ def naive_bounded_orders(n: int) -> list[tuple[int, ...]]:
             continue
         orders.append(tuple(up))
     return orders
+
+
+def canonical_by_full_scan(up: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least up-mask rows over all (n-2)! relabelings
+    fixing bottom 0 and top n-1."""
+    n = len(up)
+    best = tuple(up)
+    for middle in permutations(range(1, n - 1)):
+        perm = (0,) + middle + (n - 1,)
+        rows = [0] * n
+        for x in range(n):
+            rows[perm[x]] = sum(1 << perm[y] for y in bits(up[x]))
+        best = min(best, tuple(rows))
+    return best
 
 
 def two_sided_pairs_ok(below: tuple[int, ...]) -> bool:

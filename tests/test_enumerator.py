@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
+import json
 import multiprocessing
 import os
 import pickle
@@ -28,12 +30,17 @@ from reslat.enumerator import (
     enumerate_residuated,
     lattice_automorphisms,
     lattice_canonical,
-    lattice_cell_key,
     residuated_products,
     worker_count,
 )
 
-from oracles import full_canonical_key, naive_bounded_orders, naive_residuated, two_sided_pairs_ok
+from oracles import (
+    canonical_by_full_scan,
+    full_canonical_key,
+    naive_bounded_orders,
+    naive_residuated,
+    two_sided_pairs_ok,
+)
 
 # unlabeled bounded lattice counts for orders 1..8 (OEIS A006966); the
 # order-5 value also follows by hand: the chain, both kites, the diamond
@@ -48,6 +55,12 @@ RESIDUATED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
 def test_lattice_counts():
     for n, expected in LATTICE_COUNTS.items():
         assert len(bounded_lattices(n)) == expected
+    # the order-8 representatives themselves, as the full relabeling scan
+    # gave them
+    rows = json.dumps(bounded_lattices(8), separators=(",", ":")).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "8e1854484af717d0be543a94efb1781d4f48fb0e5ceeaa6d65f49f598c96b39e"
+    )
 
 
 def test_generated_orders_are_lattices():
@@ -69,10 +82,12 @@ def _relabelings(up):
 
 
 def test_lattice_canonical_is_idempotent_and_invariant():
-    for up in bounded_lattices(5):
-        assert lattice_canonical(up) == up
-        for relabeled in _relabelings(up):
-            assert lattice_canonical(relabeled) == up
+    for n in range(1, 8):
+        for up in bounded_lattices(n):
+            assert lattice_canonical(up) == up == canonical_by_full_scan(up), up
+            if n <= 6:
+                for relabeled in _relabelings(up):
+                    assert lattice_canonical(relabeled) == up, relabeled
 
 
 def _reverse_linear(up):
@@ -91,22 +106,15 @@ def test_canonical_labels_list_higher_elements_first():
     assert not _reverse_linear((0b1111, 0b1110, 0b1100, 0b1000))
 
 
-def test_cell_key_is_a_complete_invariant():
-    keys = set()
-    for n in range(1, 8):
-        for up in bounded_lattices(n):
-            key = lattice_cell_key(up)
-            assert all(lattice_cell_key(r) == key for r in _relabelings(up)), up
-            keys.add(key)
-    assert len(keys) == sum(LATTICE_COUNTS[n] for n in range(1, 8))
-
-
-def test_exact_canonical_form_once_per_class(monkeypatch):
+def test_canonical_form_once_per_leaf(monkeypatch):
+    # every generated lattice is canonicalized: 320 leaves make the 53
+    # classes of order 7
     calls = []
     monkeypatch.setattr(
         enumerator, "lattice_canonical", lambda up: calls.append(up) or lattice_canonical(up)
     )
-    assert len(enumerator.bounded_lattices(7)) == len(calls) == 53
+    assert len(enumerator.bounded_lattices(7)) == 53
+    assert len(calls) == 320
 
 
 def _automorphisms_by_full_scan(up):
@@ -128,6 +136,16 @@ def test_automorphisms_match_full_scan():
     for n in range(1, 8):
         for up in bounded_lattices(n):
             assert lattice_automorphisms(up) == _automorphisms_by_full_scan(up), up
+    # on any labeling, not only the canonical one: residuated_products
+    # takes every reverse-linear one
+    labelings = 0
+    for n in range(1, 7):
+        for up in bounded_lattices(n):
+            for relabeled in set(filter(_reverse_linear, _relabelings(up))):
+                labelings += 1
+                auts = lattice_automorphisms(relabeled)
+                assert auts == _automorphisms_by_full_scan(relabeled), relabeled
+    assert labelings == 1 + 1 + 1 + 2 + 7 + 39
 
 
 def test_naive_order_scan_agrees():
