@@ -29,22 +29,14 @@ def coannulet(lat: ResiduatedLattice, x: int) -> int:
     return prime_spectrum(lat).coannulets[x]
 
 
+@dataclass
 class SkeletonLattice:
-    """Coannihilators with the skeleton join, plus the coannulet sublattice."""
+    """The coannihilators, the coannulets among them, and the skeleton
+    join of each pair of coannihilators, keyed by the pair of masks."""
 
-    def __init__(
-        self,
-        members: tuple[int, ...],
-        coannulets: tuple[int, ...],
-        join_table: tuple[tuple[int, ...], ...],
-    ):
-        self.members = members
-        self.coannulets = coannulets
-        self.index = {f: i for i, f in enumerate(members)}
-        self.join_table = join_table
-
-    def skeleton_join(self, f: int, g: int) -> int:
-        return self.members[self.join_table[self.index[f]][self.index[g]]]
+    members: tuple[int, ...]
+    coannulets: tuple[int, ...]
+    join: dict[tuple[int, int], int]
 
 
 @cache
@@ -59,7 +51,7 @@ def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
     complement comp[i] of each member and the intersection meet[i][j] of
     each pair, so join[i][j] = comp[meet[comp[i]][comp[j]]].  Every law
     below is checked through these tables on every member, pair or triple
-    of members.
+    of members; the join is then kept keyed by member masks.
     """
     members = canonical_sort({coannihilator(lat, f) for f in all_filters(lat)})
     gamma = canonical_sort({coannulet(lat, x) for x in range(lat.size)})
@@ -87,15 +79,18 @@ def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
             meet_j, meet_ij = meet[j], meet[ji[j]]
             if any(ji[meet_j[h]] != meet_ij[ji[h]] for h in range(m)):
                 raise InternalCheckError("skeleton is not distributive")
+    skel_join = {
+        (f, g): members[join[i][j]] for i, f in enumerate(members) for j, g in enumerate(members)
+    }
     for g in gamma:
         if g not in index:
             raise InternalCheckError("coannulets must be coannihilators")
     gamma_set = set(gamma)
     for x in gamma:
         for y in gamma:
-            if x & y not in gamma_set or members[join[index[x]][index[y]]] not in gamma_set:
+            if x & y not in gamma_set or skel_join[x, y] not in gamma_set:
                 raise InternalCheckError("coannulets not a sublattice of the skeleton")
-    return SkeletonLattice(members, gamma, join)
+    return SkeletonLattice(members, gamma, skel_join)
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,7 @@ def classify_baer_rickart(lat: ResiduatedLattice) -> BaerRickart:
     complement among the coannulets."""
     skel = skeleton(lat)
     baer = all(
-        skel.skeleton_join(f, g) == filter_join(lat, f, g)
+        skel.join[f, g] == filter_join(lat, f, g)
         for f in skel.members
         for g in skel.members
     )

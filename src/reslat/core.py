@@ -235,10 +235,6 @@ class ResiduatedLattice:
         """``down_masks[x]`` is the bitmask of elements below x (including x)."""
         return tuple(_converse(self.up, len(self.labels)))
 
-    def down(self, x: int) -> int:
-        """Bitmask of elements below x (including x)."""
-        return self.down_masks[x]
-
     @cached_property
     def top_joiners(self) -> tuple[int, ...]:
         """``top_joiners[a]`` is the bitmask of the x with join(a, x) = top."""

@@ -16,9 +16,9 @@ exactly one idempotent e:
 
 So up(e) joined with up(e') is up(odot(e, e')), and the filter generated
 by S is up(p^k) for the product p of S and the first k with p^k = p^(k+1).
-Generating a filter costs O(|S|) lookups plus the squarings, finding all
-filters O(n), and the join table of m filters O(m^2) lookups.  Joining
-two filters is then O(1): two index lookups and one table lookup.
+Generating a filter costs O(|S|) lookups plus the squarings, and finding
+all filters, each with its least element, O(n).  Joining two filters is
+then O(1): the least element of each, one product and one up-set.
 """
 
 from __future__ import annotations
@@ -72,23 +72,18 @@ def maximal_members(masks) -> list[int]:
 
 
 class FilterLattice:
-    """All filters of a lattice with a join table over filter indices."""
+    """All filters of a lattice, in canonical order, and the least element
+    of each, keyed by filter mask."""
 
-    def __init__(self, lat: ResiduatedLattice, filters: tuple[int, ...]):
-        self.filters = filters
-        self.index = {f: i for i, f in enumerate(filters)}
-        least = {lat.up[e]: e for e in range(lat.size)}
-        gens = [least[f] for f in filters]
-        self.join_table = tuple(
-            tuple(self.index[lat.up[lat.odot[e][e2]]] for e2 in gens) for e in gens
-        )
+    def __init__(self, least: dict[int, int]):
+        self.filters = canonical_sort(least)
+        self.least = least
 
 
 @cache
 def filter_lattice(lat: ResiduatedLattice) -> FilterLattice:
     """Every filter: up(e) for each idempotent e, in canonical order."""
-    idempotents = (e for e in range(lat.size) if lat.odot[e][e] == e)
-    return FilterLattice(lat, canonical_sort(lat.up[e] for e in idempotents))
+    return FilterLattice({lat.up[e]: e for e in range(lat.size) if lat.odot[e][e] == e})
 
 
 def all_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
@@ -96,13 +91,12 @@ def all_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def filter_join(lat: ResiduatedLattice, f: int, g: int) -> int:
-    """up(odot(e, e')) for the least elements e, e' of two filters, in O(1):
-    read from the join table of the filter lattice."""
-    fl = filter_lattice(lat)
-    i, j = fl.index.get(f), fl.index.get(g)
-    if i is None or j is None:
+    """up(odot(e, e')) for the least elements e, e' of two filters, in O(1)."""
+    least = filter_lattice(lat).least
+    e, e2 = least.get(f), least.get(g)
+    if e is None or e2 is None:
         raise ContractError("filter_join: inputs must be filters")
-    return fl.filters[fl.join_table[i][j]]
+    return lat.up[lat.odot[e][e2]]
 
 
 # ---------------------------------------------------------------------------

@@ -125,17 +125,18 @@ def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> Verdict:
     u meet f = {1}, v meet g = {1} and u join v = A.  The witness is the
     first failing (f, g) in member order.
 
-    Joins come from the filter lattice's join table.  Bit j of disjoint[i]
-    says members i and j meet in {1}; bit j of comax[i] says they join to
-    A.  The scan is then O(F^2) operations on F-bit masks.
+    Each filter is up(e) for its least element e, an idempotent, and
+    up(e) join up(e') = up(e e'), so up(e) join up(e') is the carrier
+    exactly when e e' is the bottom.  Bit j of disjoint[i] says members i
+    and j meet in {1}; bit j of comax[i] says they join to A.  The scan is
+    then O(F^2) operations on F-bit masks.
     """
-    fl = filter_lattice(lat)
-    one = 1 << lat.top
-    full = fl.index[lat.full_mask]
-    pos = [fl.index[f] for f in members]
+    least = filter_lattice(lat).least
+    one, bottom = 1 << lat.top, lat.bottom
+    gens = [least[f] for f in members]
     disjoint = [sum(1 << j for j, g in enumerate(members) if f & g == one) for f in members]
     comax = [
-        sum(1 << j for j, q in enumerate(pos) if fl.join_table[p][q] == full) for p in pos
+        sum(1 << j for j, e2 in enumerate(gens) if lat.odot[e][e2] == bottom) for e in gens
     ]
     reach = [reduce(or_, (comax[u] for u in bits(d)), 0) for d in disjoint]
     return _first(
@@ -201,7 +202,7 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
         _pair(lat, f, g)
         for f in om.members
         for g in om.members
-        if om.vee(f, g) == full and join(f, g) != full
+        if om.vee[f, g] == full and join(f, g) != full
     )
     return verdicts
 
@@ -217,14 +218,11 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
     # divisor, so each quotient is built once.  Only the labels of its
     # first pair joining to top are kept (None for a domain), not the
     # quotient.
-    non_domain: dict[int, tuple[str, str] | None] = {}
-
+    @cache
     def quotient_pair(d: int) -> tuple[str, str] | None:
-        if d not in non_domain:
-            q = quotient(lat, d)
-            domain, pair = is_domain(q)
-            non_domain[d] = None if domain else (q.labels[pair[0]], q.labels[pair[1]])
-        return non_domain[d]
+        q = quotient(lat, d)
+        domain, pair = is_domain(q)
+        return None if domain else (q.labels[pair[0]], q.labels[pair[1]])
 
     divisors = omega_lattice(lat).divisors
     for name, positions in (

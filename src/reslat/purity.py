@@ -76,39 +76,33 @@ class OmegaLattice:
     {a | a v m = top} and the ideal join of down m and down k is
     down (m v k).  omega is computed once per element; one pass over all
     element pairs then checks that omega(m v k) depends only on
-    (omega(m), omega(k)) and records it in vee_table, indexed by member
-    position.  That covers every pair of representative ideals at O(n^2)
+    (omega(m), omega(k)) and records it in ``vee``, keyed by the pair of
+    omega-filters: omega of the ideal join of any representatives of
+    each.  That covers every pair of representative ideals at O(n^2)
     table lookups.
     """
 
     def __init__(self, lat: ResiduatedLattice):
         self.lattice = lat
         omega = [omega_filter(lat, i) for i in lat.down_masks]
-        self.members = canonical_sort(set(omega))
-        self.index = {f: i for i, f in enumerate(self.members)}
-        joins: dict[tuple[int, int], int] = {}
+        member_set = set(omega)
+        self.members = canonical_sort(member_set)
+        self.vee: dict[tuple[int, int], int] = {}
         for m, f in enumerate(omega):
             row = lat.join[m]
             for k, g in enumerate(omega):
                 out = omega[row[k]]
-                if joins.setdefault((f, g), out) != out:
+                if self.vee.setdefault((f, g), out) != out:
                     raise InternalCheckError(
                         f"omega join depends on representatives for {lat.label_set(f)}"
                         f" and {lat.label_set(g)}"
                     )
-                if out not in self.index:
+                if out not in member_set:
                     raise InternalCheckError("omega join left the omega-filters")
-        self.vee_table = tuple(
-            tuple(self.index[joins[f, g]] for g in self.members) for f in self.members
-        )
         for f in self.members:
             for g in self.members:
-                if f & g not in self.index:
+                if f & g not in member_set:
                     raise InternalCheckError("omega-filters not closed under meet")
-
-    def vee(self, f: int, g: int) -> int:
-        """omega of the ideal join of any representatives of f and g."""
-        return self.members[self.vee_table[self.index[f]][self.index[g]]]
 
     @cached_property
     def divisors(self) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ order-4 corpus.
 Comaximality: two proper filters F and G join to the carrier exactly
 when odot(x, y) = bottom for some x in F and y in G, and exactly when
 imp(a, bottom) lies in G for some a in F.
-``comaximal`` reads the join from the filter lattice's table and returns
+``comaximal`` reads the join with ``filter_join`` and returns
 both witnesses; a full join without them is an internal error.
 
 Lattice ideals and their join: ``is_lattice_ideal`` is the definition
@@ -42,7 +42,9 @@ that prime.
 Finite topologies by brute force: ``open_sets`` lists every set of points
 that is a union of minimal neighbourhoods (capped at 20 points),
 ``closed_sets`` their complements and ``closure`` the closure of a set of
-points.  ``pure_hulls_are_closed_sets`` is the scan of all closed sets that
+points.  ``brute_closure``, ``brute_t1``, ``brute_hausdorff`` and
+``brute_normal`` decide closure and the separation axioms from those
+lists, by their definitions.  ``pure_hulls_are_closed_sets`` is the scan of all closed sets that
 the pure spectrum's union-closure check replaced.
 
 The closed sets of the dual prime space, by brute force over every set
@@ -244,7 +246,7 @@ def is_lattice_ideal(lat: ResiduatedLattice, subset: int) -> bool:
         return False
     down = 0
     for x in bits(subset):
-        down |= lat.down(x)
+        down |= lat.down_masks[x]
     els = list(bits(subset))
     return down == subset and all(subset >> lat.join[x][y] & 1 for x in els for y in els)
 
@@ -252,7 +254,7 @@ def is_lattice_ideal(lat: ResiduatedLattice, subset: int) -> bool:
 def lattice_ideals(lat: ResiduatedLattice) -> tuple[int, ...]:
     """All lattice ideals: in a finite lattice every ideal is the down-set
     of its largest element."""
-    return canonical_sort({lat.down(x) for x in range(lat.size)})
+    return canonical_sort({lat.down_masks[x] for x in range(lat.size)})
 
 
 def ideal_join(lat: ResiduatedLattice, i: int, j: int) -> int:
@@ -261,7 +263,7 @@ def ideal_join(lat: ResiduatedLattice, i: int, j: int) -> int:
     for x in bits(i):
         row = lat.join[x]
         for y in bits(j):
-            out |= lat.down(row[y])
+            out |= lat.down_masks[row[y]]
     return out
 
 
@@ -315,6 +317,52 @@ def closed_sets(top: FiniteTopology) -> list[int]:
 def closure(top: FiniteTopology, subset: int) -> int:
     """The points whose minimal neighbourhood meets the subset."""
     return sum(1 << i for i in range(len(top)) if top.min_nbhd[i] & subset)
+
+
+def brute_closure(top: FiniteTopology, subset: int) -> int:
+    """The intersection of the closed sets containing the subset."""
+    out = top.all_points
+    for c in closed_sets(top):
+        if not subset & ~c:
+            out &= c
+    return out
+
+
+def brute_t1(top: FiniteTopology) -> bool:
+    opens = open_sets(top)
+    k = len(top)
+    return all(
+        any(u >> i & 1 and not u >> j & 1 for u in opens)
+        for i in range(k)
+        for j in range(k)
+        if i != j
+    )
+
+
+def brute_hausdorff(top: FiniteTopology) -> bool:
+    opens = open_sets(top)
+    k = len(top)
+    return all(
+        any(u >> i & 1 and v >> j & 1 and not u & v for u in opens for v in opens)
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+
+
+def brute_normal(top: FiniteTopology) -> bool:
+    opens = open_sets(top)
+    closed = closed_sets(top)
+    for c in closed:
+        for d in closed:
+            if c & d:
+                continue
+            if not any(
+                not c & ~u and not d & ~v and not u & v
+                for u in opens
+                for v in opens
+            ):
+                return False
+    return True
 
 
 def pure_hulls_are_closed_sets(lat: ResiduatedLattice, pure, points) -> bool:

@@ -28,7 +28,9 @@ from reslat.spectra import (
 from reslat.enumerator import enumerate_residuated
 
 from oracles import (
-    closed_sets,
+    brute_closure,
+    brute_hausdorff,
+    brute_normal,
     closure,
     dual_closed_sets,
     full_canonical_key,
@@ -154,40 +156,6 @@ def test_criterion_5_pure_core_dual_definition(corpus5):
     print(f"\ncriterion 5: PASS - pure-core routes coincide on {checked} filters")
 
 
-def _brute_hausdorff(top) -> bool:
-    opens = open_sets(top)
-    k = len(top)
-    return all(
-        any(u >> i & 1 and v >> j & 1 and not u & v for u in opens for v in opens)
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-
-
-def _brute_normal(top) -> bool:
-    opens = open_sets(top)
-    closed = closed_sets(top)
-    for c in closed:
-        for d in closed:
-            if c & d:
-                continue
-            if not any(
-                not c & ~u and not d & ~v and not u & v
-                for u in opens
-                for v in opens
-            ):
-                return False
-    return True
-
-
-def _brute_closure(top, subset) -> int:
-    out = top.all_points
-    for c in closed_sets(top):
-        if not subset & ~c:
-            out &= c
-    return out
-
-
 def test_criterion_6_topology_engine(corpus5):
     spaces = 0
     for lat in corpus5:
@@ -197,10 +165,10 @@ def test_criterion_6_topology_engine(corpus5):
             for variant in ("hull", "dual", "patch"):
                 top = hull_kernel_topology(lat, space, variant)
                 sep = separation_check(top)
-                assert sep.hausdorff == _brute_hausdorff(top)
-                assert sep.normal == _brute_normal(top)
+                assert sep.hausdorff == brute_hausdorff(top)
+                assert sep.normal == brute_normal(top)
                 for subset in range(1 << len(top)):
-                    assert closure(top, subset) == _brute_closure(top, subset)
+                    assert closure(top, subset) == brute_closure(top, subset)
                 spaces += 1
         for i in range(len(spec)):
             for j in range(len(spec)):

@@ -91,7 +91,7 @@ def test_skeleton_complementation(a6, a8, corpus4):
         for f in sk.members:
             c = coannihilator(lat, f)
             assert f & c == one
-            assert sk.skeleton_join(f, c) == lat.full_mask
+            assert sk.join[f, c] == lat.full_mask
 
 
 def test_classification_golden(a6, a8):
@@ -108,7 +108,7 @@ def test_a8_coannulets_not_join_closed(a8):
     joined = filter_join(a8, mask(a8, "c e 1"), mask(a8, "f 1"))
     assert joined == mask(a8, "a c d e f 1")
     assert joined not in gamma
-    assert sk.skeleton_join(mask(a8, "c e 1"), mask(a8, "f 1")) == a8.full_mask
+    assert sk.join[mask(a8, "c e 1"), mask(a8, "f 1")] == a8.full_mask
 
 
 def test_rickart_iff_coannulets_join_closed_and_boolean(corpus5):

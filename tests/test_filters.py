@@ -101,9 +101,7 @@ def _closure_filter_lattice(lat):
             break
         found |= new
     filters = canonical_sort(found)
-    index = {f: i for i, f in enumerate(filters)}
-    table = tuple(tuple(index[_closure_filter(lat, f | g)] for g in filters) for f in filters)
-    return filters, table
+    return filters, {(f, g): _closure_filter(lat, f | g) for f in filters for g in filters}
 
 
 def test_filter_algebra_matches_closure(corpus5):
@@ -115,10 +113,12 @@ def test_filter_algebra_matches_closure(corpus5):
     rng = random.Random(20261018)
     for lat in lats:
         fl = filter_lattice(lat)
-        assert (fl.filters, fl.join_table) == _closure_filter_lattice(lat)
+        joins = {(f, g): filter_join(lat, f, g) for f in fl.filters for g in fl.filters}
+        assert (fl.filters, joins) == _closure_filter_lattice(lat)
         for f in fl.filters:
             least = [x for x in bits(f) if f & ~lat.up[x] == 0]
             assert len(least) == 1 and lat.odot[least[0]][least[0]] == least[0]
+            assert fl.least[f] == least[0]
         n = lat.size
         if n <= 8:
             subsets = range(1 << n)
@@ -357,9 +357,14 @@ def test_filter_join_matches_closure_on_every_pair(oracle_set):
 
 
 def test_filter_join_rejects_non_filters(a6):
+    # the least-element lookup knows exactly the filters: every other mask
+    # of a6, on either side, is refused with the contract's message
     one = mask(a6, "1")
-    for bad in (0, mask(a6, "d"), mask(a6, "0 1")):
-        with pytest.raises(ContractError):
-            filter_join(a6, bad, one)
-        with pytest.raises(ContractError):
-            filter_join(a6, one, bad)
+    filters = set(all_filters(a6))
+    for subset in range(a6.full_mask + 1):
+        if subset in filters:
+            assert filter_join(a6, subset, one) == subset
+            continue
+        for args in ((subset, one), (one, subset)):
+            with pytest.raises(ContractError, match="^filter_join: inputs must be filters$"):
+                filter_join(a6, *args)

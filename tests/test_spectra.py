@@ -26,6 +26,9 @@ from reslat.mp import Verdict, mp_via_topology
 
 from lattices import build_a6, build_a8, build_chain, mask, names
 from oracles import (
+    brute_hausdorff,
+    brute_normal,
+    brute_t1,
     closed_sets,
     closure,
     dual_closed_sets,
@@ -217,47 +220,6 @@ def test_specialization_is_a_closure_operator(a6, a8):
             assert _specialization(spec, s) == s
 
 
-def _brute_t1(top: FiniteTopology) -> bool:
-    opens = open_sets(top)
-    k = len(top)
-    return all(
-        any(u >> i & 1 and not u >> j & 1 for u in opens)
-        for i in range(k)
-        for j in range(k)
-        if i != j
-    )
-
-
-def _brute_hausdorff(top: FiniteTopology) -> bool:
-    opens = open_sets(top)
-    k = len(top)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not any(
-                u >> i & 1 and v >> j & 1 and not u & v
-                for u in opens
-                for v in opens
-            ):
-                return False
-    return True
-
-
-def _brute_normal(top: FiniteTopology) -> bool:
-    opens = open_sets(top)
-    closed = closed_sets(top)
-    for c in closed:
-        for d in closed:
-            if c & d:
-                continue
-            if not any(
-                not c & ~u and not d & ~v and not u & v
-                for u in opens
-                for v in opens
-            ):
-                return False
-    return True
-
-
 def test_separation_matches_brute_force(a6, a8, corpus4):
     for lat in (a6, a8, *corpus4):
         for space in ("spec", "min"):
@@ -265,9 +227,9 @@ def test_separation_matches_brute_force(a6, a8, corpus4):
                 top = hull_kernel_topology(lat, space, variant)
                 assert len(top) <= 12
                 sep = separation_check(top)
-                assert sep.t1 == _brute_t1(top)
-                assert sep.hausdorff == _brute_hausdorff(top)
-                assert sep.normal == _brute_normal(top)
+                assert sep.t1 == brute_t1(top)
+                assert sep.hausdorff == brute_hausdorff(top)
+                assert sep.normal == brute_normal(top)
 
 
 def test_normality_witness_is_genuine(a8):
