@@ -191,6 +191,9 @@ def cmd_quotient(args) -> int:
     if not is_filter(lat, mask):
         raise ContractError(f"--filter: {{{args.filter}}} is not a filter")
     q = quotient(lat, mask)
+    if len(set(q.labels)) < q.size:
+        same = next(s for i, s in enumerate(q.labels) if s in q.labels[:i])
+        raise ContractError(f"--filter: two classes print the same label {same}")
     sys.stdout.write(
         serialize_document(LatticeDocument(f"{doc.name}/{{{args.filter}}}", q))
     )

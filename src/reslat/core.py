@@ -204,10 +204,7 @@ class ResiduatedLattice:
     ``validate_axioms`` reports which axioms hold.  The derived masks
     (``down_masks``, ``top_joiners``) and the axiom report (``validation``)
     are computed on first use and kept, so each instance is validated at
-    most once.  A report depends on the int fields alone, never on the
-    labels, so ``filters.quotient`` hands a quotient whose int fields equal
-    its input's (the quotient by {top}, unless it relabels) the input's
-    report.
+    most once.
     """
 
     labels: tuple[str, ...]
@@ -251,16 +248,12 @@ class ResiduatedLattice:
     def label_set(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
 
-    def _int_fields(self) -> tuple:
-        """Every field but the labels: all that a report or the hash reads."""
-        return (self.up, self.join, self.meet, self.odot, self.imp, self.bottom, self.top)
-
     @cached_property
     def _hash(self) -> int:
-        # Only the int fields: str hashes differ between interpreters, and
-        # this value is pickled with the instance.  Equal lattices have
+        # Every field but the labels: str hashes differ between interpreters,
+        # and this value is pickled with the instance.  Equal lattices have
         # equal int fields, so the hash stays consistent with __eq__.
-        return hash(self._int_fields())
+        return hash((self.up, self.join, self.meet, self.odot, self.imp, self.bottom, self.top))
 
     def __hash__(self) -> int:
         return self._hash

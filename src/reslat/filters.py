@@ -4,11 +4,9 @@ A filter is a nonempty subset closed under the product and upward closed;
 filters are bitmasks over the carrier and form a finite distributive
 lattice under intersection and generated join.  Every function here takes
 a lattice that passes ``validate_axioms`` (``parse_document``, the
-enumerator's ``_build`` and ``quotient`` all read the lattice's cached
-``validation`` report; a quotient whose int fields equal its input's,
-such as the quotient by {top}, reuses the input's report, and any other
-quotient is validated in full), where every filter F is up(e) for
-exactly one idempotent e:
+enumerator's ``_build`` and ``quotient`` all check the lattice's cached
+``validation`` report), where every filter F is up(e) for exactly one
+idempotent e:
 
 - odot(x, y) <= meet(x, y), so e = meet(F) lies in F and F = up(e);
 - odot(e, e) lies in F, so e <= odot(e, e) <= e: e is idempotent;
@@ -31,7 +29,6 @@ from .core import (
     ResiduatedLattice,
     bits,
     format_set,
-    from_tables,
     is_subset,
 )
 
@@ -111,12 +108,13 @@ def congruence_classes(lat: ResiduatedLattice, f: int) -> tuple[int, ...]:
     odot(e,b): multiplying odot(e,a) <= b by e gives odot(e,a) <= odot(e,b).
     The classes are the fibres of a -> odot(e,a), found in O(n).
 
-    Ordered with the class of bottom first and the class of top last;
-    intermediate classes by their smallest member.
+    Ordered by smallest member, except that the class of top, which is the
+    filter itself, comes last.  So the class of bottom comes first only
+    when bottom is element 0.
     """
-    if not is_filter(lat, f):
+    e = filter_lattice(lat).least.get(f)
+    if e is None:
         raise ContractError("quotient: modulus must be a filter")
-    e = next(x for x in bits(f) if lat.up[x] == f)
     fibres: dict[int, int] = {}
     for a, v in enumerate(lat.odot[e]):
         fibres[v] = fibres.get(v, 0) | 1 << a
@@ -124,16 +122,9 @@ def congruence_classes(lat: ResiduatedLattice, f: int) -> tuple[int, ...]:
 
 
 def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
-    """The residuated lattice induced on the congruence classes of a filter.
-
-    The quotient is validated, except that when its int fields equal the
-    input's (compared as tuples, not by hash), it takes the input's
-    ``validation`` report: a report reads no label, so it would be the
-    same.  The quotient by {top} is the input itself with labels {a}, so it
-    is validated with the input, once; when its class order relabels the
-    carrier (bottom not first, or top not last), its tables differ and it
-    is validated in full.
-    """
+    """The residuated lattice induced on the congruence classes of a filter,
+    validated in full.  Class i lies below class j iff imp(a, b) lies in
+    the filter for members a of i and b of j."""
     classes = congruence_classes(lat, f)
     n = lat.size
     class_of = [0] * n
@@ -148,20 +139,20 @@ def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
             if len({rows[a] for a in bits(cls)}) != 1:
                 raise InternalCheckError("congruence is not compatible with the operations")
     reps = [next(bits(cls)) for cls in classes]
-    m = len(classes)
-    qleq = [
-        [bool(f >> lat.imp[reps[i]][reps[j]] & 1) for j in range(m)] for i in range(m)
-    ]
     def tab(table):
-        return [[class_of[table[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    labels = tuple(format_set(lat, cls) for cls in classes)
-    qlat = from_tables(
-        labels, qleq, tab(lat.join), tab(lat.meet), tab(lat.odot), tab(lat.imp),
-        class_of[lat.bottom], class_of[lat.top],
+        return tuple(tuple(class_of[table[r][s]] for s in reps) for r in reps)
+    qlat = ResiduatedLattice(
+        labels=tuple(format_set(lat, cls) for cls in classes),
+        up=tuple(sum(1 << j for j, s in enumerate(reps) if f >> lat.imp[r][s] & 1) for r in reps),
+        join=tab(lat.join),
+        meet=tab(lat.meet),
+        odot=tab(lat.odot),
+        imp=tab(lat.imp),
+        bottom=class_of[lat.bottom],
+        top=class_of[lat.top],
     )
-    report = lat.validation if qlat._int_fields() == lat._int_fields() else qlat.validation
-    if not report.valid:
-        raise InternalCheckError(f"quotient is not a residuated lattice: {report}")
+    if not qlat.validation.valid:
+        raise InternalCheckError(f"quotient is not a residuated lattice: {qlat.validation}")
     return qlat
 
 

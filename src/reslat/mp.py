@@ -220,6 +220,15 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
     # quotient.
     @cache
     def quotient_pair(d: int) -> tuple[str, str] | None:
+        if d == 1 << lat.top:
+            # L/{top} is L, so it is not built.  up(top) = {top}, so the
+            # classes are the fibres of a -> top.a = a, the singletons {a}.
+            # Their order is index order with {top} moved last, and top lies
+            # in no searched pair, so is_domain meets the same pairs in the
+            # same order on L.  Compatibility holds on singletons, and L's
+            # validation report is L/{top}'s.
+            domain, pair = is_domain(lat)
+            return None if domain else tuple(format_set(lat, 1 << x) for x in pair)
         q = quotient(lat, d)
         domain, pair = is_domain(q)
         return None if domain else (q.labels[pair[0]], q.labels[pair[1]])

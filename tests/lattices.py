@@ -6,7 +6,7 @@ Hasse diagrams; everything else is small synthetic material.
 
 from __future__ import annotations
 
-from reslat import ResiduatedLattice, from_order
+from reslat import ResiduatedLattice, from_order, from_tables
 
 A6_LABELS = ("0", "a", "b", "c", "d", "1")
 A6_COVERS = ((0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (4, 5))
@@ -98,6 +98,22 @@ def build_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLatti
         for x, y in pairs
     ]
     return from_order(labels, leq, odot)
+
+
+def relabeled(lat: ResiduatedLattice, perm) -> ResiduatedLattice:
+    """lat with element perm[i] at position i, through from_tables: never
+    validated, so a test sees every validation that its code runs."""
+    pos = {x: i for i, x in enumerate(perm)}
+
+    def tab(t):
+        return [[pos[t[x][y]] for y in perm] for x in perm]
+
+    return from_tables(
+        [lat.labels[x] for x in perm],
+        [[lat.leq(x, y) for y in perm] for x in perm],
+        tab(lat.join), tab(lat.meet), tab(lat.odot), tab(lat.imp),
+        pos[lat.bottom], pos[lat.top],
+    )
 
 
 def build_two_chain() -> ResiduatedLattice:

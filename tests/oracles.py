@@ -47,6 +47,10 @@ points.  ``brute_closure``, ``brute_t1``, ``brute_hausdorff`` and
 lists, by their definitions.  ``pure_hulls_are_closed_sets`` is the scan of all closed sets that
 the pure spectrum's union-closure check replaced.
 
+The quotient family of mp with every quotient built: for each prime's
+divisor filter D, ``is_domain(quotient(lat, D))``, {top} included, where
+``mp_via_quotient`` reads L/{top} as L itself.
+
 The closed sets of the dual prime space, by brute force over every set
 of primes.  ``dual_closed_sets`` checks that each is the set of primes
 disjoint from some subset of the carrier, is patch-closed and is stable
@@ -65,13 +69,22 @@ from reslat.core import (
     bits,
     bounded_lattice_ops,
     derive_residuum,
+    format_set,
     from_order,
     is_subset,
     validate_axioms,
 )
 from reslat.enumerator import _labels
-from reslat.filters import all_filters, canonical_sort, filter_join, maximal_members
-from reslat.purity import pure_part
+from reslat.filters import (
+    all_filters,
+    canonical_sort,
+    filter_join,
+    is_domain,
+    maximal_members,
+    quotient,
+)
+from reslat.mp import Verdict
+from reslat.purity import omega_lattice, pure_part
 from reslat.spectra import FiniteTopology, generalization, hull_kernel_topology, prime_spectrum
 
 
@@ -373,3 +386,25 @@ def pure_hulls_are_closed_sets(lat: ResiduatedLattice, pure, points) -> bool:
     hulls = {sum(1 << i for i, p in enumerate(points) if is_subset(f, p)) for f in pure}
     top = FiniteTopology.from_subbasis(points, [full & ~h for h in hulls])
     return set(closed_sets(top)) == hulls
+
+
+def quotient_family(lat: ResiduatedLattice) -> dict[str, Verdict]:
+    """``mp_via_quotient`` with every divisor's quotient built and searched
+    by ``is_domain``, the quotient by {top} included."""
+    spec = prime_spectrum(lat)
+    divisors = omega_lattice(lat).divisors
+    verdicts = {}
+    for name, positions in (
+        ("divisor_quotient_domain_for_primes", range(len(spec))),
+        ("divisor_quotient_domain_for_maximals", spec.maximal),
+    ):
+        verdicts[name] = Verdict(True)
+        for i in positions:
+            q = quotient(lat, divisors[i])
+            domain, pair = is_domain(q)
+            if not domain:
+                witness = {"prime": format_set(lat, spec.primes[i]),
+                           "quotient_pair": [q.labels[x] for x in pair]}
+                verdicts[name] = Verdict(False, witness)
+                break
+    return verdicts

@@ -172,6 +172,36 @@ def test_quotient_rejects_non_filter(capsys, a6_path):
     assert "not a filter" in err
 
 
+@pytest.fixture
+def colliding_path(capsys, tmp_path):
+    """R5_0 relabeled 0 -> "p,q", b -> "p", c -> "q": its classes {0} and
+    {b,c} modulo {a,1} both print as {p,q}."""
+    code, out, _ = run(capsys, "enumerate", "--size", "5")
+    assert code == 0
+    doc = json.loads(out.splitlines()[0])
+    assert doc["name"] == "R5_0"
+    new = {"0": "p,q", "b": "p", "c": "q"}.get
+    for key in ("order", "odot", "imp"):
+        doc[key] = [[new(s, s) for s in row] for row in doc[key]]
+    doc["labels"] = [new(s, s) for s in doc["labels"]]
+    p = tmp_path / "colliding.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_mp_accepts_quotient_classes_that_print_alike(capsys, colliding_path):
+    code, _, err = run(capsys, "validate", colliding_path)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "mp", colliding_path)
+    assert (code, out, err) == (3, "mp: false (28/28 characterizations agree)\n", "")
+
+
+def test_quotient_rejects_classes_that_print_alike(capsys, colliding_path):
+    code, out, err = run(capsys, "quotient", colliding_path, "--filter", "a,1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: --filter: two classes print the same label {p,q}"]
+
+
 def test_enumerate_census(capsys):
     code, out, _ = run(capsys, "enumerate", "--size", "3", "--census")
     assert code == 0
@@ -306,6 +336,8 @@ OUTPUT_PINS = {
     "topology {a8} --json --space min --variant dual": (0, "7bad194e029b82b48842a9e704963327c443a267938dffaead1ab527238ee270"),
     "topology {a8} --json --space min --variant patch": (0, "b18a33b254f39a0fa8f51393a7accb7af9d295e1bb59552b5281ee3be96462a3"),
     "quotient {a6} --filter a,b,d,1": (0, "8dada898432ef277848f470f93efcfcad9da3411ff28d7846642819a7a92fd92"),
+    "quotient {a6} --filter 1": (0, "5bb156506812043f673b7af553b97aca217305618ed220192cd9d1849644788c"),
+    "quotient {a8} --filter 1": (0, "eaa4670b5f513af583902066886e8c34c3fd01f2f1edd8e894e1f36bf75cc83c"),
     "validate {a6} --json": (0, "5c8d71edf9f1e2418d730fc39c837a50137a306f4f39e0d82c43293a5b91bea3"),
     "enumerate --size 7 --census --json": (0, "48fe716aa4b3e60d80a8a395aa33ac30d935a9e3427264b539e7d56aa0d4d568"),
 }

@@ -7,7 +7,7 @@ import pytest
 
 from reslat import parse_lattice
 from reslat.core import format_set as _lab
-from reslat.filters import all_filters, generated_filter, principal_filter
+from reslat.filters import all_filters, generated_filter, is_domain, principal_filter
 from reslat.purity import omega_lattice
 from reslat.mp import (
     FAMILIES,
@@ -22,7 +22,8 @@ from reslat.mp import (
     mp_via_topology,
 )
 
-from lattices import build_boolean4, build_chain, build_product, build_two_chain
+from lattices import build_boolean4, build_chain, build_product, build_two_chain, relabeled
+from oracles import quotient_family
 
 
 def test_worked_example_is_mp(a6):
@@ -188,13 +189,26 @@ def test_quotient_family_builds_each_quotient_once(monkeypatch, a6, a8, corpus5)
         mp_via_quotient(lat)
         divisors = set(omega_lattice(lat).divisors)
         assert len(built) == len(set(built)) and set(built) <= divisors
+        assert 1 << lat.top not in built
+
+
+def test_quotient_family_reads_the_quotient_by_top_as_the_lattice(corpus7, a6, a8, a6xa8):
+    """L/{top} is L: the verdicts and witnesses are those of building every
+    quotient, {top} included, also on a8 listed top first, bottom last."""
+    reversed_a8 = relabeled(a8, range(a8.size - 1, -1, -1))
+    non_domains = 0
+    for lat in (*corpus7, a6, a8, a6xa8, reversed_a8):
+        assert mp_via_quotient(lat) == quotient_family(lat)
+        divisors = omega_lattice(lat).divisors
+        non_domains += 1 << lat.top in divisors and not is_domain(lat)[0]
+    # lattices on which the shortcut's witness search finds a pair
+    assert non_domains == 20
 
 
 def test_census_validates_each_lattice_once(monkeypatch, validations):
     """Orders <= 6: each of the 166 products is validated when built, and
-    so is each of the 14 quotients by a filter other than {top}.  The other
-    162 quotients are by {top}, have their lattice's tables, and take its
-    report."""
+    so is each of the 14 quotients that the quotient family builds.  None
+    of them is by {top}: L/{top} is L, and the family reads L instead."""
     from reslat import mp
     from reslat.enumerator import census
 
@@ -204,7 +218,7 @@ def test_census_validates_each_lattice_once(monkeypatch, validations):
         mp, "quotient", lambda lat, f: by_top.append(f == 1 << lat.top) or quotient(lat, f)
     )
     census(6, workers=1)
-    assert (len(by_top), sum(by_top)) == (176, 162)
+    assert (len(by_top), sum(by_top)) == (14, 0)
     assert len(validations) == 166 + 14
 
 
