@@ -57,11 +57,14 @@ def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
     gamma = canonical_sort({coannulet(lat, x) for x in range(lat.size)})
     index = {f: i for i, f in enumerate(members)}
     one, full = 1 << lat.top, lat.full_mask
-    if one not in index or full not in index:
-        raise InternalCheckError("skeleton lacks its bounds")
+    # coann(A) is the meet of all primes, which is {top} by theorem
+    if one not in index:
+        raise InternalCheckError("skeleton lacks the one filter")
+    # a coannihilator is a meet of primes, a filter, so its own is a member
     comp = [index.get(coannihilator(lat, f)) for f in members]
     if None in comp:
         raise InternalCheckError("skeleton not closed under complement")
+    # coann(X) & coann(Y) = coann(X | Y), which is coann of a filter
     meet = [[index.get(f & g) for g in members] for f in members]
     if any(None in row for row in meet):
         raise InternalCheckError("skeleton not closed under intersection")

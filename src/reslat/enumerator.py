@@ -41,7 +41,6 @@ from .core import (
     InternalCheckError,
     ResiduatedLattice,
     ResiduumError,
-    _check_table,
     _converse,
     bits,
     bounded_lattice_ops,
@@ -338,7 +337,13 @@ def residuated_products(
 
 
 def _build(up: tuple[int, ...], ops: tuple, odot) -> ResiduatedLattice:
-    """The lattice of an enumerated product; ops = bounded_lattice_ops(up)."""
+    """The lattice of an enumerated product; ops = bounded_lattice_ops(up).
+
+    The search's product and derive_residuum's table are tuples of
+    in-range ints already.  The residuum and the full axiom scan check
+    the search's incremental monotonicity, associativity and
+    distributivity tests by a second route.
+    """
     n = len(up)
     bottom, top, join, meet = ops
     try:
@@ -350,8 +355,8 @@ def _build(up: tuple[int, ...], ops: tuple, odot) -> ResiduatedLattice:
         up=up,
         join=join,
         meet=meet,
-        odot=_check_table("odot", odot, n),
-        imp=_check_table("imp", imp, n),
+        odot=odot,
+        imp=imp,
         bottom=bottom,
         top=top,
     )

@@ -196,11 +196,17 @@ def load_bundled(name: str) -> LatticeDocument:
 # DOT export
 
 
+def _dot_id(text: str) -> str:
+    """text as a quoted DOT ID, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot(name: str, shape: str, nodes: tuple[str, ...], up: tuple[int, ...]) -> str:
     """A DOT digraph of the covers of the order given by up-masks."""
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", f"  node [shape={shape}];"]
-    lines += [f'  "{s}";' for s in nodes]
-    lines += [f'  "{nodes[lo]}" -> "{nodes[hi]}";' for lo, hi in cover_pairs(up)]
+    ids = [_dot_id(s) for s in nodes]
+    lines = [f"digraph {_dot_id(name)} {{", "  rankdir=BT;", f"  node [shape={shape}];"]
+    lines += [f"  {s};" for s in ids]
+    lines += [f"  {ids[lo]} -> {ids[hi]};" for lo, hi in cover_pairs(up)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -222,6 +223,43 @@ def test_dot_command(capsys, a6_path):
     code, out, _ = run(capsys, "dot", a6_path, "--what", "spec")
     assert code == 0
     assert out.startswith("digraph")
+
+
+DOT_ID = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def _dot_ids(text: str) -> tuple[list[str], str]:
+    """The quoted IDs of DOT text, unescaped, and the text with each one as ID."""
+    return [re.sub(r"\\(.)", r"\1", s) for s in DOT_ID.findall(text)], DOT_ID.sub("ID", text)
+
+
+@pytest.mark.parametrize("what", ["hasse", "spec"])
+def test_dot_reads_back_every_name_and_label(capsys, tmp_path, a6_path, what):
+    # a6 named x"y, with labels that hold quotes and backslashes, one of
+    # them ending in a backslash: every ID reads back exactly, and the
+    # text around the IDs is that of a6's own DOT
+    new = {"a": 'a"b', "c": "c\\", "d": '\\"d'}.get
+    doc = json.loads(bundled_text("a6"))
+    for key in ("order", "odot", "imp"):
+        doc[key] = [[new(s, s) for s in row] for row in doc[key]]
+    doc["labels"] = [new(s, s) for s in doc["labels"]]
+    doc["name"] = 'x"y'
+    p = tmp_path / "quotes.json"
+    p.write_text(json.dumps(doc))
+
+    def relabel(node: str) -> str:
+        if node.startswith("{"):
+            return "{" + ",".join(new(s, s) for s in node[1:-1].split(",")) + "}"
+        return new(node, node)
+
+    code, plain, _ = run(capsys, "dot", a6_path, "--what", what)
+    assert code == 0
+    plain_ids, plain_frame = _dot_ids(plain)
+    code, out, _ = run(capsys, "dot", str(p), "--what", what)
+    assert code == 0
+    ids, frame = _dot_ids(out)
+    assert frame == plain_frame
+    assert ids == ['x"y'] + [relabel(s) for s in plain_ids[1:]]
 
 
 def test_module_entry_point(capsys, monkeypatch, a6_path):

@@ -7,9 +7,9 @@ import pytest
 from reslat import InternalCheckError, bits, coann
 from reslat.coann import classify_baer_rickart, coannihilator, coannulet, skeleton
 from reslat.filters import all_filters, filter_join
-from reslat.spectra import prime_spectrum
+from reslat.spectra import Spectrum, prime_spectrum
 
-from lattices import build_boolean4, build_two_chain, mask
+from lattices import build_a6, build_boolean4, build_two_chain, mask
 
 
 def test_coannulet_golden(a6, a8):
@@ -149,6 +149,61 @@ def test_coannihilator_matches_prime_scan(oracle_set):
             assert coannihilator(lat, subset) == _coannihilator_by_primes(lat, subset)
         for x in range(lat.size):
             assert coannulet(lat, x) == _coannihilator_by_primes(lat, 1 << x)
+
+
+def test_skeleton_rejects_primes_that_do_not_meet_in_the_one_filter(monkeypatch):
+    # the Boolean square with only the prime {a,1}: coann(A) = {a,1}, and
+    # no coannihilator is {1}
+    lat = build_boolean4()
+    monkeypatch.setattr(coann, "prime_spectrum", lambda lat: Spectrum(lat, (mask(lat, "a 1"),)))
+    with pytest.raises(InternalCheckError, match="^skeleton lacks the one filter$"):
+        skeleton.__wrapped__(lat)
+
+
+def _skeleton_of(monkeypatch, lat, complement: dict[int, int]):
+    """skeleton's checks on a made-up family: the members are the values of
+    complement, which stands in for coannihilator on members and filters."""
+    monkeypatch.setattr(coann, "all_filters", lambda lat: tuple(complement))
+    monkeypatch.setattr(coann, "coannihilator", lambda lat, subset: complement[subset])
+    return skeleton.__wrapped__(lat)
+
+
+def test_skeleton_rejects_each_broken_boolean_law(monkeypatch):
+    # every member and complement below has the bit of 1, the one filter;
+    # all are masks over the six elements of A6
+    lat = build_a6()
+    one, full = mask(lat, "1"), lat.full_mask
+    bounds = {one: full, full: one}
+    x, y, z, w = (mask(lat, f"{s} 1") for s in "0abc")
+    failing = {
+        # {0,a,1} & {a,b,1} = {a,1} is no member
+        "not closed under intersection": {**bounds, x | y: y | z, y | z: x | y},
+        # {0,1} is its own complement
+        "complement fails the meet law": {**bounds, x: x},
+        # {1} alone: its complement {1} does not join with it to A
+        "complement fails the join law": {one: one, full: one},
+        # four atoms, complemented in pairs, make an ortholattice that is
+        # not distributive: {0,1} v ({a,1} & {b,1}) = {0,1}, but
+        # ({0,1} v {a,1}) & ({0,1} v {b,1}) = A
+        "is not distributive": {**bounds, x: y, y: x, z: w, w: z},
+    }
+    for message, complement in failing.items():
+        with pytest.raises(InternalCheckError, match=f"^skeleton {message}$"):
+            _skeleton_of(monkeypatch, lat, complement)
+    # the same made-up family with the Boolean square's complements passes
+    assert _skeleton_of(monkeypatch, lat, {**bounds, x: y, y: x}).members == (one, x, y, full)
+
+
+def test_skeleton_rejects_coannulets_that_are_no_sublattice(monkeypatch):
+    # on the Boolean square the coannulets are {1}, {a,1}, {b,1} and A; with
+    # {a,1} for the bottom's, {a,1} & {b,1} = {1} is no coannulet
+    lat = build_boolean4()
+    real = coann.coannulet
+    monkeypatch.setattr(
+        coann, "coannulet", lambda lat, x: mask(lat, "a 1") if x == lat.bottom else real(lat, x)
+    )
+    with pytest.raises(InternalCheckError, match="^coannulets not a sublattice of the skeleton$"):
+        skeleton.__wrapped__(lat)
 
 
 def test_skeleton_rejects_a_coannulet_outside_the_skeleton(monkeypatch, a8):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from reslat import ContractError, InternalCheckError, bits, mask_of
+from reslat import ContractError, InternalCheckError, bits, filters, mask_of
 from reslat.filters import (
     all_filters,
     canonical_sort,
@@ -253,6 +253,14 @@ def test_congruence_classes_partition(a6):
     classes = congruence_classes(a6, mask(a6, "a b d 1"))
     assert sum(classes) == a6.full_mask
     assert len(classes) == 2
+
+
+def test_classes_that_are_no_congruence_fail_the_compatibility_check(monkeypatch, a6):
+    # {0, a} with singletons: 0 v c = c but a v c = d, in another class
+    classes = (mask(a6, "0 a"), *(mask(a6, x) for x in "bcd1"))
+    monkeypatch.setattr(filters, "congruence_classes", lambda lat, f: classes)
+    with pytest.raises(InternalCheckError, match="^congruence is not compatible"):
+        quotient(a6, mask(a6, "1"))
 
 
 def test_congruence_classes_reject_non_filters(a6):

@@ -72,6 +72,13 @@ def test_omega_results_are_filters(a6, a8, corpus4):
             assert is_filter(lat, omega_filter(lat, ideal))
 
 
+def test_omega_that_is_no_filter_raises(monkeypatch, a6):
+    # only the filter test can object: the mask itself is computed right
+    monkeypatch.setattr(purity, "is_filter", lambda lat, f: False)
+    with pytest.raises(InternalCheckError, match="^omega of an ideal must be a filter$"):
+        omega_filter(a6, mask(a6, "0"))
+
+
 def test_divisor_filter_golden(a6, a8):
     assert _divisor_filter(a6, mask(a6, "a b d 1")) == mask(a6, "1")
     spec8 = prime_spectrum(a8)
@@ -136,6 +143,25 @@ def test_omega_lattice_detects_representative_dependence(monkeypatch):
         purity.OmegaLattice(lat)
 
 
+def test_omega_lattice_detects_a_meet_outside_it(monkeypatch):
+    # on the chain 0 < a < 1, give the three principal ideals the distinct
+    # omegas {0,1}, {a,1} and A: each pair of omegas has one pair of
+    # representatives, so the join is well defined, but {0,1} & {a,1} = {1}
+    lat = build_chain(3)
+    omegas = {mask(lat, "0"): mask(lat, "0 1"), mask(lat, "0 a"): mask(lat, "a 1")}
+    monkeypatch.setattr(purity, "omega_filter", lambda lat, ideal: omegas.get(ideal, lat.full_mask))
+    with pytest.raises(InternalCheckError, match="^omega-filters not closed under meet$"):
+        purity.OmegaLattice(lat)
+
+
+def test_pure_core_routes_that_disagree_raise(monkeypatch, a6):
+    # with no generalization the kernel route gives A; the element-wise
+    # route gives the meet of the primes, {1}
+    monkeypatch.setattr(purity, "generalization", lambda lat, points: 0)
+    with pytest.raises(InternalCheckError, match=r"^pure core mismatch on \('1',\)"):
+        pure_core(a6, mask(a6, "1"))
+
+
 def test_pure_core_golden(a6, a8):
     assert pure_core(a6, a6.full_mask) == a6.full_mask
     assert pure_core(a6, mask(a6, "d 1")) == mask(a6, "1")
@@ -185,6 +211,19 @@ def test_pure_spectrum_golden(a6, a8):
     assert set(ps8.purely_prime) != {spec8.primes[i] for i in spec8.minimal}
 
 
+def test_pure_spectrum_without_the_one_filter_raises(monkeypatch, a6):
+    one = mask(a6, "1")
+    monkeypatch.setattr(purity, "pure_core", lambda lat, f: lat.full_mask if f == one else f)
+    with pytest.raises(InternalCheckError, match="^the one filter must be pure$"):
+        PureSpectrum(a6)
+
+
+def test_purely_maximal_filter_that_is_not_purely_prime_raises(monkeypatch, a6):
+    monkeypatch.setattr(purity, "_meet_prime", lambda p, filters: False)
+    with pytest.raises(InternalCheckError, match="^purely-maximal must be purely-prime$"):
+        PureSpectrum(a6)
+
+
 def test_two_chain_everything_pure():
     lat = build_two_chain()
     ps = pure_spectrum(lat)
@@ -218,6 +257,16 @@ def test_pure_part_golden(a6):
     assert pure_part(a6, mask(a6, "a b d 1")) == mask(a6, "1")
     b4 = build_boolean4()
     assert pure_part(b4, mask(b4, "a 1")) == mask(b4, "a 1")
+
+
+def test_pure_part_that_is_not_pure_raises(monkeypatch, a6):
+    # the join of every pure filter inside A is A, and a pure core that
+    # shrinks everything to {1} says A is not pure
+    ps = pure_spectrum(a6)
+    monkeypatch.setattr(purity, "pure_spectrum", lambda lat: ps)
+    monkeypatch.setattr(purity, "pure_core", lambda lat, f: 1 << lat.top)
+    with pytest.raises(InternalCheckError, match="^join of pure filters failed to be pure"):
+        pure_part(a6, a6.full_mask)
 
 
 def test_pure_envelope_golden(a6):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 from functools import reduce
 from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
 
-from reslat import ContractError, bits
+from reslat import ContractError, InternalCheckError, bits, spectra
 from reslat.core import is_subset, transitive_closure
 from reslat.coann import coannihilator
 from reslat.filters import all_filters, filter_join, generated_filter, is_filter
@@ -14,6 +15,7 @@ from reslat.purity import pure_spectrum
 from reslat.spectra import (
     FiniteTopology,
     SeparationReport,
+    Spectrum,
     generalization,
     hull,
     hull_kernel_topology,
@@ -24,7 +26,7 @@ from reslat.spectra import (
 )
 from reslat.mp import Verdict, mp_via_topology
 
-from lattices import build_a6, build_a8, build_chain, mask, names
+from lattices import build_a6, build_a8, build_boolean4, build_chain, mask, names
 from oracles import (
     brute_hausdorff,
     brute_normal,
@@ -94,6 +96,14 @@ def test_every_prime_contains_a_minimal_prime(corpus5):
         spec = prime_spectrum(lat)
         for i in range(len(spec)):
             assert any(j in spec.minimal for j in bits(spec.below[i]))
+
+
+def test_primality_tests_that_disagree_raise(monkeypatch, a6):
+    # a meet-primality test that rejects every filter disagrees with the
+    # element-wise test on the first prime
+    monkeypatch.setattr(spectra, "_meet_prime", lambda p, filters: False)
+    with pytest.raises(InternalCheckError, match="^primality tests disagree on "):
+        prime_spectrum.__wrapped__(a6)
 
 
 def test_prime_avoiding_golden(a6, a8):
@@ -170,6 +180,25 @@ def test_unknown_space_variant_and_linkage_kind_are_contract_errors(a6):
         hull_kernel_topology(a6, "spec", "zariski")
     with pytest.raises(ContractError, match="^unknown linkage kind 'primes'$"):
         prime_linkage(a6, "primes")
+
+
+def test_neighbourhood_maps_are_reflexive_and_transitive(a6, a8, corpus4):
+    # FiniteTopology takes its map as given, so every constructor must give
+    # a preorder: from_subbasis on any family of opens, and each hull-kernel
+    # topology
+    rng = random.Random(27)
+    maps = []
+    for _ in range(3000):
+        k = rng.randint(0, 8)
+        subbasis = [rng.getrandbits(k) for _ in range(rng.randint(0, 6))]
+        maps.append(FiniteTopology.from_subbasis(tuple(range(k)), subbasis).min_nbhd)
+    for lat in (a6, a8, *corpus4):
+        for space in ("spec", "min"):
+            for variant in ("hull", "dual", "patch"):
+                maps.append(hull_kernel_topology(lat, space, variant).min_nbhd)
+    for nb in maps:
+        assert all(row >> i & 1 for i, row in enumerate(nb))
+        assert transitive_closure(nb) == nb
 
 
 def test_patch_topology_is_discrete(a6, a8, corpus4):
@@ -388,6 +417,17 @@ def test_linkage_base_is_reflexive_and_symmetric(a6, a8):
                 for j in bits(base[i]):
                     assert base[j] >> i & 1
             assert prime_linkage(lat, kind).closed == transitive_closure(base)
+
+
+def test_ideal_linkage_checks_primality_at_the_top(monkeypatch):
+    # {1} of the Boolean square is a filter but no prime, as a v b = 1.
+    # Given as the one prime, the filter join {1} v {1} = {1} links it to
+    # itself, but the ideal join of its complement with itself is everything
+    lat = build_boolean4()
+    monkeypatch.setattr(spectra, "prime_spectrum", lambda lat: Spectrum(lat, (1 << lat.top,)))
+    assert prime_linkage(lat, "filters").closed == (1,)
+    with pytest.raises(InternalCheckError, match="^linkage relation must be reflexive$"):
+        prime_linkage(lat, "ideals")
 
 
 def test_linkage_golden(a6, a8):
