@@ -163,8 +163,9 @@ def cmd_topology(args) -> int:
             points[i]: [points[j] for j in bits(top.min_nbhd[i])]
             for i in range(len(points))
         },
-        "t1": sep.t1,
-        "hausdorff": sep.hausdorff,
+        # T1 and Hausdorff: one property on a finite space
+        "t1": sep.discrete,
+        "hausdorff": sep.discrete,
         "normal": sep.normal,
     }
     if args.json:
@@ -174,7 +175,7 @@ def cmd_topology(args) -> int:
     for i, p in enumerate(points):
         nb = ", ".join(points[j] for j in bits(top.min_nbhd[i]))
         print(f"  min_nbhd {p} = [{nb}]")
-    print(f"  t1: {sep.t1}   hausdorff: {sep.hausdorff}   normal: {sep.normal}")
+    print(f"  t1: {sep.discrete}   hausdorff: {sep.discrete}   normal: {sep.normal}")
     return EXIT_OK
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
+    BoundedLattice,
     ContractError,
     InternalCheckError,
     ResiduatedLattice,
@@ -195,11 +196,9 @@ def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
 # product tables on a fixed lattice
 
 
-def residuated_products(
-    up: tuple[int, ...], ops: tuple
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All products making the lattice residuated, up to lattice automorphism;
-    ops = bounded_lattice_ops(up).
+    lattice = bounded_lattice_ops(up) for an order up of bounded_lattices.
 
     The middle cells {i, j} are filled in row order with values below
     meet(i, j); a value is kept only if every associativity and
@@ -259,12 +258,12 @@ def residuated_products(
     tries the cells in that order and each cell's values in increasing
     order, the leaves come out in increasing row-major order: no sort.
     """
+    up, join, meet, down = lattice.up, lattice.join, lattice.meet, lattice.down
     n = len(up)
     # (1 << n - 1) - (2 << x): the middle elements after x
     if any(up[x] & ((1 << n - 1) - (2 << x)) for x in range(1, n - 1)):
         raise ContractError("a middle element must have a larger index than those above it")
-    bottom, top, join, meet = ops
-    down = _converse(up, n)
+    bottom, top = lattice.bottom, lattice.top
     identity = tuple(range(n))
     # (perm, inverse) per automorphism but the identity, which comes first
     auts = [(p, sorted(identity, key=p.__getitem__)) for p in lattice_automorphisms(up)[1:]]
@@ -336,30 +335,22 @@ def residuated_products(
     return tuple(results)
 
 
-def _build(up: tuple[int, ...], ops: tuple, odot) -> ResiduatedLattice:
-    """The lattice of an enumerated product; ops = bounded_lattice_ops(up).
+def _build(lattice: BoundedLattice, odot) -> ResiduatedLattice:
+    """The residuated lattice of an enumerated product on the lattice.
 
     The search's product and derive_residuum's table are tuples of
     in-range ints already.  The residuum and the full axiom scan check
     the search's incremental monotonicity, associativity and
-    distributivity tests by a second route.
+    distributivity tests by a second route.  The lattice is the
+    product's reduct: what derive_residuum and validate_axioms derive of
+    the order alone, the order axioms included, is derived once for all
+    products that share it.
     """
-    n = len(up)
-    bottom, top, join, meet = ops
     try:
-        imp = derive_residuum(up, join, odot)
+        imp = derive_residuum(lattice, odot)
     except ResiduumError as exc:
         raise InternalCheckError(f"enumerated product has no residuum: {exc}") from exc
-    lat = ResiduatedLattice(
-        labels=_labels(n),
-        up=up,
-        join=join,
-        meet=meet,
-        odot=odot,
-        imp=imp,
-        bottom=bottom,
-        top=top,
-    )
+    lat = ResiduatedLattice.over(lattice, _labels(len(lattice.up)), odot, imp)
     if not lat.validation.valid:
         raise InternalCheckError(f"enumerated lattice fails validation: {lat.validation}")
     return lat
@@ -386,13 +377,15 @@ def worker_count(workers: int | None = None) -> int:
 # pool worker.
 
 
-def _products_job(job: tuple) -> tuple:
-    return residuated_products(*job)
+def _products_job(lattice: BoundedLattice) -> tuple:
+    # pickled by name, so a pool worker calls its own module's binding of
+    # residuated_products, which may be a wrapper that does not pickle
+    return residuated_products(lattice)
 
 
 def _build_chunk(chunk: list) -> tuple[ResiduatedLattice, ...]:
-    """The lattices of (up, ops, product table) triples, built and validated."""
-    return tuple(_build(up, ops, odot) for up, ops, odot in chunk)
+    """The lattices of (lattice, product table) pairs, built and validated."""
+    return tuple(_build(lattice, odot) for lattice, odot in chunk)
 
 
 def _census_chunk(chunk: list) -> tuple[int, int, int, int, int]:
@@ -431,18 +424,24 @@ def _per_product(lattices: tuple[tuple[int, ...], ...], workers: int | None, sta
     The product searches are dispatched longest first (Graham's LPT rule),
     with the number of comparable pairs as the estimate of their cost; the
     chain has the most, and at orders 7 and 8 more than half of the
-    products.  The (up, ops, product table) triples, in lattice order, are
+    products.  The (lattice, product table) pairs, in lattice order, are
     then split into about 4 chunks per worker of equal count, so that one
     lattice's products are spread over the workers.
+
+    Each lattice is one BoundedLattice, made once here and shared by all
+    its products: in-process by reference, and in a pool by the pickle of
+    a chunk, which holds each object once.  So its order is checked, and
+    its tables derived, once per lattice in each process that builds its
+    products.
     """
-    jobs = [(up, bounded_lattice_ops(up)) for up in lattices]
+    jobs = [bounded_lattice_ops(up) for up in lattices]
     w = min(worker_count(workers), len(jobs))
-    longest_first = sorted(range(len(jobs)), key=lambda i: -_comparable_pairs(jobs[i][0]))
+    longest_first = sorted(range(len(jobs)), key=lambda i: -_comparable_pairs(jobs[i].up))
     with _mapper(w) as run:
         found = dict(zip(longest_first, run(_products_job, [jobs[i] for i in longest_first])))
-        triples = [(up, ops, odot) for i, (up, ops) in enumerate(jobs) for odot in found[i]]
-        size = max(1, -(-len(triples) // (4 * w)))
-        return list(run(stage, [triples[k : k + size] for k in range(0, len(triples), size)]))
+        pairs = [(lattice, odot) for i, lattice in enumerate(jobs) for odot in found[i]]
+        size = max(1, -(-len(pairs) // (4 * w)))
+        return list(run(stage, [pairs[k : k + size] for k in range(0, len(pairs), size)]))
 
 
 def enumerate_residuated(n: int, workers: int | None = None) -> tuple[ResiduatedLattice, ...]:

@@ -159,7 +159,7 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
 
     join = partial(filter_join, lat)
     pairs = [(x, y) for x in range(n) for y in range(n)]
-    to_top = [(x, y) for x, y in pairs if lat.join[x][y] == lat.top]
+    to_top = [(x, y) for x, joiners in enumerate(lat.top_joiners) for y in bits(joiners)]
     verdicts["coannulet_comaximal"] = _first(
         {
             "pair": [labels[x], labels[y]],

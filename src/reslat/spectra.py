@@ -206,11 +206,12 @@ def hull_kernel_topology(lat: ResiduatedLattice, space: str, variant: str) -> Fi
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """``witness`` is a pair of points with disjoint closures and meeting
-    minimal neighbourhoods when the space is not normal, else None."""
+    """``discrete``: the space is T1, which on a finite space is the same
+    as Hausdorff and as discrete.  ``witness`` is a pair of points with
+    disjoint closures and meeting minimal neighbourhoods when the space
+    is not normal, else None."""
 
-    t1: bool
-    hausdorff: bool
+    discrete: bool
     normal: bool
     witness: tuple[int, int] | None
 
@@ -218,13 +219,13 @@ class SeparationReport:
 def separation_check(top: FiniteTopology) -> SeparationReport:
     """T1, Hausdorff and normality of a finite space, with a normality witness.
 
-    Finite spaces are T1 iff Hausdorff iff discrete, so both fields report
-    whether every minimal neighbourhood is a single point.  Normality uses the
-    pointwise criterion: whenever two point closures are disjoint, the two
-    minimal neighbourhoods must be disjoint; this is equivalent to the
-    open-set definition on finite spaces (closed sets are unions of point
-    closures, and minimal open supersets are unions of minimal
-    neighbourhoods).
+    Finite spaces are T1 iff Hausdorff iff discrete, so one field,
+    ``discrete``, reports all three: whether every minimal neighbourhood
+    is a single point.  Normality uses the pointwise criterion: whenever
+    two point closures are disjoint, the two minimal neighbourhoods must
+    be disjoint; this is equivalent to the open-set definition on finite
+    spaces (closed sets are unions of point closures, and minimal open
+    supersets are unions of minimal neighbourhoods).
     """
     k = len(top.point_filters)
     # the closure of point i: the points whose minimal neighbourhood holds i
@@ -239,7 +240,7 @@ def separation_check(top: FiniteTopology) -> SeparationReport:
         ),
         None,
     )
-    return SeparationReport(discrete, discrete, witness is None, witness)
+    return SeparationReport(discrete, witness is None, witness)
 
 
 # ---------------------------------------------------------------------------

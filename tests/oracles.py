@@ -51,6 +51,12 @@ The quotient family of mp with every quotient built: for each prime's
 divisor filter D, ``is_domain(quotient(lat, D))``, {top} included, where
 ``mp_via_quotient`` reads L/{top} as L itself.
 
+The single-pass axiom scan: ``single_pass_validate`` is
+``validate_axioms`` as it was before the order part moved to the
+lattice's shared ``reduct``.  It derives every table it reads from the
+lattice's own fields, the down-masks included, so a reduct that did not
+match the tables it is shared with would show as a different report.
+
 The closed sets of the dual prime space, by brute force over every set
 of primes.  ``dual_closed_sets`` checks that each is the set of primes
 disjoint from some subset of the carrier, is patch-closed and is stable
@@ -60,12 +66,21 @@ their traces on the minimal primes.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import compress, permutations
+from typing import Iterator
 
 from reslat.core import (
     ContractError,
     InternalCheckError,
     ResiduatedLattice,
+    ValidationReport,
+    Violation,
+    _bit_rows,
+    _check_size,
+    _converse,
+    _first_difference,
+    _pair_codes,
+    _report,
     bits,
     bounded_lattice_ops,
     derive_residuum,
@@ -183,13 +198,14 @@ def naive_residuated(n: int) -> list[ResiduatedLattice]:
         raise ContractError("naive oracle capped at 4 elements")
     out: dict[tuple, ResiduatedLattice] = {}
     for up in naive_bounded_orders(n):
-        bottom, top, join, meet = bounded_lattice_ops(up)
+        lattice = bounded_lattice_ops(up)
+        bottom, top = lattice.bottom, lattice.top
         cells = [(i, j) for i in range(n) for j in range(n)]
         odot = [[None] * n for _ in range(n)]
 
         def leaf() -> None:
             try:
-                imp = derive_residuum(up, join, odot)
+                imp = derive_residuum(lattice, odot)
             except Exception:
                 return
             leq = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
@@ -408,3 +424,87 @@ def quotient_family(lat: ResiduatedLattice) -> dict[str, Verdict]:
                 verdicts[name] = Verdict(False, witness)
                 break
     return verdicts
+
+
+def single_pass_validate(lat: ResiduatedLattice) -> ValidationReport:
+    """``validate_axioms`` in one pass over the lattice's own fields: the
+    order axioms and every byte table derived anew, nothing read from
+    ``lat.reduct``."""
+    n = lat.size
+    _check_size(n)
+    full = (1 << n) - 1
+    up = [u & full for u in lat.up]  # leq(x, y) is only asked for y < n
+    down = _converse(lat.up, n)
+    odot, join, meet, imp = (
+        [bytes(row) for row in table] for table in (lat.odot, lat.join, lat.meet, lat.imp)
+    )
+    bottom, top = lat.bottom, lat.top
+    violations: list[Violation] = []
+
+    def check(axiom: str, witnesses: Iterator[tuple[int, ...]]) -> None:
+        witness = next(witnesses, None)
+        if witness is not None:
+            violations.append(Violation(axiom, witness))
+
+    def blocks(sides: Iterator[tuple[bytes, bytes]]) -> Iterator[tuple[int, ...]]:
+        for x, (lhs, rhs) in enumerate(sides):
+            if lhs != rhs:
+                yield (x, *divmod(_first_difference(lhs, rhs), n))
+
+    def join_lub(x: int, y: int) -> bool:
+        bounds, j = up[x] & up[y], join[x][y]
+        return not bounds >> j & 1 or bounds & ~up[j] != 0
+
+    def meet_glb(x: int, y: int) -> bool:
+        bounds, m = down[x] & down[y], meet[x][y]
+        return not bounds >> m & 1 or bounds & ~down[m] != 0
+
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    check("leq-reflexive", ((x,) for x in range(n) if not up[x] >> x & 1))
+    check("leq-antisymmetric", (
+        (x, next(bits(b))) for x in range(n) if (b := up[x] & down[x] & ~(1 << x))
+    ))
+    check("leq-transitive", (
+        (x, y, next(bits(b))) for x in range(n) for y in bits(up[x]) if (b := up[y] & ~up[x])
+    ))
+    check("bottom-least", ((x,) for x in bits(full & ~up[bottom])))
+    check("top-greatest", ((x,) for x in bits(full & ~down[top])))
+    check("join-lub", (p for p in pairs if join_lub(*p)))
+    check("meet-glb", (p for p in pairs if meet_glb(*p)))
+
+    pad = bytes(256 - n)
+    leq = _bit_rows(up, n)
+    flat_odot, flat_join = b"".join(odot), b"".join(join)
+    odot_pad, join_pad, leq_pad = ([row + pad for row in t] for t in (odot, join, leq))
+    check("odot-commutative", (
+        (x, _first_difference(row, column))
+        for x, (row, column) in enumerate(zip(odot, (flat_odot[x::n] for x in range(n))))
+        if row != column
+    ))
+    check("odot-associative", blocks(
+        (b"".join(map(odot.__getitem__, ox)), flat_odot.translate(ox + pad)) for ox in odot
+    ))
+    check("odot-identity", ((x,) for x in range(n) if odot[top][x] != x))
+    check("odot-bottom", ((x,) for x in range(n) if odot[x][bottom] != bottom))
+    check("adjointness", blocks(
+        (b"".join(map(leq.__getitem__, ox)), b"".join(map(ix.translate, leq_pad)))
+        for ox, ix in zip(odot, imp)
+    ))
+    check("odot-join-distributive", blocks(
+        (flat_join.translate(ox + pad), b"".join(map(ox.translate, map(join_pad.__getitem__, ox))))
+        for ox in odot
+    ))
+    firsts, seconds = b"".join(bytes((a,)) * n for a in range(n)), bytes(range(n)) * n
+    flat_not_leq = b"".join(_bit_rows([full & ~u for u in up], n))
+    not_leq = set(compress(_pair_codes(firsts, seconds), flat_not_leq))
+    holds = b"\x01" * (n * n)
+
+    def inequality(jx: bytes) -> bytes:
+        lo = b"".join(map(jx.translate, map(odot_pad.__getitem__, jx)))
+        hi = flat_odot.translate(jx + pad)
+        if not_leq.isdisjoint(_pair_codes(lo, hi)):
+            return holds
+        return bytes(up[u] >> v & 1 for u, v in zip(lo, hi))
+
+    check("join-odot-inequality", blocks((holds, inequality(jx)) for jx in join))
+    return _report(violations)

@@ -31,6 +31,7 @@ from oracles import (
     brute_closure,
     brute_hausdorff,
     brute_normal,
+    brute_t1,
     closure,
     dual_closed_sets,
     full_canonical_key,
@@ -165,7 +166,7 @@ def test_criterion_6_topology_engine(corpus5):
             for variant in ("hull", "dual", "patch"):
                 top = hull_kernel_topology(lat, space, variant)
                 sep = separation_check(top)
-                assert sep.hausdorff == brute_hausdorff(top)
+                assert sep.discrete == brute_hausdorff(top) == brute_t1(top)
                 assert sep.normal == brute_normal(top)
                 for subset in range(1 << len(top)):
                     assert closure(top, subset) == brute_closure(top, subset)
@@ -240,7 +241,7 @@ def test_criterion_7_structure_theorems(corpus5):
         # purely-prime filters are purely-maximal
         assert set(ps.purely_prime) <= set(ps.purely_maximal)
         # the pure spectrum is Hausdorff
-        assert separation_check(ps.topology).hausdorff
+        assert separation_check(ps.topology).discrete
         # clopens of the minimal spectrum are traces of central hulls
         min_top = hull_kernel_topology(lat, "min", "dual")
         clopen = {u for u in open_sets(min_top) if min_top.is_closed(u)}

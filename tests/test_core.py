@@ -27,6 +27,7 @@ from reslat import (
 from reslat.core import MAX_SIZE, bounded_lattice_ops, is_subset
 from reslat.spectra import hull_kernel_topology, hull
 
+from oracles import single_pass_validate
 from lattices import (
     build_a6,
     build_a8,
@@ -220,6 +221,50 @@ def test_validate_matches_reference_scan_on_a_36_element_product(a6):
     assert {"odot-associative", "adjointness", "odot-join-distributive"} <= set(seen)
 
 
+def _corrupt_one_cell(rng, lat):
+    """lat with one cell of up, join, meet, odot or imp changed, through
+    dataclasses.replace: a bit of an up-mask flipped, or a table entry set
+    to another element."""
+    n = lat.size
+    name = rng.choice(("up", "join", "meet", "odot", "imp"))
+    x, y = rng.randrange(n), rng.randrange(n)
+    if name == "up":
+        up = list(lat.up)
+        up[x] ^= 1 << y
+        return name, dataclasses.replace(lat, up=tuple(up))
+    table = [list(row) for row in getattr(lat, name)]
+    table[x][y] = rng.choice([v for v in range(n) if v != table[x][y]])
+    return name, dataclasses.replace(lat, **{name: tuple(map(tuple, table))})
+
+
+def test_validate_matches_single_pass_oracle(corpus5, corpus7, a6, a8):
+    # the order axioms come from the reduct, which the products of one
+    # lattice share; the report must be the one-pass scan's, witnesses and
+    # order included
+    for lat in (*corpus7, a6, a8):
+        assert validate_axioms(lat) == single_pass_validate(lat) == lat.validation, lat
+    # each source's reduct has derived all it derives before it is
+    # corrupted: a corrupted copy that reused it would report the source's
+    # order axioms
+    sources = [lat for lat in (*corpus5, a6, a8) if lat.size >= 2]
+    shared = collections.Counter(id(lat.reduct) for lat in sources)
+    assert max(shared.values()) > 1
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for _ in range(3000):
+        lat = rng.choice(sources)
+        name, bad = _corrupt_one_cell(rng, lat)
+        assert bad.reduct is not lat.reduct
+        assert bad.reduct.up is bad.up and bad.reduct.join is bad.join
+        report = validate_axioms(bad)
+        assert report == single_pass_validate(bad), (name, bad)
+        seen[name, report.valid] += 1
+        seen.update(v.axiom for v in report.violations)
+    assert set(AXIOMS) <= set(seen)
+    for name in ("up", "join", "meet", "odot", "imp"):
+        assert seen[name, False], name
+
+
 # ---------------------------------------------------------------------------
 # the list implementations of bounded_lattice_ops and derive_residuum, kept
 # as oracles for the byte-row kernels that replaced them
@@ -302,9 +347,15 @@ def _order_defects(up):
         yield "non-transitive"
 
 
+def _ops(up):
+    """bounded_lattice_ops(up) as the reference's (bottom, top, join, meet)."""
+    lattice = bounded_lattice_ops(up)
+    return lattice.bottom, lattice.top, lattice.join, lattice.meet
+
+
 def test_bounded_lattice_ops_matches_reference_scan(corpus6):
     for lat in corpus6:
-        assert bounded_lattice_ops(lat.up) == _reference_bounded_lattice_ops(lat.up)
+        assert _ops(lat.up) == _reference_bounded_lattice_ops(lat.up)
     # mutants: one or two bits of the order flipped; where a relation that
     # is not a partial order still yields tables, the residuum of the
     # source lattice's product is compared on them too
@@ -316,15 +367,15 @@ def test_bounded_lattice_ops_matches_reference_scan(corpus6):
         up = list(lat.up)
         for _ in range(rng.randint(1, 2)):
             up[rng.randrange(n)] ^= 1 << rng.randrange(n)
-        got = _outcome(bounded_lattice_ops, up)
+        got = _outcome(_ops, up)
         assert got == _outcome(_reference_bounded_lattice_ops, up), up
         seen.update((defect, got[0]) for defect in _order_defects(up))
         if got[0] == "raised":
             seen.update(v.axiom for v in got[1].violations)
         elif next(_order_defects(up), None):
-            join = got[1][2]
-            residuum = _outcome(derive_residuum, up, join, lat.odot)
-            assert residuum == _outcome(_reference_derive_residuum, up, join, lat.odot), up
+            lattice = bounded_lattice_ops(up)
+            residuum = _outcome(derive_residuum, lattice, lat.odot)
+            assert residuum == _outcome(_reference_derive_residuum, up, lattice.join, lat.odot), up
             seen[("residuum of a non-order", residuum[0])] += 1
     for defect in ("non-antisymmetric", "non-transitive"):
         assert seen[(defect, "returned")] and seen[(defect, "raised")], defect
@@ -342,7 +393,7 @@ def _principal(lat, odot, x, y):
 
 def test_derive_residuum_matches_reference_fold(corpus6):
     for lat in corpus6:
-        derived = derive_residuum(lat.up, lat.join, lat.odot)
+        derived = derive_residuum(lat.reduct, lat.odot)
         assert derived == _reference_derive_residuum(lat.up, lat.join, lat.odot) == lat.imp
     # mutants: one to three product cells overwritten, symmetrically or not;
     # some leave a candidate set that is not principal but holds its join,
@@ -364,7 +415,7 @@ def test_derive_residuum_matches_reference_fold(corpus6):
         join = [list(row) for row in lat.join]
         if rng.random() < 0.2:
             join[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-        got = _outcome(derive_residuum, lat.up, join, odot)
+        got = _outcome(derive_residuum, dataclasses.replace(lat.reduct, join=join), odot)
         assert got == _outcome(_reference_derive_residuum, lat.up, join, odot), (odot, join)
         if got[0] == "raised":
             seen["not realised"] += 1
@@ -540,7 +591,7 @@ def test_residuum_rows_forced_by_unit_and_zero(a6, a8, corpus4):
 
 def test_residuum_round_trip(a6, a8):
     for lat in (a6, a8):
-        derived = derive_residuum(lat.up, lat.join, lat.odot)
+        derived = derive_residuum(lat.reduct, lat.odot)
         assert derived == lat.imp
 
 

@@ -66,8 +66,8 @@ def test_lattice_counts():
 def test_generated_orders_are_lattices():
     for n in range(1, 7):
         for up in bounded_lattices(n):
-            bottom, top, _, _ = bounded_lattice_ops(up)
-            assert bottom == 0 and top == n - 1
+            lattice = bounded_lattice_ops(up)
+            assert lattice.bottom == 0 and lattice.top == n - 1
 
 
 def _relabelings(up):
@@ -157,7 +157,8 @@ def test_naive_order_scan_agrees():
 def lattice_canonical_from_any(up):
     # bring an arbitrary labeled order to bottom-first form, then canonicalize
     n = len(up)
-    bottom, top, _, _ = bounded_lattice_ops(up)
+    lattice = bounded_lattice_ops(up)
+    bottom, top = lattice.bottom, lattice.top
     rest = [i for i in range(n) if i not in (bottom, top)]
     order = [bottom] + rest + ([top] if n > 1 else [])
     new_of = {old: new for new, old in enumerate(order)}
@@ -250,7 +251,7 @@ def test_automorphism_groups():
         auts = lattice_automorphisms(up)
         assert tuple(range(len(up))) in auts
         # products per lattice are canonical under exactly these symmetries
-        for tab in residuated_products(up, bounded_lattice_ops(up)):
+        for tab in residuated_products(bounded_lattice_ops(up)):
             flats = set()
             n = len(up)
             for perm in auts:
@@ -267,12 +268,12 @@ def test_build_rejects_a_product_without_residuum():
     # on the square 0 < a, b < 1 the meet is residuated; with a.a = 0 the
     # elements x with a.x <= 0 are 0, a and b, but a.(a v b) = a
     up = next(u for u in bounded_lattices(4) if not u[1] >> 2 & 1 and not u[2] >> 1 & 1)
-    ops = bounded_lattice_ops(up)
+    lattice = bounded_lattice_ops(up)
     meet = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
-    assert enumerator._build(up, ops, meet).odot == meet
+    assert enumerator._build(lattice, meet).odot == meet
     broken = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
     with pytest.raises(InternalCheckError, match=r"no residuum: residuum not realised at \(1, 0\)"):
-        enumerator._build(up, ops, broken)
+        enumerator._build(lattice, broken)
 
 
 def test_build_rejects_a_residuated_product_that_is_not_associative():
@@ -281,13 +282,16 @@ def test_build_rejects_a_residuated_product_that_is_not_associative():
     up = (0b1111, 0b1110, 0b1100, 0b1000)
     odot = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3))
     with pytest.raises(InternalCheckError, match="fails validation: .*odot-associative"):
-        enumerator._build(up, bounded_lattice_ops(up), odot)
+        enumerator._build(bounded_lattice_ops(up), odot)
 
 
 def test_lattice_tables_made_and_checked_once_per_lattice(monkeypatch):
-    # join and meet come from one bounded_lattice_ops call per lattice; no
-    # table is re-checked per product, since the search and derive_residuum
-    # both give tuples of in-range ints, and validation follows in full
+    # one BoundedLattice per lattice, from one bounded_lattice_ops call, is
+    # the reduct of each of its products, so the order axioms are checked
+    # once per lattice with a product, 18 of the 53, not once per product;
+    # no table is re-checked per product, since the search and
+    # derive_residuum both give tuples of in-range ints, and validation
+    # follows in full
     ops_calls, checked = [], collections.Counter()
     real_ops, real_check = bounded_lattice_ops, core._check_table
 
@@ -300,9 +304,42 @@ def test_lattice_tables_made_and_checked_once_per_lattice(monkeypatch):
     )
     for module in (core, enumerator):
         monkeypatch.setattr(module, "_check_table", check, raising=False)
-    assert len(enumerate_residuated(7, workers=1)) == 723
+    lattices = enumerate_residuated(7, workers=1)
+    assert len(lattices) == 723
+    assert all(lat.validation is core._VALID for lat in lattices)
     assert len(ops_calls) == 53
+    # order_violations is a cached property: checked once per reduct
+    reducts = {id(lat.reduct): lat.reduct for lat in lattices}.values()
+    assert len(reducts) == len({lat.up for lat in lattices}) == 18
+    assert all("order_violations" in reduct.__dict__ for reduct in reducts)
     assert checked == {}
+
+
+def _reducts_by_lattice(lattices):
+    """The set of reduct objects of each order among the lattices, after
+    checking that each reduct holds its lattice's own table objects."""
+    found = collections.defaultdict(set)
+    for lat in lattices:
+        reduct = lat.reduct
+        assert (reduct.up, reduct.join, reduct.meet) == (lat.up, lat.join, lat.meet)
+        assert reduct.up is lat.up and reduct.join is lat.join and reduct.meet is lat.meet
+        found[lat.up].add(id(reduct))
+    return found
+
+
+def test_products_of_one_lattice_share_one_reduct():
+    # in-process, every product of a lattice carries the one object; 7 of
+    # the 15 lattices of order 6 have products
+    lattices = bounded_lattices(6)
+    found = _reducts_by_lattice(enumerate_residuated(6, workers=1))
+    assert len(found) == 7
+    assert all(len(ids) == 1 for ids in found.values())
+    # in a pool, one object per lattice in each chunk: a chunk comes back as
+    # one pickle, which holds each object once
+    chunks = enumerator._per_product(lattices, 2, enumerator._build_chunk)
+    assert sum(map(len, chunks)) == 129 and len(chunks) > 1
+    for chunk in chunks:
+        assert all(len(ids) == 1 for ids in _reducts_by_lattice(chunk).values())
 
 
 def test_converse_matches_the_double_loop():
@@ -320,7 +357,7 @@ def test_converse_matches_the_double_loop():
 def test_residuated_counts():
     for n, expected in RESIDUATED_COUNTS.items():
         assert sum(
-            len(residuated_products(up, bounded_lattice_ops(up))) for up in bounded_lattices(n)
+            len(residuated_products(bounded_lattice_ops(up))) for up in bounded_lattices(n)
         ) == expected
 
 
@@ -336,7 +373,8 @@ def _full_prefix_search(up):
     Returns the tables and the (i, j, v, verdict) of every check made.
     """
     n = len(up)
-    bottom, top, join, meet = bounded_lattice_ops(up)
+    lattice = bounded_lattice_ops(up)
+    bottom, top, join, meet = lattice.bottom, lattice.top, lattice.join, lattice.meet
     auts = lattice_automorphisms(up)
     cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
     row_end = {i: max(j for k, j in cells if k == i) for i, _ in cells} if cells else {}
@@ -462,7 +500,7 @@ def _incremental_search(up):
     its nested consistent()."""
     return _recorded_returns(
         residuated_products, "consistent", lambda f, verdict: (f["i"], f["j"], f["v"], verdict),
-        up, bounded_lattice_ops(up),
+        bounded_lattice_ops(up),
     )
 
 
@@ -482,7 +520,7 @@ def test_products_on_every_reverse_linear_labeling():
     labelings = collections.Counter()
     for n in range(1, 7):
         for up in bounded_lattices(n):
-            expected = len(residuated_products(up, bounded_lattice_ops(up)))
+            expected = len(residuated_products(bounded_lattice_ops(up)))
             for relabeled in set(filter(_reverse_linear, _relabelings(up))):
                 labelings[n] += 1
                 search = _incremental_search(relabeled)
@@ -496,7 +534,7 @@ def test_products_refuse_a_labeling_with_a_lower_element_first():
     # 9 tables here, of which only 3 are residuated lattices
     up = (0b11111, 0b11010, 0b11100, 0b11000, 0b10000)
     with pytest.raises(ContractError, match="larger index"):
-        residuated_products(up, bounded_lattice_ops(up))
+        residuated_products(bounded_lattice_ops(up))
 
 
 def _pair_checks(n):
@@ -533,7 +571,7 @@ def test_search_sizes_at_order_7():
         for up in bounded_lattices(7)
         for row in _recorded_returns(
             residuated_products, "dominated", lambda f, verdict: (f["i"], verdict),
-            up, bounded_lattice_ops(up),
+            bounded_lattice_ops(up),
         )[1]
     ]
     assert (len(rows), sum(v for _, v in rows)) == (2950, 82)
@@ -617,7 +655,7 @@ def test_product_searches_go_longest_first(monkeypatch):
     searched = []
     real = enumerator.residuated_products
     monkeypatch.setattr(
-        enumerator, "residuated_products", lambda up, ops: searched.append(up) or real(up, ops)
+        enumerator, "residuated_products", lambda lattice: searched.append(lattice.up) or real(lattice)
     )
     enumerate_residuated(6, workers=1)
     pairs = [enumerator._comparable_pairs(up) for up in searched]
