@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .core import InternalCheckError, ResiduatedLattice
-from .filters import all_filters, canonical_sort, filter_join
+from .filters import all_filters, canonical_sort, filter_lattice
 from .spectra import meet_rows, prime_spectrum
 
 
@@ -105,22 +105,29 @@ class BaerRickart:
 def classify_baer_rickart(lat: ResiduatedLattice) -> BaerRickart:
     """Baer: the skeleton join agrees with the filter join on coannihilators.
     Rickart: the coannulets are closed under the filter join and each has a
-    complement among the coannulets."""
+    complement among the coannulets.
+
+    Coannihilators are meets of primes, so filters: each is up(e) for its
+    least element e, and the filter join of up(e) and up(e') is
+    up(odot(e, e')).  Every join is one lookup on least elements, and a
+    join lies in the coannulets exactly when its least element is one of
+    theirs.
+    """
     skel = skeleton(lat)
+    least = filter_lattice(lat).least
+    up, odot, bottom = lat.up, lat.odot, lat.bottom
     baer = all(
-        skel.join[f, g] == filter_join(lat, f, g)
+        skel.join[f, g] == up[odot[least[f]][least[g]]]
         for f in skel.members
         for g in skel.members
     )
-    gamma = set(skel.coannulets)
+    gamma = {f: least[f] for f in skel.coannulets}
+    gens = set(gamma.values())
     one = 1 << lat.top
     rickart = all(
-        filter_join(lat, f, g) in gamma for f in gamma for g in gamma
+        odot[e][e2] in gens for e in gens for e2 in gens
     ) and all(
-        any(
-            f & g == one and filter_join(lat, f, g) == lat.full_mask
-            for g in gamma
-        )
-        for f in gamma
+        any(f & g == one and odot[e][e2] == bottom for g, e2 in gamma.items())
+        for f, e in gamma.items()
     )
     return BaerRickart(baer=baer, rickart=rickart)

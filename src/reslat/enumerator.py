@@ -221,6 +221,15 @@ def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...],
     consistent checks the first two families; the third can be evaluated
     only where the first already checks it.
 
+    The second family needs the filled cells holding p.  The search keeps
+    them in at: at every node, at[v] lists each filled cell (x, y) with
+    table[x][y] = v exactly once, both orientations of a middle cell and
+    the fixed bottom and top rows and columns included.  fill appends the
+    new cell's orientations to at[v] when it sets the cell to v, and
+    removes them before it tries the next value; the cells filled deeper
+    are removed before it, so they are always the last entries.  So
+    consistent reads at[p] instead of scanning all n^2 cells.
+
     The lattice must come labeled as lattice_canonical labels it, every
     middle element after the middle elements above it; anything else
     raises ContractError.  If q's index is below y's, the cell {p, q} comes
@@ -276,35 +285,43 @@ def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...],
         table[x][top] = table[top][x] = x
         table[x][bottom] = table[bottom][x] = bottom
 
-    def triple_ok(x: int, y: int, z: int) -> bool:
-        # (x.y).z = x.(y.z) and x.(y v z) = x.y v x.z, where evaluable;
-        # consistent calls it only with x.y filled
-        row = table[x]
-        txy = row[y]
-        tyz = table[y][z]
-        if tyz is not None:
-            l, r = table[txy][z], row[tyz]
-            if l is not None and r is not None and l != r:
-                return False
-        txz = row[z]
-        if txz is not None:
-            t = row[join[y][z]]
-            if t is not None and t != join[txy][txz]:
-                return False
-        return True
+    # at[v]: the filled cells holding v (see the docstring)
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if table[x][y] is not None:
+                at[table[x][y]].append((x, y))
 
     def consistent(i: int, j: int, v: int) -> bool:
         # v is already in table[i][j]; check every (x, y, z) with {i, j} at
         # the lookup x.y or (x.y).z, for each orientation (p, q); the mirror
-        # images read the same cells
+        # images read the same cells.  At x.y both laws are checked,
+        # (x.y).z = x.(y.z) and x.(y v z) = x.y v x.z; at (x.y).z only the
+        # first reads the new cell.  Distributivity at (x, y, q) reads x.y,
+        # x.q and x.(y v q): if one of them is the new cell, the instance
+        # is checked as x.y here at (x, y, q) or (x, q, y), or is of the
+        # third family; if none is, the parent node checked it.
         for p, q in ((i, j), (j, i)) if i != j else ((i, j),):
+            row, row_q, row_v, join_q = table[p], table[q], table[v], join[q]
+            # x.y = p.q = v at (p, q, z)
             for z in range(n):
-                if not triple_ok(p, q, z):
-                    return False
-            for x in range(n):
-                row = table[x]
-                for y in range(n):
-                    if row[y] == p and not triple_ok(x, y, q):
+                tyz = row_q[z]
+                if tyz is not None:
+                    l, r = row_v[z], row[tyz]
+                    if l is not None and r is not None and l != r:
+                        return False
+                txz = row[z]
+                if txz is not None:
+                    t = row[join_q[z]]
+                    if t is not None and t != join[v][txz]:
+                        return False
+            # (x.y).q = p.q = v at (x, y, q), for every filled cell (x, y)
+            # holding p
+            for x, y in at[p]:
+                tyz = table[y][q]
+                if tyz is not None:
+                    r = table[x][tyz]
+                    if r is not None and r != v:
                         return False
         return True
 
@@ -324,11 +341,15 @@ def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...],
             results.append(tuple(tuple(row) for row in table))
             return
         i, j = cells[ci]
+        both = ((i, j), (j, i)) if i != j else ((i, j),)
         for v in bits(down[meet[i][j]]):
             table[i][j] = table[j][i] = v
+            holding = at[v]
+            holding.extend(both)
             # each row ends at column n - 2
             if consistent(i, j, v) and (j != n - 2 or not dominated(ci, i)):
                 fill(ci + 1)
+            del holding[-len(both):]
         table[i][j] = table[j][i] = None
 
     fill(0)

@@ -17,6 +17,15 @@ by S is up(p^k) for the product p of S and the first k with p^k = p^(k+1).
 Generating a filter costs O(|S|) lookups plus the squarings, and finding
 all filters, each with its least element, O(n).  Joining two filters is
 then O(1): the least element of each, one product and one up-set.
+
+As up is injective, the hot loops compare least elements rather than
+filters: up(e) v up(e') is up(e'') exactly when e.e' = e'', and it is the
+carrier exactly when e.e' is the bottom.  Any meet of prime filters is a
+filter, since an intersection of filters is one, so every coannulet and
+coannihilator has a least element.  The spectrum keeps the coannulets'
+as Gamma (``Spectrum.coannulet_least``), one byte per element, and joins
+of coannulets are read from Gamma and the odot table.
+``filter_join`` stays the general entry point.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ from itertools import chain, combinations
 from operator import or_
 from typing import Any, Iterable
 
-from .core import ResiduatedLattice, bits, format_set, negation
-from .filters import all_filters, filter_join, filter_lattice, is_domain, principal_filter, quotient
+from .core import ResiduatedLattice, bits, format_set, mask_of, negation
+from .filters import filter_lattice, is_domain, principal_filter, quotient
 from .spectra import hull, hull_kernel_topology, prime_linkage, prime_spectrum, separation_check
 from .coann import coannulet
 from .purity import omega_lattice, pure_core, pure_spectrum
@@ -98,10 +98,12 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
         for i in range(len(spec))
         if len(mins := list(bits(spec.below[i] & spec.minimal_mask))) > 1
     )
+    # up(e) v up(e') is the carrier exactly when e.e' is the bottom
+    least, odot = filter_lattice(lat).least, lat.odot
     verdicts["minimal_pairwise_comaximal"] = _first(
         _pair(lat, f, g)
         for f, g in combinations([primes[i] for i in spec.minimal], 2)
-        if filter_join(lat, f, g) != lat.full_mask
+        if odot[least[f]][least[g]] != lat.bottom
     )
     divisors = omega_lattice(lat).divisors
     for name, positions in (
@@ -148,17 +150,29 @@ def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> Verdict:
 
 
 def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
-    n, full, labels = lat.size, lat.full_mask, lat.labels
-    verdicts: dict[str, Verdict] = {}
-    filters = all_filters(lat)
-    principal = tuple(sorted({principal_filter(lat, x) for x in range(n)}))
-    ann = [coannulet(lat, x) for x in range(n)]
+    """The algebraic family, every filter join read through least elements.
 
-    verdicts["filter_lattice_conormal"] = _conormal(lat, filters)
+    Each filter is up(e) for its least element e, up is injective, and
+    up(e) v up(e') = up(e.e'), which is the carrier exactly when e.e' is
+    the bottom.  Gamma (``Spectrum.coannulet_least``) gives the least
+    element of each coannulet, so ann(x v y) = ann(x) v ann(y) for all y
+    exactly when row x of the join table read through Gamma equals Gamma
+    read through the product row of Gamma[x]: one bytes comparison per x.
+    Only rows that differ are searched cell by cell, in the order of the
+    pairs, so the first witness is the first failing pair.
+    """
+    n, full, labels = lat.size, lat.full_mask, lat.labels
+    up, odot, bottom = lat.up, lat.odot, lat.bottom
+    verdicts: dict[str, Verdict] = {}
+    fl = filter_lattice(lat)
+    least = fl.least
+    principal = tuple(sorted({principal_filter(lat, x) for x in range(n)}))
+    spec = prime_spectrum(lat)
+    ann, gamma = spec.coannulets, spec.coannulet_least
+
+    verdicts["filter_lattice_conormal"] = _conormal(lat, fl.filters)
     verdicts["principal_filter_lattice_conormal"] = _conormal(lat, principal)
 
-    join = partial(filter_join, lat)
-    pairs = [(x, y) for x in range(n) for y in range(n)]
     to_top = [(x, y) for x, joiners in enumerate(lat.top_joiners) for y in bits(joiners)]
     verdicts["coannulet_comaximal"] = _first(
         {
@@ -166,43 +180,67 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
             "coannulets": [format_set(lat, ann[x]), format_set(lat, ann[y])],
         }
         for x, y in to_top
-        if join(ann[x], ann[y]) != full
+        if odot[gamma[x]][gamma[y]] != bottom
     )
+    # the negations of the members of ann[x], one mask per x
+    negations = [mask_of(negation(lat, a) for a in bits(f)) for f in ann]
     verdicts["coannulet_negation_witness"] = _first(
         {"pair": [labels[x], labels[y]]}
         for x, y in to_top
-        if not any(ann[y] >> negation(lat, a) & 1 for a in bits(ann[x]))
+        if not ann[y] & negations[x]
     )
+    # lhs[x][y] is the least element of ann(x v y), rhs[x][y] that of
+    # ann(x) v ann(y)
+    pad = bytes(256 - n)
+    gamma_pad = gamma + pad
+    lhs = [bytes(row).translate(gamma_pad) for row in lat.join]
+    rhs = [gamma.translate(bytes(odot[e]) + pad) for e in gamma]
+    differ = [x for x in range(n) if lhs[x] != rhs[x]]
     verdicts["coannulet_join_identity"] = _first(
-        {"pair": [labels[x], labels[y]], "lhs": format_set(lat, lhs), "rhs": format_set(lat, rhs)}
-        for x, y in pairs
-        if (lhs := ann[lat.join[x][y]]) != (rhs := join(ann[x], ann[y]))
+        {
+            "pair": [labels[x], labels[y]],
+            "lhs": format_set(lat, up[l]),
+            "rhs": format_set(lat, up[r]),
+        }
+        for x in differ
+        for y, (l, r) in enumerate(zip(lhs[x], rhs[x]))
+        if l != r
     )
     verdicts["coannulet_join_top"] = _first(
         {"pair": [labels[x], labels[y]]}
-        for x, y in pairs
-        if ann[lat.join[x][y]] == full and join(ann[x], ann[y]) != full
+        for x in differ
+        for y, (l, r) in enumerate(zip(lhs[x], rhs[x]))
+        if l == bottom != r
     )
 
     # ints hash to themselves, so the order of this set, and the witness,
     # does not depend on PYTHONHASHSEED
-    gamma = set(ann)
+    coannulets = set(ann)
+    gens = set(gamma)
     verdicts["coannulet_join_closed"] = _first(
-        _pair(lat, f, g) for f in gamma for g in gamma if join(f, g) not in gamma
+        _pair(lat, f, g)
+        for f in coannulets
+        for g in coannulets
+        if odot[least[f]][least[g]] not in gens
     )
 
     om = omega_lattice(lat)
-    members = set(om.members)
-    total = reduce(join, om.members, 1 << lat.top)
+    omega_gens = {least[f] for f in om.members}
+    total = reduce(lambda e, f: odot[e][least[f]], om.members, lat.top)
     verdicts["omega_join_closed"] = _first(chain(
-        (_pair(lat, f, g) for f in om.members for g in om.members if join(f, g) not in members),
-        [{"pair": ["join of all omega-filters"]}] if total not in members else [],
+        (
+            _pair(lat, f, g)
+            for f in om.members
+            for g in om.members
+            if odot[least[f]][least[g]] not in omega_gens
+        ),
+        [{"pair": ["join of all omega-filters"]}] if total not in omega_gens else [],
     ))
     verdicts["omega_vee_top"] = _first(
         _pair(lat, f, g)
         for f in om.members
         for g in om.members
-        if om.vee[f, g] == full and join(f, g) != full
+        if om.vee[f, g] == full and odot[least[f]][least[g]] != bottom
     )
     return verdicts
 

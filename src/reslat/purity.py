@@ -19,7 +19,14 @@ from .core import (
     _converse,
     is_subset,
 )
-from .filters import all_filters, canonical_sort, filter_join, is_filter, maximal_members
+from .filters import (
+    all_filters,
+    canonical_sort,
+    filter_join,
+    filter_lattice,
+    is_filter,
+    maximal_members,
+)
 from .spectra import (
     FiniteTopology,
     _meet_prime,
@@ -29,7 +36,6 @@ from .spectra import (
     meet_rows,
     prime_spectrum,
 )
-from .coann import coannulet
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +133,20 @@ def pure_core(lat: ResiduatedLattice, f: int) -> int:
 
     Computed both as {a | f join coannulet(a) = A} and as the kernel of
     the generalization of the hull of f; a mismatch is an internal error.
+    The first route reads the filter join through least elements: f is
+    up(e), coannulet(a) is up(Gamma[a]) (see ``Spectrum``), and their join
+    is the carrier exactly when odot(e, Gamma[a]) is the bottom.  So it is
+    one translate of Gamma through e's row of the product.
     """
-    if not is_filter(lat, f):
+    e = filter_lattice(lat).least.get(f)
+    if e is None:
         raise ContractError("pure_core: input must be a filter")
+    row = bytes(lat.odot[e]) + bytes(256 - lat.size)
+    products = prime_spectrum(lat).coannulet_least.translate(row)
+    bottom = lat.bottom
     elementwise = 0
-    for a in range(lat.size):
-        if filter_join(lat, f, coannulet(lat, a)) == lat.full_mask:
+    for a, v in enumerate(products):
+        if v == bottom:
             elementwise |= 1 << a
     via_primes = kernel(lat, generalization(lat, hull(lat, f)))
     if elementwise != via_primes:

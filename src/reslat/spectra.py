@@ -30,7 +30,7 @@ from .core import (
     is_subset,
     transitive_closure,
 )
-from .filters import all_filters, canonical_sort, filter_join, first_join_into
+from .filters import all_filters, canonical_sort, filter_lattice, first_join_into
 
 
 def meet_rows(rows, selected: int, empty: int) -> int:
@@ -50,6 +50,14 @@ class Spectrum:
     the converse.  Positions are indices into the canonically ordered
     ``primes`` tuple.  ``coannulets[x]`` is the intersection of the primes
     not containing the element x (the carrier when every prime contains x).
+
+    ``coannulet_least`` is Gamma, one byte per element: Gamma[x] is the least
+    element of ``coannulets[x]``.  A coannulet is a meet of primes, or the
+    carrier, and an intersection of filters is a filter, so it is up(e) for
+    one idempotent e (see ``reslat.filters``) and the filter lattice's
+    ``least`` holds it.  As up is injective, two coannulets are equal
+    exactly when their bytes are, and the filter join of coannulets x and
+    y is up(odot(Gamma[x], Gamma[y])): a join of coannulets is one lookup.
     """
 
     def __init__(self, lat: ResiduatedLattice, primes: tuple[int, ...]):
@@ -66,6 +74,8 @@ class Spectrum:
         self.coannulets = tuple(
             meet_rows(primes, everything & ~h, lat.full_mask) for h in self.hulls
         )
+        least = filter_lattice(lat).least
+        self.coannulet_least = bytes(least[c] for c in self.coannulets)
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -272,14 +282,20 @@ def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
     it is everything iff some x outside p and some y outside q join to
     the top.  ``reach[i]``, the OR of ``top_joiners[x]`` over the x
     outside primes[i], holds every such y for p = primes[i], so each pair
-    of kind "ideals" is one AND.
+    of kind "ideals" is one AND.  For kind "filters", the join of
+    up(e) and up(e') is the carrier exactly when odot(e, e') is the
+    bottom, so each pair is one lookup on the primes' least elements.
     """
     spec = prime_spectrum(lat)
     primes = spec.primes
     k = len(spec)
     if kind == "filters":
+        least = filter_lattice(lat).least
+        odot, bottom = lat.odot, lat.bottom
+        gens = [least[p] for p in primes]
+
         def linked(i: int, j: int) -> bool:
-            return filter_join(lat, primes[i], primes[j]) != lat.full_mask
+            return odot[gens[i]][gens[j]] != bottom
     elif kind == "ideals":
         joiners = lat.top_joiners
         reach = [0] * k

@@ -57,6 +57,13 @@ lattice's shared ``reduct``.  It derives every table it reads from the
 lattice's own fields, the down-masks included, so a reduct that did not
 match the tables it is shared with would show as a different report.
 
+The filter joins of the census's hot loops, one ``filter_join`` call
+per pair, as they stood before the joins were read through least
+elements: ``algebraic_family`` is ``mp_via_algebraic``,
+``pure_core_by_joins`` the element-wise route of ``pure_core`` and
+``baer_rickart_by_joins`` is ``classify_baer_rickart``.  They read the
+coannulets from the spectrum and nothing else of its Gamma.
+
 The closed sets of the dual prime space, by brute force over every set
 of primes.  ``dual_closed_sets`` checks that each is the set of primes
 disjoint from some subset of the carrier, is patch-closed and is stable
@@ -66,7 +73,8 @@ their traces on the minimal primes.
 
 from __future__ import annotations
 
-from itertools import compress, permutations
+from functools import partial, reduce
+from itertools import chain, compress, permutations
 from typing import Iterator
 
 from reslat.core import (
@@ -87,8 +95,10 @@ from reslat.core import (
     format_set,
     from_order,
     is_subset,
+    negation,
     validate_axioms,
 )
+from reslat.coann import BaerRickart, coannulet, skeleton
 from reslat.enumerator import _labels
 from reslat.filters import (
     all_filters,
@@ -96,9 +106,10 @@ from reslat.filters import (
     filter_join,
     is_domain,
     maximal_members,
+    principal_filter,
     quotient,
 )
-from reslat.mp import Verdict
+from reslat.mp import Verdict, _conormal, _first, _pair
 from reslat.purity import omega_lattice, pure_part
 from reslat.spectra import FiniteTopology, generalization, hull_kernel_topology, prime_spectrum
 
@@ -508,3 +519,91 @@ def single_pass_validate(lat: ResiduatedLattice) -> ValidationReport:
 
     check("join-odot-inequality", blocks((holds, inequality(jx)) for jx in join))
     return _report(violations)
+
+
+def algebraic_family(lat: ResiduatedLattice) -> dict[str, Verdict]:
+    """``mp_via_algebraic`` with one ``filter_join`` call per pair of filters."""
+    n, full, labels = lat.size, lat.full_mask, lat.labels
+    verdicts: dict[str, Verdict] = {}
+    filters = all_filters(lat)
+    principal = tuple(sorted({principal_filter(lat, x) for x in range(n)}))
+    ann = [coannulet(lat, x) for x in range(n)]
+
+    verdicts["filter_lattice_conormal"] = _conormal(lat, filters)
+    verdicts["principal_filter_lattice_conormal"] = _conormal(lat, principal)
+
+    join = partial(filter_join, lat)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    to_top = [(x, y) for x, joiners in enumerate(lat.top_joiners) for y in bits(joiners)]
+    verdicts["coannulet_comaximal"] = _first(
+        {
+            "pair": [labels[x], labels[y]],
+            "coannulets": [format_set(lat, ann[x]), format_set(lat, ann[y])],
+        }
+        for x, y in to_top
+        if join(ann[x], ann[y]) != full
+    )
+    verdicts["coannulet_negation_witness"] = _first(
+        {"pair": [labels[x], labels[y]]}
+        for x, y in to_top
+        if not any(ann[y] >> negation(lat, a) & 1 for a in bits(ann[x]))
+    )
+    verdicts["coannulet_join_identity"] = _first(
+        {"pair": [labels[x], labels[y]], "lhs": format_set(lat, lhs), "rhs": format_set(lat, rhs)}
+        for x, y in pairs
+        if (lhs := ann[lat.join[x][y]]) != (rhs := join(ann[x], ann[y]))
+    )
+    verdicts["coannulet_join_top"] = _first(
+        {"pair": [labels[x], labels[y]]}
+        for x, y in pairs
+        if ann[lat.join[x][y]] == full and join(ann[x], ann[y]) != full
+    )
+    gamma = set(ann)
+    verdicts["coannulet_join_closed"] = _first(
+        _pair(lat, f, g) for f in gamma for g in gamma if join(f, g) not in gamma
+    )
+    om = omega_lattice(lat)
+    members = set(om.members)
+    total = reduce(join, om.members, 1 << lat.top)
+    verdicts["omega_join_closed"] = _first(chain(
+        (_pair(lat, f, g) for f in om.members for g in om.members if join(f, g) not in members),
+        [{"pair": ["join of all omega-filters"]}] if total not in members else [],
+    ))
+    verdicts["omega_vee_top"] = _first(
+        _pair(lat, f, g)
+        for f in om.members
+        for g in om.members
+        if om.vee[f, g] == full and join(f, g) != full
+    )
+    return verdicts
+
+
+def pure_core_by_joins(lat: ResiduatedLattice, f: int) -> int:
+    """{a | f join coannulet(a) = A}, one ``filter_join`` per element."""
+    elementwise = 0
+    for a in range(lat.size):
+        if filter_join(lat, f, coannulet(lat, a)) == lat.full_mask:
+            elementwise |= 1 << a
+    return elementwise
+
+
+def baer_rickart_by_joins(lat: ResiduatedLattice) -> BaerRickart:
+    """``classify_baer_rickart`` with one ``filter_join`` per pair."""
+    skel = skeleton(lat)
+    baer = all(
+        skel.join[f, g] == filter_join(lat, f, g)
+        for f in skel.members
+        for g in skel.members
+    )
+    gamma = set(skel.coannulets)
+    one = 1 << lat.top
+    rickart = all(
+        filter_join(lat, f, g) in gamma for f in gamma for g in gamma
+    ) and all(
+        any(
+            f & g == one and filter_join(lat, f, g) == lat.full_mask
+            for g in gamma
+        )
+        for f in gamma
+    )
+    return BaerRickart(baer=baer, rickart=rickart)

@@ -513,6 +513,29 @@ def test_products_match_full_prefix_search():
             assert _incremental_search(up) == _full_prefix_search(up), up
 
 
+def test_cell_index_matches_a_scan_of_the_table():
+    # at every call to consistent, at[v] lists each filled cell holding v
+    # once, the fixed bottom and top rows and columns included: the cells
+    # that a scan of the table finds
+    def index_is_scan(f, verdict):
+        table, at = f["table"], f["at"]
+        scan = [
+            [(x, y) for x, row in enumerate(table) for y, w in enumerate(row) if w == v]
+            for v in range(len(table))
+        ]
+        return [sorted(cells) for cells in at] == scan
+
+    checks = [
+        agrees
+        for n in range(1, 7)
+        for up in bounded_lattices(n)
+        for agrees in _recorded_returns(
+            residuated_products, "consistent", index_is_scan, bounded_lattice_ops(up)
+        )[1]
+    ]
+    assert len(checks) == 2279 and all(checks)
+
+
 def test_products_on_every_reverse_linear_labeling():
     # residuated_products accepts every labeling that lists higher elements
     # first; on each it must agree with the full rescan node for node and

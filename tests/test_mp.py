@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
+import random
 
 import pytest
 
 from reslat import parse_lattice
 from reslat.core import format_set as _lab
+from reslat.coann import classify_baer_rickart
 from reslat.filters import all_filters, generated_filter, is_domain, principal_filter
-from reslat.purity import omega_lattice
+from reslat.purity import omega_lattice, pure_core
 from reslat.mp import (
     FAMILIES,
     MpDisagreement,
@@ -23,7 +26,7 @@ from reslat.mp import (
 )
 
 from lattices import build_boolean4, build_chain, build_product, build_two_chain, relabeled
-from oracles import quotient_family
+from oracles import algebraic_family, baer_rickart_by_joins, pure_core_by_joins, quotient_family
 
 
 def test_worked_example_is_mp(a6):
@@ -203,6 +206,32 @@ def test_quotient_family_reads_the_quotient_by_top_as_the_lattice(corpus7, a6, a
         non_domains += 1 << lat.top in divisors and not is_domain(lat)[0]
     # lattices on which the shortcut's witness search finds a pair
     assert non_domains == 20
+
+
+def test_joins_through_least_elements_match_per_pair_joins(corpus7, a6, a8, a6xa8):
+    """mp_via_algebraic, pure_core and classify_baer_rickart read filter
+    joins through least elements and Gamma.  Their verdicts, witnesses,
+    pure cores and Baer/Rickart flags are those of one filter_join per
+    pair, also on a8 listed top first and on seeded relabelings, where
+    the bottom and the top sit anywhere."""
+    rng = random.Random(2029)
+    samples = (a6, a8, a6xa8, *rng.sample(corpus7[-723:], 40))
+    shuffled = [relabeled(lat, rng.sample(range(lat.size), lat.size)) for lat in samples]
+    reversed_a8 = relabeled(a8, range(a8.size - 1, -1, -1))
+    failed = collections.Counter()
+    flags = collections.Counter()
+    for lat in (*corpus7, a6, a8, a6xa8, reversed_a8, *shuffled):
+        verdicts = mp_via_algebraic(lat)
+        _pinned(verdicts, algebraic_family(lat))
+        failed.update(k for k, v in verdicts.items() if not v.value)
+        for f in all_filters(lat):
+            assert pure_core(lat, f) == pure_core_by_joins(lat, f), (lat, f)
+        flags[classify_baer_rickart(lat)] += 1
+        assert classify_baer_rickart(lat) == baer_rickart_by_joins(lat), lat
+    # every verdict fails somewhere, so every witness search is compared,
+    # and both flags take both values
+    assert set(failed) == set(verdicts)
+    assert {(f.baer, f.rickart) for f in flags} >= {(True, True), (False, False)}
 
 
 def test_census_validates_each_lattice_once(monkeypatch, validations):
