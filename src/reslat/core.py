@@ -18,8 +18,9 @@ rows is one ``b"".join``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain, compress
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -78,6 +79,9 @@ def cover_pairs(up: Sequence[int]) -> list[tuple[int, int]]:
 # byte rows
 
 MAX_SIZE = 256  # the largest carrier: an element index must fit in a byte
+# up to this many elements, validate_axioms tests the join-odot inequality
+# in lanes of 8; past it, against the set of pairs not in the order
+LANES_UP_TO = 64
 
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -101,13 +105,22 @@ def _converse(masks: Sequence[int], n: int) -> list[int]:
     return [int(flat[j::n][::-1] or "0", 2) for j in range(n)]
 
 
+def _beyond(masks: Sequence[int], n: int) -> Iterator[int]:
+    """Per row i, the bits that masks[i] reaches in two steps and not in
+    one: the OR of masks[j] over the j in masks[i], minus masks[i].  The
+    relation is transitive iff every row yields 0.  One C-level
+    ``compress`` and ``reduce`` per row."""
+    for m, row in zip(masks, _bit_rows(masks, n)):
+        yield reduce(or_, compress(masks, row), 0) & ~m
+
+
 def _is_partial_order(up: Sequence[int], down: Sequence[int]) -> bool:
     """up (with its converse down) is reflexive, antisymmetric and transitive
-    on range(n): O(n) mask tests and one transitive closure."""
+    on range(n): O(n) mask tests and C-level row ORs."""
     n = len(up)
     return all(
         u >> n == 0 and u & d == 1 << x for x, (u, d) in enumerate(zip(up, down))
-    ) and transitive_closure(up) == tuple(up)
+    ) and not any(_beyond(up, n))
 
 
 def _pair_codes(lo: bytes, hi: bytes) -> memoryview:
@@ -117,6 +130,14 @@ def _pair_codes(lo: bytes, hi: bytes) -> memoryview:
     buf[::2] = lo
     buf[1::2] = hi
     return memoryview(buf).cast("H")
+
+
+def _lanes(masks: Sequence[int], n: int) -> list[bytes]:
+    """Lane k of a list of n-bit masks: byte k of each mask, as one n-byte
+    string.  There are ceil(n / 8) lanes."""
+    width = (n + 7) // 8
+    flat = b"".join(m.to_bytes(width, "little") for m in masks)
+    return [flat[k::width] for k in range(width)]
 
 
 def _first_difference(lhs: Sequence[int], rhs: Sequence[int]) -> int:
@@ -200,12 +221,16 @@ class BoundedLattice:
     ``meet``, ``bottom`` and ``top``, as ResiduatedLattice holds them.
 
     It need not be valid.  What derives from these five alone is computed
-    on first use and kept: the down-masks, ``top_joiners``, the order
-    axioms' report, and the byte rows that ``validate_axioms`` and
-    ``derive_residuum`` read.  Products that share one object (see
-    ``ResiduatedLattice.over``) derive them once.  A pickle holds the five
-    fields only: the receiver derives the rest, and a memoryview among
-    them would not pickle.
+    on first use and kept: the down-masks, ``top_joiners``, whether ``up``
+    is a partial order, the order axioms' report, and the byte rows that
+    ``validate_axioms`` and ``derive_residuum`` read (the 0/1 leq rows, the
+    join rows, the lanes of the up-masks and of the element bits or, past
+    LANES_UP_TO elements, the codes of the pairs not in the order, and the
+    0/1 principal down-sets).  ``bounded_lattice_ops`` seeds the
+    partial-order test it has just computed.  Products that share
+    one object (see ``ResiduatedLattice.over``) derive the rest once.  A
+    pickle holds the five fields only: the receiver derives the rest, and
+    a memoryview among them would not pickle.
     """
 
     up: tuple[int, ...]
@@ -231,16 +256,38 @@ class BoundedLattice:
         )
 
     @cached_property
+    def partial_order(self) -> bool:
+        """Whether ``up`` is a partial order on range(n)."""
+        return _is_partial_order(self.up, self.down)
+
+    @cached_property
     def order_violations(self) -> tuple[Violation, ...]:
         """The violated order axioms, reflexivity through meet-glb, each
         with its first witness: the head of ``validate_axioms``' report.
-        O(n^2) mask operations on the up- and down-masks."""
+
+        Transitivity, join-lub and meet-glb are first tested a row x at a
+        time in C, and only a row that fails is scanned pair by pair:
+        row x is transitive iff the OR of up[y] over the y above x lies in
+        up[x]; join-lub holds on row x if up[join[x][y]] == up[x] & up[y]
+        for every y and the order is reflexive (then join[x][y] is in the
+        upper bounds and below each of them), and meet-glb likewise with
+        the down-masks.  A row that passes holds no witness, so each
+        witness is still the first in pair order.  O(n) C-level row
+        operations when the axioms hold."""
         n = len(self.up)
         full = (1 << n) - 1
         up = [u & full for u in self.up]  # leq(x, y) is only asked for y < n
         down, join, meet = self.down, self.join, self.meet
         violations: list[Violation] = []
         check = partial(_check, violations)
+        irreflexive = [x for x in range(n) if not up[x] >> x & 1]
+
+        def rows_to_scan(masks: Sequence[int], table: Sequence[Sequence[int]]) -> Iterator[int]:
+            # the rows x where masks[table[x][y]] == masks[x] & masks[y]
+            # fails for some y, or every row if the order is not reflexive
+            for x, (m, row) in enumerate(zip(masks, table)):
+                if irreflexive or list(map(masks.__getitem__, row)) != list(map(m.__and__, masks)):
+                    yield x
 
         def join_lub(x: int, y: int) -> bool:
             bounds, j = up[x] & up[y], join[x][y]
@@ -250,37 +297,49 @@ class BoundedLattice:
             bounds, m = down[x] & down[y], meet[x][y]
             return not bounds >> m & 1 or bounds & ~down[m] != 0
 
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        check("leq-reflexive", ((x,) for x in range(n) if not up[x] >> x & 1))
+        check("leq-reflexive", ((x,) for x in irreflexive))
         check("leq-antisymmetric", (
             (x, next(bits(b))) for x in range(n) if (b := up[x] & down[x] & ~(1 << x))
         ))
         check("leq-transitive", (
-            (x, y, next(bits(b))) for x in range(n) for y in bits(up[x]) if (b := up[y] & ~up[x])
+            (x, y, next(bits(b)))
+            for x, beyond in enumerate(_beyond(up, n)) if beyond
+            for y in bits(up[x]) if (b := up[y] & ~up[x])
         ))
         check("bottom-least", ((x,) for x in bits(full & ~up[self.bottom])))
         check("top-greatest", ((x,) for x in bits(full & ~down[self.top])))
-        check("join-lub", (p for p in pairs if join_lub(*p)))
-        check("meet-glb", (p for p in pairs if meet_glb(*p)))
+        check("join-lub", (
+            (x, y) for x in rows_to_scan(up, join) for y in range(n) if join_lub(x, y)
+        ))
+        check("meet-glb", (
+            (x, y) for x in rows_to_scan(down, meet) for y in range(n) if meet_glb(x, y)
+        ))
         return tuple(violations)
 
     @cached_property
-    def _axiom_rows(self) -> tuple[list[bytes], list[bytes], bytes, memoryview]:
+    def _axiom_rows(self) -> tuple[list[bytes], list[bytes], bytes, list | memoryview]:
         """The 0/1 leq rows, the join rows and their concatenation, and the
-        codes of the pairs (a, b) with a not <= b (see _pair_codes), for
-        ``validate_axioms``.  Kept unpadded, and the codes as an array, since
-        every lattice keeps its reduct.  At most 256 elements."""
+        order as ``validate_axioms``' join-odot inequality reads it: up to
+        LANES_UP_TO elements, per lane k the pair (byte k of each up-mask,
+        byte k of each element's own bit; see _lanes); past it, the codes
+        of the pairs (a, b) with a not <= b (see _pair_codes).  Kept
+        unpadded, and the codes as an array, since every lattice keeps its
+        reduct.  At most 256 elements."""
         n = len(self.up)
         full = (1 << n) - 1
+        up = [u & full for u in self.up]
         join = [bytes(row) for row in self.join]
-        # all pairs (a, b) as lo/hi bytes, picked by the flat 0/1 not-leq
-        # table, whose index is a * n + b
-        firsts, seconds = b"".join(bytes((a,)) * n for a in range(n)), bytes(range(n)) * n
-        flat_not_leq = b"".join(_bit_rows([full & ~u for u in self.up], n))
-        not_leq = _pair_codes(
-            bytes(compress(firsts, flat_not_leq)), bytes(compress(seconds, flat_not_leq))
-        )
-        return _bit_rows(self.up, n), join, b"".join(join), not_leq
+        if n <= LANES_UP_TO:
+            order = list(zip(_lanes(up, n), _lanes([1 << b for b in range(n)], n)))
+        else:
+            # all pairs (a, b) as lo/hi bytes, picked by the flat 0/1 not-leq
+            # table, whose index is a * n + b
+            firsts, seconds = b"".join(bytes((a,)) * n for a in range(n)), bytes(range(n)) * n
+            flat_not_leq = b"".join(_bit_rows([full & ~u for u in up], n))
+            order = _pair_codes(
+                bytes(compress(firsts, flat_not_leq)), bytes(compress(seconds, flat_not_leq))
+            )
+        return _bit_rows(up, n), join, b"".join(join), order
 
     @cached_property
     def _residuum_rows(self) -> tuple[list[bytes], dict[bytes, int]]:
@@ -291,7 +350,7 @@ class BoundedLattice:
         up, down = self.up, self.down
         below = _bit_rows(down, len(up))
         # join is the order's join table: up[join[x][y]] == up[x] & up[y]
-        lattice = _is_partial_order(up, down) and all(
+        lattice = self.partial_order and all(
             list(map(up.__getitem__, row)) == list(map(u.__and__, up))
             for u, row in zip(up, self.join)
         )
@@ -448,7 +507,7 @@ def _up_masks(leq: Sequence[Sequence[object]], n: int) -> list[int]:
     for i, row in enumerate(leq):
         if _length(f"leq[{i}]", row) != n:
             raise StructureError(f"leq[{i}]: expected {n} entries, got {len(row)}")
-        up.append(mask_of(j for j, v in enumerate(row) if v))
+        up.append(mask_of(compress(range(n), row)))
     return up
 
 
@@ -532,7 +591,9 @@ def bounded_lattice_ops(up: Sequence[int]) -> BoundedLattice:
     meet = _least_bounds(down, order, "glb-missing", violations)
     if violations:
         raise ValidationFailed(_report(violations), "order is not a bounded lattice")
-    return BoundedLattice(up, join, meet, bottoms[0], tops[0])
+    lattice = BoundedLattice(up, join, meet, bottoms[0], tops[0])
+    lattice.__dict__["partial_order"] = order
+    return lattice
 
 
 def _least_bounds(
@@ -668,23 +729,33 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     and the join are the reduct's too.
 
     Cost: the order axioms take O(n^2) mask operations on the up- and
-    down-masks.  The algebraic axioms compare, per first argument x, the
+    down-masks, tested a row at a time in C; only a failing row is
+    scanned pair by pair (see BoundedLattice.order_violations).  The
+    algebraic axioms compare, per first argument x, the
     two sides as flat n x n blocks indexed by (second argument) * n +
     (third argument), so extra memory stays O(n^2).  Each side is built
     from the tables' ``bytes`` rows by C-level gathers:
     ``u.translate(t + pad)`` composes t[u[w]] over a row u, and
     ``b"".join(map(rows.__getitem__, u))`` concatenates the rows that u
-    names.  The join-odot inequality needs a 2-D leq lookup per triple:
-    its (lo, hi) byte pairs are read as 16-bit codes and tested against
-    the set of codes of pairs with lo not <= hi, all in C.  Only a block
-    that fails is scanned again in Python, for its first failing index i,
-    which gives the witness (x, *divmod(i, n)).
+    names.  The join-odot inequality needs a 2-D leq lookup per triple,
+    lo <= hi for the byte pairs (lo[i], hi[i]) of two blocks, in C.  Up
+    to LANES_UP_TO elements it is read through lanes of 8 elements: in
+    lane k, byte k of up[lo[i]] ANDed with byte k of the bit of hi[i] is
+    nonzero exactly when hi[i] lies in lane k and above lo[i].  Per lane,
+    ``lo`` and ``hi`` are translated through the reduct's two tables and
+    read as ints, ANDed, and ORed over the lanes; the block holds iff the
+    result has no zero byte.  That is 2 ceil(n / 8) translates and int
+    conversions of n^2 bytes per x, so past LANES_UP_TO elements (more
+    than 8 lanes) it is cheaper to read the pairs as 16-bit codes and
+    test them against the set of codes of pairs with lo not <= hi.  Only
+    a block that fails is scanned again in Python, for its first failing
+    index i, which gives the witness (x, *divmod(i, n)).
     """
     n = lat.size
     _check_size(n)
     reduct = lat.reduct
     up = reduct.up
-    leq, join, flat_join, not_leq_codes = reduct._axiom_rows
+    leq, join, flat_join, order = reduct._axiom_rows
     odot, imp = ([bytes(row) for row in table] for table in (lat.odot, lat.imp))
     violations = list(reduct.order_violations)
     check = partial(_check, violations)
@@ -718,13 +789,27 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
         for ox in odot
     ))
     # holds at (x, y, z) iff odot(join(x, y), join(x, z)) <= join(x, odot(y, z))
-    not_leq = set(not_leq_codes)
     holds = b"\x01" * (n * n)
+    if n <= LANES_UP_TO:
+        lanes = [(above + pad, own + pad) for above, own in order]
+
+        def all_leq(lo: bytes, hi: bytes) -> bool:
+            leq_bytes = 0
+            for above, own in lanes:
+                leq_bytes |= int.from_bytes(lo.translate(above), "little") & int.from_bytes(
+                    hi.translate(own), "little"
+                )
+            return 0 not in leq_bytes.to_bytes(n * n, "little")
+    else:
+        not_leq = set(order)
+
+        def all_leq(lo: bytes, hi: bytes) -> bool:
+            return not_leq.isdisjoint(_pair_codes(lo, hi))
 
     def inequality(jx: bytes) -> bytes:
         lo = b"".join(map(jx.translate, map(odot_pad.__getitem__, jx)))
         hi = flat_odot.translate(jx + pad)
-        if not_leq.isdisjoint(_pair_codes(lo, hi)):
+        if all_leq(lo, hi):
             return holds
         return bytes(up[u] >> v & 1 for u, v in zip(lo, hi))
 

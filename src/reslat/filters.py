@@ -140,23 +140,26 @@ def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
     for i, cls in enumerate(classes):
         for a in bits(cls):
             class_of[a] = i
-    # compatible: within a class, the rows of each table agree up to class
+    reps = [next(bits(cls)) for cls in classes]
+    rep_of = [reps[i] for i in class_of]
+    # compatible: each row of each table agrees, up to class, with the row
+    # of its class's representative; the quotient's rows are those rows at
+    # the representatives' columns
     class_table = bytes(class_of) + bytes(256 - n)
+    tables = []
     for table in (lat.join, lat.meet, lat.odot, lat.imp):
         rows = [bytes(row).translate(class_table) for row in table]
-        for cls in classes:
-            if len({rows[a] for a in bits(cls)}) != 1:
-                raise InternalCheckError("congruence is not compatible with the operations")
-    reps = [next(bits(cls)) for cls in classes]
-    def tab(table):
-        return tuple(tuple(class_of[table[r][s]] for s in reps) for r in reps)
+        if list(map(rows.__getitem__, rep_of)) != rows:
+            raise InternalCheckError("congruence is not compatible with the operations")
+        tables.append(tuple(tuple(map(rows[r].__getitem__, reps)) for r in reps))
+    join, meet, odot, imp = tables
     qlat = ResiduatedLattice(
         labels=tuple(format_set(lat, cls) for cls in classes),
         up=tuple(sum(1 << j for j, s in enumerate(reps) if f >> lat.imp[r][s] & 1) for r in reps),
-        join=tab(lat.join),
-        meet=tab(lat.meet),
-        odot=tab(lat.odot),
-        imp=tab(lat.imp),
+        join=join,
+        meet=meet,
+        odot=odot,
+        imp=imp,
         bottom=class_of[lat.bottom],
         top=class_of[lat.top],
     )

@@ -19,7 +19,9 @@ from .core import (
     ValidationFailed,
     ValidationReport,
     Violation,
-    bits,
+    _bit_rows,
+    _converse,
+    _first_difference,
     cover_pairs,
     format_set,
     from_order,
@@ -96,43 +98,42 @@ def parse_document(text: str) -> LatticeDocument:
     for lo, hi in covers:
         reach[lo] |= 1 << hi
     reach = transitive_closure(reach)
-    for i in range(n):
-        for j in bits(reach[i]):
-            if i != j and reach[j] >> i & 1:
-                raise LatticeFormatError(
-                    f"order: cover pairs form a cycle through {labels[i]!r}"
-                )
-    leq = [[bool(reach[i] >> j & 1) for j in range(n)] for i in range(n)]
+    # i lies on a cycle iff some j != i is both above and below it
+    for i, (above, below) in enumerate(zip(reach, _converse(reach, n))):
+        if above & below != 1 << i:
+            raise LatticeFormatError(f"order: cover pairs form a cycle through {labels[i]!r}")
 
     def table(key: str) -> list[list[int]]:
         raw = doc[key]
         _expect(isinstance(raw, list) and len(raw) == n, key, f"must have {n} rows")
-        rows = []
+        # rows of n known labels map in C; otherwise the scan below names
+        # the first bad row or cell, and so always raises
+        if all(isinstance(row, list) and len(row) == n for row in raw):
+            try:
+                return [list(map(pos.__getitem__, row)) for row in raw]
+            except (KeyError, TypeError):  # not a label, or unhashable
+                pass
         for i, row in enumerate(raw):
             _expect(
                 isinstance(row, list) and len(row) == n,
                 f"{key}[{i}]", f"must have {n} entries",
             )
-            out = []
             for j, s in enumerate(row):
                 _expect(isinstance(s, str) and s in pos, f"{key}[{i}][{j}]", f"unknown label {s!r}")
-                out.append(pos[s])
-            rows.append(out)
-        return rows
 
     odot = table("odot")
-    lat = from_order(labels, leq, odot)
+    lat = from_order(labels, _bit_rows(reach, n), odot)
     if not lat.validation.valid:
         raise ValidationFailed(lat.validation)
     if "imp" in doc:
-        given = table("imp")
-        for x in range(n):
-            for y in range(n):
-                if given[x][y] != lat.imp[x][y]:
-                    raise ValidationFailed(
-                        ValidationReport(False, (Violation("imp-mismatch", (x, y)),)),
-                        "imp table does not match the derived residuum",
-                    )
+        given = tuple(map(tuple, table("imp")))
+        if given != lat.imp:
+            x = _first_difference(given, lat.imp)
+            y = _first_difference(given[x], lat.imp[x])
+            raise ValidationFailed(
+                ValidationReport(False, (Violation("imp-mismatch", (x, y)),)),
+                "imp table does not match the derived residuum",
+            )
     return LatticeDocument(name=name, lattice=lat)
 
 

@@ -19,7 +19,8 @@ The hull-kernel topologies are read off the containment order of the primes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
 from .core import (
     ContractError,
@@ -281,10 +282,13 @@ def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
     ideals, and their ideal join is the down-closure of pairwise joins:
     it is everything iff some x outside p and some y outside q join to
     the top.  ``reach[i]``, the OR of ``top_joiners[x]`` over the x
-    outside primes[i], holds every such y for p = primes[i], so each pair
-    of kind "ideals" is one AND.  For kind "filters", the join of
+    outside primes[i], holds every such y for p = primes[i], so p is
+    related to q iff reach[i] lies in q.  For kind "filters", the join of
     up(e) and up(e') is the carrier exactly when odot(e, e') is the
-    bottom, so each pair is one lookup on the primes' least elements.
+    bottom, so p is related to q iff odot(e, e') is not, for their least
+    elements e and e'.  Either way each row is one mask, built in one
+    pass over the primes; both relations are symmetric, as join and odot
+    are commutative.
     """
     spec = prime_spectrum(lat)
     primes = spec.primes
@@ -293,26 +297,13 @@ def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
         least = filter_lattice(lat).least
         odot, bottom = lat.odot, lat.bottom
         gens = [least[p] for p in primes]
-
-        def linked(i: int, j: int) -> bool:
-            return odot[gens[i]][gens[j]] != bottom
+        rows = [sum(1 << j for j, g in enumerate(gens) if odot[e][g] != bottom) for e in gens]
     elif kind == "ideals":
         joiners = lat.top_joiners
-        reach = [0] * k
-        for i, p in enumerate(primes):
-            for x in bits(lat.full_mask & ~p):
-                reach[i] |= joiners[x]
-
-        def linked(i: int, j: int) -> bool:
-            return not reach[i] & ~primes[j]
+        reach = [reduce(or_, map(joiners.__getitem__, bits(lat.full_mask & ~p)), 0) for p in primes]
+        rows = [sum(1 << j for j, q in enumerate(primes) if not r & ~q) for r in reach]
     else:
         raise ContractError(f"unknown linkage kind {kind!r}")
-    rows = [0] * k
-    for i in range(k):
-        for j in range(i, k):
-            if linked(i, j):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
     # for kind "ideals" this is primality at the top (no x, y outside p join
     # to it), read apart from prime_spectrum; for "filters", p v p = p
     for i in range(k):

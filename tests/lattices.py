@@ -88,6 +88,13 @@ def build_chain(n: int, squares: dict[int, int] | None = None) -> ResiduatedLatt
     return from_order(labels, leq, odot)
 
 
+def build_lukasiewicz(n: int) -> ResiduatedLattice:
+    """The n-element Lukasiewicz chain: x.y = max(0, x + y - (n - 1))."""
+    leq = [[i <= j for j in range(n)] for i in range(n)]
+    odot = [[max(0, x + y - (n - 1)) for y in range(n)] for x in range(n)]
+    return from_order([str(i) for i in range(n)], leq, odot)
+
+
 def build_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLattice:
     """The direct product a x b, ordered and multiplied componentwise."""
     pairs = [(x, y) for x in range(a.size) for y in range(b.size)]

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from reslat.cli import main
+from reslat.cli import build_parser, main
 from reslat.latfile import bundled_text
 
 from lattices import godel_chain_document
@@ -327,6 +327,63 @@ def test_non_string_label_is_input_error(capsys, tmp_path):
     doc["order"][0][0] = ["a"]
     err = _mp_input_error(capsys, tmp_path / "pair.json", json.dumps(doc).encode())
     assert err == "error: order[0]: unknown label ['a']\n"
+
+
+@pytest.mark.parametrize("key", ["odot", "imp"])
+@pytest.mark.parametrize(
+    "last, problem",
+    [
+        (["z"], "[7][7]: unknown label 'z'"),
+        ([True], "[7][7]: unknown label True"),
+        ([None], "[7][7]: unknown label None"),
+        ([["1"]], "[7][7]: unknown label ['1']"),
+        ([], "[7]: must have 8 entries"),
+    ],
+    ids=["unknown", "bool", "null", "nested", "short"],
+)
+def test_bad_table_cell_is_named(capsys, tmp_path, key, last, problem):
+    # the last cell of the last row replaced by last: every row before it
+    # is well formed, so the rows map to indices in one pass until the
+    # last, and only then is the table scanned cell by cell
+    doc = json.loads(bundled_text("a8"))
+    doc[key][-1][-1:] = last
+    err = _mp_input_error(capsys, tmp_path / "cell.json", json.dumps(doc).encode())
+    assert err == f"error: {key}{problem}\n"
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, a8_path):
+    # main builds its parser on the first call and reuses it: each call's
+    # exit code and output must be those of the same call in a fresh process
+    import reslat.cli
+
+    built = []
+    monkeypatch.setattr(reslat.cli, "build_parser", lambda: built.append(1) or build_parser())
+    reslat.cli._parser.cache_clear()
+    calls = [
+        ["mp", a8_path, "--witness"],
+        ["mp", a8_path],
+        ["mp", a8_path, "--no-such-flag"],
+        ["topology", a8_path, "--space", "min"],
+        ["topology", a8_path, "--space", "nowhere"],
+        ["topology", a8_path],
+    ]
+    codes = []
+    try:
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            alone = _run_cli(argv)
+            assert (code, captured.out, captured.err) == (
+                alone.returncode, alone.stdout.decode(), alone.stderr.decode()
+            ), argv
+            codes.append(code)
+    finally:
+        reslat.cli._parser.cache_clear()
+    assert built == [1]
+    assert codes == [3, 3, 1, 0, 1, 0]
 
 
 # The exit code and the sha256 of stdout of each run through cli.main on the

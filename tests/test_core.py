@@ -24,7 +24,7 @@ from reslat import (
     negation,
     validate_axioms,
 )
-from reslat.core import MAX_SIZE, bounded_lattice_ops, is_subset
+from reslat.core import LANES_UP_TO, MAX_SIZE, bounded_lattice_ops, is_subset
 from reslat.spectra import hull_kernel_topology, hull
 
 from oracles import single_pass_validate
@@ -33,6 +33,7 @@ from lattices import (
     build_a8,
     build_boolean4,
     build_chain,
+    build_lukasiewicz,
     build_product,
     build_two_chain,
     mask,
@@ -263,6 +264,46 @@ def test_validate_matches_single_pass_oracle(corpus5, corpus7, a6, a8):
     assert set(AXIOMS) <= set(seen)
     for name in ("up", "join", "meet", "odot", "imp"):
         assert seen[name, False], name
+
+
+def _row_test_passes(masks, table, x):
+    # the order axioms' row test of join-lub (masks = up, table = join) or
+    # meet-glb (the down-masks and meet) on row x
+    return [masks[v] for v in table[x]] == [masks[x] & m for m in masks]
+
+
+def test_validate_matches_single_pass_oracle_past_one_lane(a6xa8):
+    # 48 and 30 elements: six and four lanes of 8 elements for the
+    # join-odot inequality, and row tests with rows before a failing one;
+    # 72 elements, past LANES_UP_TO: the inequality's pairs read as codes
+    luk30, luk72 = build_lukasiewicz(30), build_lukasiewicz(72)
+    assert luk30.size <= LANES_UP_TO < luk72.size
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    later_lanes = later_rows = as_codes = 0
+    for i in range(160):
+        lat = luk72 if i % 16 == 0 else rng.choice((a6xa8, luk30))
+        name, bad = _corrupt_one_cell(rng, lat)
+        report = validate_axioms(bad)
+        assert report == single_pass_validate(bad), (name, bad)
+        seen[name, report.valid] += 1
+        for v in report.violations:
+            seen[v.axiom] += 1
+            if v.axiom == "join-odot-inequality" and lat is luk72:
+                as_codes += 1
+            elif v.axiom == "join-odot-inequality":
+                x, y, z = v.witness
+                later_lanes += bad.join[x][bad.odot[y][z]] >= 8
+            elif v.axiom in ("join-lub", "meet-glb"):
+                masks, table = (
+                    (bad.up, bad.join) if v.axiom == "join-lub" else (bad.down_masks, bad.meet)
+                )
+                x = v.witness[0]
+                later_rows += any(_row_test_passes(masks, table, r) for r in range(x))
+    for name in ("up", "join", "meet", "odot", "imp"):
+        assert seen[name, False], name
+    assert {"leq-transitive", "join-lub", "meet-glb", "join-odot-inequality"} <= set(seen)
+    assert later_lanes and later_rows and as_codes, (later_lanes, later_rows, as_codes)
 
 
 # ---------------------------------------------------------------------------
