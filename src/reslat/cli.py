@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from functools import cache
 
 from .core import (
     ContractError,
@@ -275,16 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built on the first ``main`` call and reused by
-    every later one in the process: parse_args keeps no state between
-    calls, and building takes longer than parsing."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (LatticeFormatError, StructureError, ContractError) as exc:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from reslat.cli import build_parser, main
+from reslat.cli import main
 from reslat.latfile import bundled_text
 
 from lattices import godel_chain_document
@@ -349,41 +349,6 @@ def test_bad_table_cell_is_named(capsys, tmp_path, key, last, problem):
     doc[key][-1][-1:] = last
     err = _mp_input_error(capsys, tmp_path / "cell.json", json.dumps(doc).encode())
     assert err == f"error: {key}{problem}\n"
-
-
-def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, a8_path):
-    # main builds its parser on the first call and reuses it: each call's
-    # exit code and output must be those of the same call in a fresh process
-    import reslat.cli
-
-    built = []
-    monkeypatch.setattr(reslat.cli, "build_parser", lambda: built.append(1) or build_parser())
-    reslat.cli._parser.cache_clear()
-    calls = [
-        ["mp", a8_path, "--witness"],
-        ["mp", a8_path],
-        ["mp", a8_path, "--no-such-flag"],
-        ["topology", a8_path, "--space", "min"],
-        ["topology", a8_path, "--space", "nowhere"],
-        ["topology", a8_path],
-    ]
-    codes = []
-    try:
-        for argv in calls:
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # a usage error
-                code = exc.code
-            captured = capsys.readouterr()
-            alone = _run_cli(argv)
-            assert (code, captured.out, captured.err) == (
-                alone.returncode, alone.stdout.decode(), alone.stderr.decode()
-            ), argv
-            codes.append(code)
-    finally:
-        reslat.cli._parser.cache_clear()
-    assert built == [1]
-    assert codes == [3, 3, 1, 0, 1, 0]
 
 
 # The exit code and the sha256 of stdout of each run through cli.main on the

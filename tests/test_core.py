@@ -238,6 +238,27 @@ def _corrupt_one_cell(rng, lat):
     return name, dataclasses.replace(lat, **{name: tuple(map(tuple, table))})
 
 
+def _compare_corruptions(sources, draws, seed):
+    """draws copies of sources, each with one cell corrupted, whose reports
+    must be single_pass_validate's, witnesses and order included. Returns
+    the counts of each (table corrupted, valid) and of each axiom violated,
+    and each (corrupted copy, report)."""
+    rng = random.Random(seed)
+    seen = collections.Counter()
+    results = []
+    for _ in range(draws):
+        lat = rng.choice(sources)
+        name, bad = _corrupt_one_cell(rng, lat)
+        assert bad.reduct is not lat.reduct
+        assert bad.reduct.up is bad.up and bad.reduct.join is bad.join
+        report = validate_axioms(bad)
+        assert report == single_pass_validate(bad), (name, bad)
+        seen[name, report.valid] += 1
+        seen.update(v.axiom for v in report.violations)
+        results.append((bad, report))
+    return seen, results
+
+
 def test_validate_matches_single_pass_oracle(corpus5, corpus7, a6, a8):
     # the order axioms come from the reduct, which the products of one
     # lattice share; the report must be the one-pass scan's, witnesses and
@@ -250,17 +271,7 @@ def test_validate_matches_single_pass_oracle(corpus5, corpus7, a6, a8):
     sources = [lat for lat in (*corpus5, a6, a8) if lat.size >= 2]
     shared = collections.Counter(id(lat.reduct) for lat in sources)
     assert max(shared.values()) > 1
-    rng = random.Random(20261020)
-    seen = collections.Counter()
-    for _ in range(3000):
-        lat = rng.choice(sources)
-        name, bad = _corrupt_one_cell(rng, lat)
-        assert bad.reduct is not lat.reduct
-        assert bad.reduct.up is bad.up and bad.reduct.join is bad.join
-        report = validate_axioms(bad)
-        assert report == single_pass_validate(bad), (name, bad)
-        seen[name, report.valid] += 1
-        seen.update(v.axiom for v in report.violations)
+    seen, _ = _compare_corruptions(sources, 3000, 20261020)
     assert set(AXIOMS) <= set(seen)
     for name in ("up", "join", "meet", "odot", "imp"):
         assert seen[name, False], name
@@ -278,20 +289,12 @@ def test_validate_matches_single_pass_oracle_past_one_lane(a6xa8):
     # 72 elements, past LANES_UP_TO: the inequality's pairs read as codes
     luk30, luk72 = build_lukasiewicz(30), build_lukasiewicz(72)
     assert luk30.size <= LANES_UP_TO < luk72.size
-    rng = random.Random(20261021)
-    seen = collections.Counter()
-    later_lanes = later_rows = as_codes = 0
-    for i in range(160):
-        lat = luk72 if i % 16 == 0 else rng.choice((a6xa8, luk30))
-        name, bad = _corrupt_one_cell(rng, lat)
-        report = validate_axioms(bad)
-        assert report == single_pass_validate(bad), (name, bad)
-        seen[name, report.valid] += 1
+    seen, results = _compare_corruptions((a6xa8, luk30), 150, 20261021)
+    codes_seen, _ = _compare_corruptions((luk72,), 10, 20261022)
+    later_lanes = later_rows = 0
+    for bad, report in results:
         for v in report.violations:
-            seen[v.axiom] += 1
-            if v.axiom == "join-odot-inequality" and lat is luk72:
-                as_codes += 1
-            elif v.axiom == "join-odot-inequality":
+            if v.axiom == "join-odot-inequality":
                 x, y, z = v.witness
                 later_lanes += bad.join[x][bad.odot[y][z]] >= 8
             elif v.axiom in ("join-lub", "meet-glb"):
@@ -300,10 +303,13 @@ def test_validate_matches_single_pass_oracle_past_one_lane(a6xa8):
                 )
                 x = v.witness[0]
                 later_rows += any(_row_test_passes(masks, table, r) for r in range(x))
+    seen += codes_seen
     for name in ("up", "join", "meet", "odot", "imp"):
         assert seen[name, False], name
     assert {"leq-transitive", "join-lub", "meet-glb", "join-odot-inequality"} <= set(seen)
-    assert later_lanes and later_rows and as_codes, (later_lanes, later_rows, as_codes)
+    assert later_lanes and later_rows and codes_seen["join-odot-inequality"], (
+        later_lanes, later_rows, codes_seen
+    )
 
 
 # ---------------------------------------------------------------------------
