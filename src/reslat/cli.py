@@ -12,6 +12,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from .core import (
+    MAX_DOCUMENT_BYTES,
     ContractError,
     InternalCheckError,
     StructureError,
@@ -44,10 +45,14 @@ EXIT_PROPERTY = 3
 
 def _load(path: str) -> LatticeDocument:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise LatticeFormatError(f"{path}: {exc.strerror}") from exc
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise LatticeFormatError(f"{path}: larger than {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LatticeFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     return parse_document(text)

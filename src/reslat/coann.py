@@ -13,9 +13,8 @@ keeps one coannulet per element, so coann(X) costs |X| mask operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
-from .core import InternalCheckError, ResiduatedLattice
+from .core import InternalCheckError, ResiduatedLattice, per_lattice
 from .filters import all_filters, canonical_sort, filter_lattice
 from .spectra import meet_rows, prime_spectrum
 
@@ -39,7 +38,7 @@ class SkeletonLattice:
     join: dict[tuple[int, int], int]
 
 
-@cache
+@per_lattice
 def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
     """The skeleton, verified to be a Boolean lattice.
 

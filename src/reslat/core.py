@@ -18,9 +18,10 @@ rows is one ``b"".join``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial, reduce, wraps
 from itertools import chain, compress
 from operator import or_
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 
@@ -79,6 +80,9 @@ def cover_pairs(up: Sequence[int]) -> list[tuple[int, int]]:
 # byte rows
 
 MAX_SIZE = 256  # the largest carrier: an element index must fit in a byte
+# the largest document file: a canonical MAX_SIZE document with imp is
+# 2.4 MB with 8-character labels, and fits with labels of 100 characters
+MAX_DOCUMENT_BYTES = 16 << 20
 # up to this many elements, validate_axioms tests the join-odot inequality
 # in lanes of 8; past it, against the set of pairs not in the order
 LANES_UP_TO = 64
@@ -365,9 +369,12 @@ class ResiduatedLattice:
     encodes the order relation.  ``join``, ``meet``, ``odot`` and ``imp``
     are full n x n tables.  The structure is not necessarily valid:
     ``validate_axioms`` reports which axioms hold.  The bounded-lattice
-    reduct (``reduct``, which holds ``down_masks`` and ``top_joiners``)
-    and the axiom report (``validation``) are computed on first use and
-    kept, so each instance is validated at most once.
+    reduct (``reduct``, which holds ``down_masks`` and ``top_joiners``),
+    the axiom report (``validation``) and the analyses of the
+    ``per_lattice`` functions (the filter lattice, the prime spectrum, the
+    omega-filters, the skeleton and the pure spectrum) are computed on
+    first use and kept in the instance, so each instance is validated and
+    analysed at most once, and what it keeps is freed with it.
     """
 
     labels: tuple[str, ...]
@@ -435,18 +442,26 @@ class ResiduatedLattice:
     def label_set(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
 
-    @cached_property
-    def _hash(self) -> int:
-        # Every field but the labels: str hashes differ between interpreters,
-        # and this value is pickled with the instance.  Equal lattices have
-        # equal int fields, so the hash stays consistent with __eq__.
-        return hash((self.up, self.join, self.meet, self.odot, self.imp, self.bottom, self.top))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"ResiduatedLattice({','.join(self.labels)})"
+
+
+def per_lattice(fn):
+    """``fn(lat)``, computed on the first call and kept in ``lat.__dict__``, as
+    ``reduct`` is, so it lives as long as lat.  ``cache_info()`` counts the
+    calls answered from there (hits) and those that computed (misses)."""
+    name, counts = fn.__name__, [0, 0]  # misses, hits
+
+    @wraps(fn)
+    def memo(lat):
+        kept = lat.__dict__
+        counts[name in kept] += 1
+        if name not in kept:
+            kept[name] = fn(lat)
+        return kept[name]
+
+    memo.cache_info = lambda: SimpleNamespace(hits=counts[1], misses=counts[0])
+    return memo
 
 
 def format_set(lat: ResiduatedLattice, mask: int) -> str:

@@ -51,6 +51,8 @@ from .core import (
 
 DEFAULT_CAP = 8
 WORKERS_ENV = "RESLAT_THREADS"
+# a larger request gets this many: output does not depend on the worker count
+MAX_WORKERS = 32
 
 
 def _labels(n: int) -> tuple[str, ...]:
@@ -378,16 +380,14 @@ def _build(lattice: BoundedLattice, odot) -> ResiduatedLattice:
 
 
 def worker_count(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+    """workers, else RESLAT_THREADS, else the CPU count, clamped to 1..MAX_WORKERS."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
         try:
-            count = int(env)
+            workers = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
             raise ContractError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-        return max(1, count)
-    return os.cpu_count() or 1
+    return min(max(1, workers), MAX_WORKERS)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ of coannulets are read from Gamma and the odot table.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .core import (
     ContractError,
     InternalCheckError,
@@ -39,6 +37,7 @@ from .core import (
     bits,
     format_set,
     is_subset,
+    per_lattice,
 )
 
 
@@ -86,7 +85,7 @@ class FilterLattice:
         self.least = least
 
 
-@cache
+@per_lattice
 def filter_lattice(lat: ResiduatedLattice) -> FilterLattice:
     """Every filter: up(e) for each idempotent e, in canonical order."""
     return FilterLattice({lat.up[e]: e for e in range(lat.size) if lat.odot[e][e] == e})

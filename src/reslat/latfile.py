@@ -82,6 +82,9 @@ def parse_document(text: str) -> LatticeDocument:
     pos = {s: i for i, s in enumerate(labels)}
 
     _expect(isinstance(doc["order"], list), "order", "must be a list of cover pairs")
+    most = n * (n - 1) // 2  # an acyclic relation has no more distinct pairs
+    count = len(doc["order"])
+    _expect(count <= most, "order", f"{count} pairs: more than {most} repeat one or form a cycle")
     covers = []
     for k, pair in enumerate(doc["order"]):
         _expect(

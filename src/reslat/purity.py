@@ -10,7 +10,7 @@ compared.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 
 from .core import (
     ContractError,
@@ -18,6 +18,7 @@ from .core import (
     ResiduatedLattice,
     _converse,
     is_subset,
+    per_lattice,
 )
 from .filters import (
     all_filters,
@@ -119,7 +120,7 @@ class OmegaLattice:
         return tuple(_divisor_of_prime(lat, i) for i in range(len(prime_spectrum(lat))))
 
 
-@cache
+@per_lattice
 def omega_lattice(lat: ResiduatedLattice) -> OmegaLattice:
     return OmegaLattice(lat)
 
@@ -197,7 +198,7 @@ class PureSpectrum:
         return top
 
 
-@cache
+@per_lattice
 def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
     return PureSpectrum(lat)
 

@@ -19,7 +19,7 @@ The hull-kernel topologies are read off the containment order of the primes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from operator import or_
 
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     _converse,
     bits,
     is_subset,
+    per_lattice,
     transitive_closure,
 )
 from .filters import all_filters, canonical_sort, filter_lattice, first_join_into
@@ -97,7 +98,7 @@ def _meet_prime(p: int, filters: tuple[int, ...]) -> bool:
     return True
 
 
-@cache
+@per_lattice
 def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
     """All prime filters, with the meet-primality cross-check kept enabled."""
     filters = all_filters(lat)

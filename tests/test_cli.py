@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from reslat.cli import main
+from reslat.core import MAX_DOCUMENT_BYTES
 from reslat.latfile import bundled_text
 
 from lattices import godel_chain_document
@@ -293,8 +294,10 @@ def test_bad_thread_count_is_input_error(capsys, monkeypatch):
     assert "RESLAT_THREADS" in err and "'abc'" in err
 
 
-def _mp_input_error(capsys, path, content: bytes) -> str:
+def _mp_input_error(capsys, path, content: bytes, size: int | None = None) -> str:
     path.write_bytes(content)
+    if size is not None:
+        os.truncate(path, size)  # a sparse tail of NUL bytes: nothing large is written
     code, out, err = run(capsys, "mp", str(path))
     assert code == 1
     assert out == ""
@@ -317,6 +320,27 @@ def test_overlong_integer_is_input_error(capsys, tmp_path):
 def test_non_utf8_file_is_input_error(capsys, tmp_path):
     err = _mp_input_error(capsys, tmp_path / "bom.json", b'\xff\xfe{"name": "x"}')
     assert "not UTF-8" in err
+
+
+def test_oversized_file_is_input_error(capsys, tmp_path):
+    path, a6 = tmp_path / "big.json", bundled_text("a6").encode()
+    err = _mp_input_error(capsys, path, a6, size=MAX_DOCUMENT_BYTES + 1)
+    assert err == f"error: {path}: larger than {MAX_DOCUMENT_BYTES} bytes\n"
+    # at the limit the file is read and parsed, and its padding is extra data
+    err = _mp_input_error(capsys, path, a6, size=MAX_DOCUMENT_BYTES)
+    assert err.endswith(": Extra data\n")
+
+
+def test_overlong_order_is_input_error(capsys, tmp_path):
+    doc = json.loads(bundled_text("a6"))
+    covers = doc["order"]
+    doc["order"] = (covers * 3)[:15]  # six elements: at most 15 pairs, repeats allowed
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "mp", str(path))[0] == 0
+    doc["order"].append(covers[0])
+    err = _mp_input_error(capsys, path, json.dumps(doc).encode())
+    assert err == "error: order: 16 pairs: more than 15 repeat one or form a cycle\n"
 
 
 def test_non_string_label_is_input_error(capsys, tmp_path):

@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import os
+import gc
 import random
-import subprocess
-import sys
+import weakref
 
 import pytest
 
@@ -25,7 +24,9 @@ from reslat import (
     validate_axioms,
 )
 from reslat.core import LANES_UP_TO, MAX_SIZE, bounded_lattice_ops, is_subset
-from reslat.spectra import hull_kernel_topology, hull
+from reslat.filters import filter_lattice
+from reslat.latfile import load_bundled
+from reslat.spectra import hull_kernel_topology, hull, prime_spectrum
 
 from oracles import single_pass_validate
 from lattices import (
@@ -473,39 +474,24 @@ def test_derive_residuum_matches_reference_fold(corpus6):
     assert set(seen) == {"not realised", "principal", "folded"}
 
 
-def test_cached_hash_survives_pickling_across_hash_seeds():
-    # the first interpreter hashes a6 and pickles it; the second, with
-    # other str hashes, must find the unpickled copy in the spectrum cache
-    dump = (
-        "import pickle, sys\n"
-        "from reslat.latfile import load_bundled\n"
-        "from reslat.spectra import prime_spectrum\n"
-        "lat = load_bundled('a6').lattice\n"
-        "prime_spectrum(lat)\n"
-        "sys.stdout.buffer.write(pickle.dumps(lat))\n"
-    )
-    load = (
-        "import pickle, sys\n"
-        "from reslat.latfile import load_bundled\n"
-        "from reslat.spectra import prime_spectrum\n"
-        "old = pickle.loads(sys.stdin.buffer.read())\n"
-        "new = load_bundled('a6').lattice\n"
-        "spec = prime_spectrum(new)\n"
-        "assert old == new and hash(old) == hash(new)\n"
-        "assert prime_spectrum(old) is spec\n"
-        "assert prime_spectrum.cache_info().hits == 1\n"
-    )
-
-    def run(code, seed, data=b""):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        return subprocess.run(
-            [sys.executable, "-c", code], input=data, capture_output=True, env=env, timeout=60,
-        )
-
-    dumped = run(dump, "1")
-    assert dumped.returncode == 0, dumped.stderr
-    loaded = run(load, "2", dumped.stdout)
-    assert loaded.returncode == 0, loaded.stderr
+def test_analyses_live_and_die_with_their_lattice(a6):
+    # equal lattices parsed separately share nothing: each misses once
+    first, second = (load_bundled("a8").lattice for _ in range(2))
+    before = prime_spectrum.cache_info()
+    spec = prime_spectrum(first)
+    assert first == second and prime_spectrum(second) is not spec
+    assert prime_spectrum(first) is spec
+    after = prime_spectrum.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 1)
+    # the spectrum is freed with its lattice
+    kept = weakref.ref(spec)
+    del first, spec
+    gc.collect()
+    assert kept() is None
+    # a lattice made by dataclasses.replace starts with an empty memo
+    bad = _corrupt(a6, 1, 1, 0)  # a.a = 0: a is no longer idempotent
+    assert filter_lattice(bad) is not filter_lattice(a6)
+    assert filter_lattice(bad).filters != filter_lattice(a6).filters
 
 
 def test_dimension_mismatch_is_structural(a6):

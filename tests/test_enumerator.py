@@ -220,6 +220,29 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    assert worker_count(10**9) == enumerator.MAX_WORKERS
+    assert worker_count(0) == worker_count(-3) == 1
+    asked = []
+
+    class Pool:  # records the pool size and maps in-process: no process starts
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(enumerator, "ProcessPoolExecutor", Pool)
+    monkeypatch.setenv("RESLAT_THREADS", str(10**9))
+    assert len(enumerate_residuated(7)) == 723  # 53 lattices, so 53 jobs
+    assert asked == [enumerator.MAX_WORKERS]
+
+
 def test_order_cap():
     with pytest.raises(ContractError):
         bounded_lattices(9)
