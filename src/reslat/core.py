@@ -83,9 +83,6 @@ MAX_SIZE = 256  # the largest carrier: an element index must fit in a byte
 # the largest document file: a canonical MAX_SIZE document with imp is
 # 2.4 MB with 8-character labels, and fits with labels of 100 characters
 MAX_DOCUMENT_BYTES = 16 << 20
-# up to this many elements, validate_axioms tests the join-odot inequality
-# in lanes of 8; past it, against the set of pairs not in the order
-LANES_UP_TO = 64
 
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -134,14 +131,6 @@ def _pair_codes(lo: bytes, hi: bytes) -> memoryview:
     buf[::2] = lo
     buf[1::2] = hi
     return memoryview(buf).cast("H")
-
-
-def _lanes(masks: Sequence[int], n: int) -> list[bytes]:
-    """Lane k of a list of n-bit masks: byte k of each mask, as one n-byte
-    string.  There are ceil(n / 8) lanes."""
-    width = (n + 7) // 8
-    flat = b"".join(m.to_bytes(width, "little") for m in masks)
-    return [flat[k::width] for k in range(width)]
 
 
 def _first_difference(lhs: Sequence[int], rhs: Sequence[int]) -> int:
@@ -228,13 +217,12 @@ class BoundedLattice:
     on first use and kept: the down-masks, ``top_joiners``, whether ``up``
     is a partial order, the order axioms' report, and the byte rows that
     ``validate_axioms`` and ``derive_residuum`` read (the 0/1 leq rows, the
-    join rows, the lanes of the up-masks and of the element bits or, past
-    LANES_UP_TO elements, the codes of the pairs not in the order, and the
-    0/1 principal down-sets).  ``bounded_lattice_ops`` seeds the
-    partial-order test it has just computed.  Products that share
+    join rows and the 0/1 principal down-sets).  ``bounded_lattice_ops``
+    seeds the partial-order test it has just computed.  Products that share
     one object (see ``ResiduatedLattice.over``) derive the rest once.  A
-    pickle holds the five fields only: the receiver derives the rest, and
-    a memoryview among them would not pickle.
+    pickle holds the five fields only: the derived rows would about double
+    its size (546 against 273 KB for the 256-element chain), and the
+    receiver derives what it reads.
     """
 
     up: tuple[int, ...]
@@ -321,29 +309,14 @@ class BoundedLattice:
         return tuple(violations)
 
     @cached_property
-    def _axiom_rows(self) -> tuple[list[bytes], list[bytes], bytes, list | memoryview]:
-        """The 0/1 leq rows, the join rows and their concatenation, and the
-        order as ``validate_axioms``' join-odot inequality reads it: up to
-        LANES_UP_TO elements, per lane k the pair (byte k of each up-mask,
-        byte k of each element's own bit; see _lanes); past it, the codes
-        of the pairs (a, b) with a not <= b (see _pair_codes).  Kept
-        unpadded, and the codes as an array, since every lattice keeps its
-        reduct.  At most 256 elements."""
+    def _axiom_rows(self) -> tuple[list[bytes], list[bytes], bytes]:
+        """The rows of the reduct that ``validate_axioms`` reads on every
+        call: the 0/1 leq rows, the join rows and their concatenation.
+        Kept unpadded, since every lattice keeps its reduct.  At most 256
+        elements."""
         n = len(self.up)
-        full = (1 << n) - 1
-        up = [u & full for u in self.up]
         join = [bytes(row) for row in self.join]
-        if n <= LANES_UP_TO:
-            order = list(zip(_lanes(up, n), _lanes([1 << b for b in range(n)], n)))
-        else:
-            # all pairs (a, b) as lo/hi bytes, picked by the flat 0/1 not-leq
-            # table, whose index is a * n + b
-            firsts, seconds = b"".join(bytes((a,)) * n for a in range(n)), bytes(range(n)) * n
-            flat_not_leq = b"".join(_bit_rows([full & ~u for u in up], n))
-            order = _pair_codes(
-                bytes(compress(firsts, flat_not_leq)), bytes(compress(seconds, flat_not_leq))
-            )
-        return _bit_rows(up, n), join, b"".join(join), order
+        return _bit_rows(self.up, n), join, b"".join(join)
 
     @cached_property
     def _residuum_rows(self) -> tuple[list[bytes], dict[bytes, int]]:
@@ -733,6 +706,14 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     laws are cross-checked as sanity conditions: the product distributes
     over joins, and join(x, odot(y, z)) >= odot(join(x, y), join(x, z)).
 
+    The second, the join-odot inequality, follows from four axioms that
+    come before it in the report: the order axioms, odot-commutative,
+    odot-identity and odot-join-distributive.  With them, a <= top gives
+    odot(x, a) <= odot(x, top) = x, so by distributivity
+    odot(x v y, x v z) = xx v xy v zx v yz <= x v odot(y, z).  So it is
+    scanned only when some earlier axiom has failed: every report is the
+    one a full scan gives, and a valid lattice never pays for the scan.
+
     The order axioms (reflexivity through meet-glb) read only ``up``,
     ``join``, ``meet``, ``bottom`` and ``top``.  They are checked once per
     lattice, by ``lat.reduct.order_violations``, and they come first in
@@ -752,25 +733,18 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     from the tables' ``bytes`` rows by C-level gathers:
     ``u.translate(t + pad)`` composes t[u[w]] over a row u, and
     ``b"".join(map(rows.__getitem__, u))`` concatenates the rows that u
-    names.  The join-odot inequality needs a 2-D leq lookup per triple,
-    lo <= hi for the byte pairs (lo[i], hi[i]) of two blocks, in C.  Up
-    to LANES_UP_TO elements it is read through lanes of 8 elements: in
-    lane k, byte k of up[lo[i]] ANDed with byte k of the bit of hi[i] is
-    nonzero exactly when hi[i] lies in lane k and above lo[i].  Per lane,
-    ``lo`` and ``hi`` are translated through the reduct's two tables and
-    read as ints, ANDed, and ORed over the lanes; the block holds iff the
-    result has no zero byte.  That is 2 ceil(n / 8) translates and int
-    conversions of n^2 bytes per x, so past LANES_UP_TO elements (more
-    than 8 lanes) it is cheaper to read the pairs as 16-bit codes and
-    test them against the set of codes of pairs with lo not <= hi.  Only
-    a block that fails is scanned again in Python, for its first failing
-    index i, which gives the witness (x, *divmod(i, n)).
+    names.  The join-odot inequality, when it is scanned, needs a 2-D leq
+    lookup per triple, lo <= hi for the byte pairs (lo[i], hi[i]) of two
+    blocks: the pairs are read as 16-bit codes and tested in C against
+    the set of codes of the pairs with lo not <= hi.  Only a block that
+    fails is scanned again in Python, for its first failing index i,
+    which gives the witness (x, *divmod(i, n)).
     """
     n = lat.size
     _check_size(n)
     reduct = lat.reduct
     up = reduct.up
-    leq, join, flat_join, order = reduct._axiom_rows
+    leq, join, flat_join = reduct._axiom_rows
     odot, imp = ([bytes(row) for row in table] for table in (lat.odot, lat.imp))
     violations = list(reduct.order_violations)
     check = partial(_check, violations)
@@ -784,7 +758,7 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
 
     pad = bytes(256 - n)
     flat_odot = b"".join(odot)
-    odot_pad, join_pad, leq_pad = ([row + pad for row in t] for t in (odot, join, leq))
+    join_pad, leq_pad = ([row + pad for row in t] for t in (join, leq))
     check("odot-commutative", (
         (x, _first_difference(row, column))
         for x, (row, column) in enumerate(zip(odot, (flat_odot[x::n] for x in range(n))))
@@ -803,32 +777,24 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
         (flat_join.translate(ox + pad), b"".join(map(ox.translate, map(join_pad.__getitem__, ox))))
         for ox in odot
     ))
-    # holds at (x, y, z) iff odot(join(x, y), join(x, z)) <= join(x, odot(y, z))
-    holds = b"\x01" * (n * n)
-    if n <= LANES_UP_TO:
-        lanes = [(above + pad, own + pad) for above, own in order]
+    if violations:  # else the join-odot inequality holds: see above
+        # the codes of all pairs (a, b), picked by the flat 0/1 not-leq
+        # table, whose index is a * n + b
+        firsts, seconds = b"".join(bytes((a,)) * n for a in range(n)), bytes(range(n)) * n
+        flat_not_leq = b"".join(_bit_rows([~u for u in up], n))
+        not_leq = set(compress(_pair_codes(firsts, seconds), flat_not_leq))
+        odot_pad = [row + pad for row in odot]
+        # holds at (x, y, z) iff odot(join(x, y), join(x, z)) <= join(x, odot(y, z))
+        holds = b"\x01" * (n * n)
 
-        def all_leq(lo: bytes, hi: bytes) -> bool:
-            leq_bytes = 0
-            for above, own in lanes:
-                leq_bytes |= int.from_bytes(lo.translate(above), "little") & int.from_bytes(
-                    hi.translate(own), "little"
-                )
-            return 0 not in leq_bytes.to_bytes(n * n, "little")
-    else:
-        not_leq = set(order)
+        def inequality(jx: bytes) -> bytes:
+            lo = b"".join(map(jx.translate, map(odot_pad.__getitem__, jx)))
+            hi = flat_odot.translate(jx + pad)
+            if not_leq.isdisjoint(_pair_codes(lo, hi)):
+                return holds
+            return bytes(up[u] >> v & 1 for u, v in zip(lo, hi))
 
-        def all_leq(lo: bytes, hi: bytes) -> bool:
-            return not_leq.isdisjoint(_pair_codes(lo, hi))
-
-    def inequality(jx: bytes) -> bytes:
-        lo = b"".join(map(jx.translate, map(odot_pad.__getitem__, jx)))
-        hi = flat_odot.translate(jx + pad)
-        if all_leq(lo, hi):
-            return holds
-        return bytes(up[u] >> v & 1 for u, v in zip(lo, hi))
-
-    check("join-odot-inequality", blocks((holds, inequality(jx)) for jx in join))
+        check("join-odot-inequality", blocks((holds, inequality(jx)) for jx in join))
     return _report(violations)
 
 

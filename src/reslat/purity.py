@@ -10,8 +10,6 @@ compared.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .core import (
     ContractError,
     InternalCheckError,
@@ -87,10 +85,15 @@ class OmegaLattice:
     omega-filters: omega of the ideal join of any representatives of
     each.  That covers every pair of representative ideals at O(n^2)
     table lookups.
+
+    ``divisors`` holds the divisor filter of each prime, in spectrum
+    order.  A prime's divisor filter is omega of its complement, an ideal,
+    so it is an omega-filter; each is computed and cross-checked once.
+    Neither this nor PureSpectrum keeps the lattice, whose memo keeps
+    them: the lattice is freed as soon as its last reference goes.
     """
 
     def __init__(self, lat: ResiduatedLattice):
-        self.lattice = lat
         omega = [omega_filter(lat, i) for i in lat.down_masks]
         member_set = set(omega)
         self.members = canonical_sort(member_set)
@@ -108,16 +111,7 @@ class OmegaLattice:
             for g in self.members:
                 if f & g not in member_set:
                     raise InternalCheckError("omega-filters not closed under meet")
-
-    @cached_property
-    def divisors(self) -> tuple[int, ...]:
-        """The divisor filter of each prime, in spectrum order.
-
-        A prime's divisor filter is omega of its complement, an ideal, so
-        it is an omega-filter; each is computed and cross-checked once.
-        """
-        lat = self.lattice
-        return tuple(_divisor_of_prime(lat, i) for i in range(len(prime_spectrum(lat))))
+        self.divisors = tuple(_divisor_of_prime(lat, i) for i in range(len(prime_spectrum(lat))))
 
 
 @per_lattice
@@ -163,7 +157,6 @@ class PureSpectrum:
     topology on the purely-prime filters with opens {P | F not <= P}."""
 
     def __init__(self, lat: ResiduatedLattice):
-        self.lattice = lat
         self.pure = tuple(f for f in all_filters(lat) if pure_core(lat, f) == f)
         # pure_core({top}) is the meet of all primes by either route: {top} by theorem
         if 1 << lat.top not in self.pure:
@@ -174,17 +167,17 @@ class PureSpectrum:
         for f in self.purely_maximal:
             if f not in self.purely_prime:
                 raise InternalCheckError("purely-maximal must be purely-prime")
-        self.topology = self._build_topology()
+        self.topology = self._build_topology(lat.size)
 
-    def _build_topology(self) -> FiniteTopology:
-        """Subbasic opens: the complements of the pure hulls {P | F <= P}.
-        The hulls are closed by construction, and a finite space's closed
-        sets are the unions of point closures, so the closed sets are the
-        hulls iff the empty set and every point closure are hulls and the
-        hulls are closed under binary union."""
+    def _build_topology(self, n: int) -> FiniteTopology:
+        """Subbasic opens: the complements of the pure hulls {P | F <= P}
+        in a lattice of n elements.  The hulls are closed by construction,
+        and a finite space's closed sets are the unions of point closures,
+        so the closed sets are the hulls iff the empty set and every point
+        closure are hulls and the hulls are closed under binary union."""
         points = self.purely_prime
         full = (1 << len(points)) - 1
-        incidence = _converse(points, self.lattice.size)
+        incidence = _converse(points, n)
         hulls = {meet_rows(incidence, f, full) for f in self.pure}
         top = FiniteTopology.from_subbasis(points, [full & ~h for h in hulls])
         # the closure of point i: the points whose minimal neighbourhood holds i

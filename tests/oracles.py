@@ -53,12 +53,14 @@ divisor filter D, ``is_domain(quotient(lat, D))``, {top} included, where
 
 The single-pass axiom scan: ``single_pass_validate`` is
 ``validate_axioms`` as it was before the order part moved to the
-lattice's shared ``reduct``, and before the order axioms were tested a
-row at a time and the join-odot inequality a lane at a time: every pair
-of the order axioms is scanned, and the inequality's pairs are tested as
-16-bit codes against a set.  It derives every table it reads from the
-lattice's own fields, the down-masks included, so a reduct that did not
-match the tables it is shared with would show as a different report.
+lattice's shared ``reduct``, before the order axioms were tested a row
+at a time, and before the join-odot inequality was read off its
+premises: every pair of the order axioms is scanned, and the inequality
+is scanned on every lattice, its pairs tested as 16-bit codes against a
+set.  It derives every table it reads from the lattice's own fields, the
+down-masks included, so a reduct that did not match the tables it is
+shared with would show as a different report, and a report that skipped
+a failing inequality would differ from it too.
 
 The filter joins of the census's hot loops, one ``filter_join`` call
 per pair, as they stood before the joins were read through least

@@ -23,9 +23,10 @@ from reslat import (
     negation,
     validate_axioms,
 )
-from reslat.core import LANES_UP_TO, MAX_SIZE, bounded_lattice_ops, is_subset
+from reslat.core import MAX_SIZE, bounded_lattice_ops, is_subset
 from reslat.filters import filter_lattice
 from reslat.latfile import load_bundled
+from reslat.purity import omega_lattice, pure_spectrum
 from reslat.spectra import hull_kernel_topology, hull, prime_spectrum
 
 from oracles import single_pass_validate
@@ -239,9 +240,15 @@ def _corrupt_one_cell(rng, lat):
     return name, dataclasses.replace(lat, **{name: tuple(map(tuple, table))})
 
 
+# the axioms from which the join-odot inequality follows: the order axioms,
+# odot-commutative, odot-identity and odot-join-distributive
+INEQUALITY_PREMISES = {*AXIOMS[:7], "odot-commutative", "odot-identity", "odot-join-distributive"}
+
+
 def _compare_corruptions(sources, draws, seed):
     """draws copies of sources, each with one cell corrupted, whose reports
-    must be single_pass_validate's, witnesses and order included. Returns
+    must be single_pass_validate's, witnesses and order included, and list
+    a premise of the join-odot inequality wherever they list it. Returns
     the counts of each (table corrupted, valid) and of each axiom violated,
     and each (corrupted copy, report)."""
     rng = random.Random(seed)
@@ -254,6 +261,8 @@ def _compare_corruptions(sources, draws, seed):
         assert bad.reduct.up is bad.up and bad.reduct.join is bad.join
         report = validate_axioms(bad)
         assert report == single_pass_validate(bad), (name, bad)
+        axioms = {v.axiom for v in report.violations}
+        assert "join-odot-inequality" not in axioms or axioms & INEQUALITY_PREMISES, (name, bad)
         seen[name, report.valid] += 1
         seen.update(v.axiom for v in report.violations)
         results.append((bad, report))
@@ -284,33 +293,26 @@ def _row_test_passes(masks, table, x):
     return [masks[v] for v in table[x]] == [masks[x] & m for m in masks]
 
 
-def test_validate_matches_single_pass_oracle_past_one_lane(a6xa8):
-    # 48 and 30 elements: six and four lanes of 8 elements for the
-    # join-odot inequality, and row tests with rows before a failing one;
-    # 72 elements, past LANES_UP_TO: the inequality's pairs read as codes
+def test_validate_matches_single_pass_oracle_across_sizes(a6xa8):
+    # 48, 30 and 72 elements: row tests with rows before a failing one,
+    # and the join-odot inequality's pairs read as codes at each size
     luk30, luk72 = build_lukasiewicz(30), build_lukasiewicz(72)
-    assert luk30.size <= LANES_UP_TO < luk72.size
     seen, results = _compare_corruptions((a6xa8, luk30), 150, 20261021)
-    codes_seen, _ = _compare_corruptions((luk72,), 10, 20261022)
-    later_lanes = later_rows = 0
+    large_seen, _ = _compare_corruptions((luk72,), 10, 20261022)
+    later_rows = 0
     for bad, report in results:
         for v in report.violations:
-            if v.axiom == "join-odot-inequality":
-                x, y, z = v.witness
-                later_lanes += bad.join[x][bad.odot[y][z]] >= 8
-            elif v.axiom in ("join-lub", "meet-glb"):
+            if v.axiom in ("join-lub", "meet-glb"):
                 masks, table = (
                     (bad.up, bad.join) if v.axiom == "join-lub" else (bad.down_masks, bad.meet)
                 )
                 x = v.witness[0]
                 later_rows += any(_row_test_passes(masks, table, r) for r in range(x))
-    seen += codes_seen
+    seen += large_seen
     for name in ("up", "join", "meet", "odot", "imp"):
         assert seen[name, False], name
     assert {"leq-transitive", "join-lub", "meet-glb", "join-odot-inequality"} <= set(seen)
-    assert later_lanes and later_rows and codes_seen["join-odot-inequality"], (
-        later_lanes, later_rows, codes_seen
-    )
+    assert later_rows and large_seen["join-odot-inequality"], (later_rows, large_seen)
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +485,15 @@ def test_analyses_live_and_die_with_their_lattice(a6):
     assert prime_spectrum(first) is spec
     after = prime_spectrum.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (2, 1)
-    # the spectrum is freed with its lattice
-    kept = weakref.ref(spec)
-    del first, spec
-    gc.collect()
-    assert kept() is None
+    # the analyses are freed with their lattice, by reference counting:
+    # none of them points back at it
+    kept = [weakref.ref(a) for a in (spec, omega_lattice(first), pure_spectrum(first))]
+    gc.disable()
+    try:
+        del first, spec
+        assert [ref() for ref in kept] == [None] * 3
+    finally:
+        gc.enable()
     # a lattice made by dataclasses.replace starts with an empty memo
     bad = _corrupt(a6, 1, 1, 0)  # a.a = 0: a is no longer idempotent
     assert filter_lattice(bad) is not filter_lattice(a6)

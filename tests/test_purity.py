@@ -327,10 +327,9 @@ def test_divisor_filter_is_omega_of_the_complement(oracle_set):
 def test_wrong_divisor_filter_fails_the_kernel_check(monkeypatch, a6, a8):
     # the carrier is a filter, so only the kernel cross-check can object
     for lat in (a6, a8):
-        om = purity.OmegaLattice(lat)
         monkeypatch.setattr(purity, "omega_filter", lambda lat, ideal: lat.full_mask)
         with pytest.raises(InternalCheckError, match="divisor filter disagrees"):
-            om.divisors
+            purity.OmegaLattice(lat)
         monkeypatch.undo()
 
 
@@ -363,9 +362,9 @@ def topology_set(corpus6, a6, a8, a6xa8):
 
 
 def _closed_set_check_passes(lat, pure, points) -> bool:
-    candidate = SimpleNamespace(lattice=lat, pure=pure, purely_prime=points)
+    candidate = SimpleNamespace(pure=pure, purely_prime=points)
     try:
-        PureSpectrum._build_topology(candidate)
+        PureSpectrum._build_topology(candidate, lat.size)
     except InternalCheckError as exc:
         assert str(exc) == CLOSED_SETS_MESSAGE
         return False
