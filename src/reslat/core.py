@@ -9,10 +9,10 @@ and the residuum ``imp`` form an adjoint pair:
 Everything is table driven: elements are the indices 0..n-1 and subsets
 of the carrier are bitmasks (bit i set = element i belongs to the set).
 Carriers have at most ``MAX_SIZE`` = 256 elements, so that an element
-index fits in a byte: the O(n^3) kernels (axiom validation, the residuum,
-joins and meets) work on table rows held as ``bytes``, where composing a
-row with a table is one C-level ``bytes.translate`` and concatenating
-rows is one ``b"".join``.
+index fits in a byte: each operation table is a ``Table``, one ``bytes``
+row per element, from where it is built on.  Readers use the rows as
+they are: composing a row with a table is one C-level ``bytes.translate``,
+concatenating rows one ``b"".join`` and comparing them one ``bytes`` test.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ def cover_pairs(up: Sequence[int]) -> list[tuple[int, int]]:
 # byte rows
 
 MAX_SIZE = 256  # the largest carrier: an element index must fit in a byte
+Table = tuple[bytes, ...]  # an operation table: byte y of row x is op(x, y)
 # the largest document file: a canonical MAX_SIZE document with imp is
 # 2.4 MB with 8-character labels, and fits with labels of 100 characters
 MAX_DOCUMENT_BYTES = 16 << 20
@@ -211,23 +212,24 @@ class ValidationFailed(ValueError):
 @dataclass(frozen=True)
 class BoundedLattice:
     """The bounded-lattice reduct of a residuated lattice: ``up``, ``join``,
-    ``meet``, ``bottom`` and ``top``, as ResiduatedLattice holds them.
+    ``meet``, ``bottom`` and ``top``, as ResiduatedLattice holds them (so
+    ``join`` and ``meet`` are Tables of ``bytes`` rows).
 
     It need not be valid.  What derives from these five alone is computed
     on first use and kept: the down-masks, ``top_joiners``, whether ``up``
-    is a partial order, the order axioms' report, and the byte rows that
-    ``validate_axioms`` and ``derive_residuum`` read (the 0/1 leq rows, the
-    join rows and the 0/1 principal down-sets).  ``bounded_lattice_ops``
-    seeds the partial-order test it has just computed.  Products that share
-    one object (see ``ResiduatedLattice.over``) derive the rest once.  A
-    pickle holds the five fields only: the derived rows would about double
-    its size (546 against 273 KB for the 256-element chain), and the
-    receiver derives what it reads.
+    is a partial order, the order axioms' report, and the other byte rows
+    that ``validate_axioms`` and ``derive_residuum`` read (the 0/1 leq
+    rows, the join rows' concatenation, the 0/1 principal down-sets).
+    ``bounded_lattice_ops`` seeds the partial-order test it has just
+    computed.  Products that share one object (see ``ResiduatedLattice.over``)
+    derive the rest once.  A pickle holds the five fields only: the derived
+    rows would more than double it (359 against 143 KB for the 256-element
+    chain), and the receiver derives what it reads.
     """
 
     up: tuple[int, ...]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
+    join: Table
+    meet: Table
     bottom: int
     top: int
 
@@ -309,14 +311,12 @@ class BoundedLattice:
         return tuple(violations)
 
     @cached_property
-    def _axiom_rows(self) -> tuple[list[bytes], list[bytes], bytes]:
+    def _axiom_rows(self) -> tuple[list[bytes], bytes]:
         """The rows of the reduct that ``validate_axioms`` reads on every
-        call: the 0/1 leq rows, the join rows and their concatenation.
-        Kept unpadded, since every lattice keeps its reduct.  At most 256
-        elements."""
-        n = len(self.up)
-        join = [bytes(row) for row in self.join]
-        return _bit_rows(self.up, n), join, b"".join(join)
+        call and ``join`` does not hold: the 0/1 leq rows and the join rows'
+        concatenation.  Kept unpadded, since every lattice keeps its
+        reduct.  At most 256 elements."""
+        return _bit_rows(self.up, len(self.up)), b"".join(self.join)
 
     @cached_property
     def _residuum_rows(self) -> tuple[list[bytes], dict[bytes, int]]:
@@ -340,7 +340,11 @@ class ResiduatedLattice:
 
     ``up[x]`` is the bitmask of elements above x (including x itself); it
     encodes the order relation.  ``join``, ``meet``, ``odot`` and ``imp``
-    are full n x n tables.  The structure is not necessarily valid:
+    are full n x n Tables: ``odot[x]`` is a ``bytes`` row, ``odot[x][y]``
+    an int.  Rows from outside enter through ``from_tables`` and
+    ``from_order``, which check and convert them; direct construction is
+    not an input path, and readers take the rows as ``bytes``.  The
+    structure is not necessarily valid:
     ``validate_axioms`` reports which axioms hold.  The bounded-lattice
     reduct (``reduct``, which holds ``down_masks`` and ``top_joiners``),
     the axiom report (``validation``) and the analyses of the
@@ -352,20 +356,16 @@ class ResiduatedLattice:
 
     labels: tuple[str, ...]
     up: tuple[int, ...]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    odot: tuple[tuple[int, ...], ...]
-    imp: tuple[tuple[int, ...], ...]
+    join: Table
+    meet: Table
+    odot: Table
+    imp: Table
     bottom: int
     top: int
 
     @classmethod
     def over(
-        cls,
-        reduct: BoundedLattice,
-        labels: tuple[str, ...],
-        odot: tuple[tuple[int, ...], ...],
-        imp: tuple[tuple[int, ...], ...],
+        cls, reduct: BoundedLattice, labels: tuple[str, ...], odot: Table, imp: Table
     ) -> ResiduatedLattice:
         """The lattice with reduct's tables and these, keeping reduct as its
         own ``reduct``: all products over one reduct share what it derives."""
@@ -442,20 +442,20 @@ def format_set(lat: ResiduatedLattice, mask: int) -> str:
     return "{" + ",".join(lat.label_set(mask)) + "}"
 
 
-def _check_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """The table as a tuple of row tuples, or StructureError naming the first bad entry.
+def _check_table(name: str, table: Sequence[Sequence[int]], n: int) -> Table:
+    """The table as a Table, or StructureError naming the first bad entry.
 
     A well-formed table passes with one pass each for the row lengths, the
     entry types and the entry values; the entry-by-entry scan runs only to
-    name what is wrong.
+    name what is wrong.  Both convert only checked entries: ``bytes`` takes
+    True for 1 and raises ValueError on 256.
     """
     try:
         if len(table) == n and set(map(len, table)) <= {n}:
-            rows = tuple(map(tuple, table))
-            if set(chain.from_iterable(rows)) <= set(range(n)) and set(
-                map(type, chain.from_iterable(rows))
+            if set(chain.from_iterable(table)) <= set(range(n)) and set(
+                map(type, chain.from_iterable(table))
             ) <= {int}:
-                return rows
+                return tuple(map(bytes, table))
     except TypeError:
         pass
     return _scan_table(name, table, n)
@@ -468,7 +468,7 @@ def _length(where: str, seq: object) -> int:
         raise StructureError(f"{where}: expected a sequence, got {seq!r}") from None
 
 
-def _scan_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+def _scan_table(name: str, table: Sequence[Sequence[int]], n: int) -> Table:
     if _length(name, table) != n:
         raise StructureError(f"{name}: expected {n} rows, got {len(table)}")
     rows = []
@@ -478,7 +478,7 @@ def _scan_table(name: str, table: Sequence[Sequence[int]], n: int) -> tuple[tupl
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise StructureError(f"{name}[{i}][{j}]: entry {v!r} out of range 0..{n - 1}")
-        rows.append(tuple(row))
+        rows.append(bytes(row))
     return tuple(rows)
 
 
@@ -586,7 +586,7 @@ def bounded_lattice_ops(up: Sequence[int]) -> BoundedLattice:
 
 def _least_bounds(
     masks: Sequence[int], order: bool, axiom: str, violations: list[Violation]
-) -> tuple[tuple[int, ...], ...]:
+) -> Table:
     """Table of the least element of masks[x] & masks[y] (in the relation
     given by masks), 0 where there is none; each missing (x, y) with x <= y
     is appended to violations as ``axiom``.  ``order``: masks is a partial
@@ -603,15 +603,13 @@ def _least_bounds(
                     row[y] = found[0] if len(found) == 1 else 0
                     if len(found) != 1 and x <= y:
                         violations.append(Violation(axiom, (x, y)))
-        table.append(tuple(row))
+        table.append(bytes(row))
     return tuple(table)
 
 
-def derive_residuum(
-    lattice: BoundedLattice, odot: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
+def derive_residuum(lattice: BoundedLattice, odot: Sequence[Sequence[int]]) -> Table:
     """Compute imp(x, y) as the join of {a | odot(x, a) <= y}, with the
-    order and join table of ``lattice``.
+    order and join table of ``lattice``, for odot rows of in-range ints.
 
     Raises ResiduumError naming the first (x, y) at which that join falls
     outside the candidate set, i.e. adjointness cannot hold for any imp
@@ -639,7 +637,7 @@ def derive_residuum(
             for y, j in enumerate(out):
                 if j is None:
                     out[y] = _fold_residuum(up, join, odot, x, y)
-        imp.append(tuple(out))
+        imp.append(bytes(out))
     return tuple(imp)
 
 
@@ -721,8 +719,8 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     product: the reduct is only ever made of the very table objects the
     lattice holds (see ResiduatedLattice.reduct), so the products of one
     order that share it share the tables it checked, and a lattice with a
-    replaced table has a reduct of its own.  The byte rows of the order
-    and the join are the reduct's too.
+    replaced table has a reduct of its own.  The 0/1 rows of the order
+    and the join rows' concatenation are the reduct's too.
 
     Cost: the order axioms take O(n^2) mask operations on the up- and
     down-masks, tested a row at a time in C; only a failing row is
@@ -743,9 +741,8 @@ def validate_axioms(lat: ResiduatedLattice) -> ValidationReport:
     n = lat.size
     _check_size(n)
     reduct = lat.reduct
-    up = reduct.up
-    leq, join, flat_join = reduct._axiom_rows
-    odot, imp = ([bytes(row) for row in table] for table in (lat.odot, lat.imp))
+    up, join, odot, imp = reduct.up, reduct.join, lat.odot, lat.imp
+    leq, flat_join = reduct._axiom_rows
     violations = list(reduct.order_violations)
     check = partial(_check, violations)
 

@@ -42,6 +42,7 @@ from .core import (
     InternalCheckError,
     ResiduatedLattice,
     ResiduumError,
+    Table,
     _converse,
     bits,
     bounded_lattice_ops,
@@ -198,7 +199,7 @@ def bounded_lattices(n: int) -> tuple[tuple[int, ...], ...]:
 # product tables on a fixed lattice
 
 
-def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def residuated_products(lattice: BoundedLattice) -> tuple[Table, ...]:
     """All products making the lattice residuated, up to lattice automorphism;
     lattice = bounded_lattice_ops(up) for an order up of bounded_lattices.
 
@@ -209,7 +210,7 @@ def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...],
     evaluate, and filled cells never change, so a new failure must come
     from an instance that reads the new cell: only those are checked,
     O(n^2) per candidate value instead of a rescan of all O(n^3) triples.
-    Emitted as full n x n tables in increasing row-major order, one
+    Emitted as full n x n Tables in increasing row-major order, one
     canonical representative per automorphism orbit.
 
     Each instance is checked in one of its mirror images.  The table is
@@ -336,11 +337,11 @@ def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...],
                 return True
         return False
 
-    results: list[tuple[tuple[int, ...], ...]] = []
+    results: list[Table] = []
 
     def fill(ci: int) -> None:
         if ci == len(cells):
-            results.append(tuple(tuple(row) for row in table))
+            results.append(tuple(map(bytes, table)))
             return
         i, j = cells[ci]
         both = ((i, j), (j, i)) if i != j else ((i, j),)
@@ -361,8 +362,8 @@ def residuated_products(lattice: BoundedLattice) -> tuple[tuple[tuple[int, ...],
 def _build(lattice: BoundedLattice, odot) -> ResiduatedLattice:
     """The residuated lattice of an enumerated product on the lattice.
 
-    The search's product and derive_residuum's table are tuples of
-    in-range ints already.  The residuum and the full axiom scan check
+    The search's product and derive_residuum's table are Tables of
+    in-range bytes rows already.  The residuum and the full axiom scan check
     the search's incremental monotonicity, associativity and
     distributivity tests by a second route.  The lattice is the
     product's reduct: what derive_residuum and validate_axioms derive of

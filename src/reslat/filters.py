@@ -147,10 +147,10 @@ def quotient(lat: ResiduatedLattice, f: int) -> ResiduatedLattice:
     class_table = bytes(class_of) + bytes(256 - n)
     tables = []
     for table in (lat.join, lat.meet, lat.odot, lat.imp):
-        rows = [bytes(row).translate(class_table) for row in table]
+        rows = [row.translate(class_table) for row in table]
         if list(map(rows.__getitem__, rep_of)) != rows:
             raise InternalCheckError("congruence is not compatible with the operations")
-        tables.append(tuple(tuple(map(rows[r].__getitem__, reps)) for r in reps))
+        tables.append(tuple(bytes(map(rows[r].__getitem__, reps)) for r in reps))
     join, meet, odot, imp = tables
     qlat = ResiduatedLattice(
         labels=tuple(format_set(lat, cls) for cls in classes),

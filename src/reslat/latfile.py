@@ -106,14 +106,14 @@ def parse_document(text: str) -> LatticeDocument:
         if above & below != 1 << i:
             raise LatticeFormatError(f"order: cover pairs form a cycle through {labels[i]!r}")
 
-    def table(key: str) -> list[list[int]]:
+    def table(key: str) -> list[bytes]:
         raw = doc[key]
         _expect(isinstance(raw, list) and len(raw) == n, key, f"must have {n} rows")
         # rows of n known labels map in C; otherwise the scan below names
         # the first bad row or cell, and so always raises
         if all(isinstance(row, list) and len(row) == n for row in raw):
             try:
-                return [list(map(pos.__getitem__, row)) for row in raw]
+                return [bytes(map(pos.__getitem__, row)) for row in raw]
             except (KeyError, TypeError):  # not a label, or unhashable
                 pass
         for i, row in enumerate(raw):
@@ -129,7 +129,7 @@ def parse_document(text: str) -> LatticeDocument:
     if not lat.validation.valid:
         raise ValidationFailed(lat.validation)
     if "imp" in doc:
-        given = tuple(map(tuple, table("imp")))
+        given = tuple(table("imp"))
         if given != lat.imp:
             x = _first_difference(given, lat.imp)
             y = _first_difference(given[x], lat.imp[x])

@@ -193,8 +193,8 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
     # ann(x) v ann(y)
     pad = bytes(256 - n)
     gamma_pad = gamma + pad
-    lhs = [bytes(row).translate(gamma_pad) for row in lat.join]
-    rhs = [gamma.translate(bytes(odot[e]) + pad) for e in gamma]
+    lhs = [row.translate(gamma_pad) for row in lat.join]
+    rhs = [gamma.translate(odot[e] + pad) for e in gamma]
     differ = [x for x in range(n) if lhs[x] != rhs[x]]
     verdicts["coannulet_join_identity"] = _first(
         {

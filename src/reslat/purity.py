@@ -136,7 +136,7 @@ def pure_core(lat: ResiduatedLattice, f: int) -> int:
     e = filter_lattice(lat).least.get(f)
     if e is None:
         raise ContractError("pure_core: input must be a filter")
-    row = bytes(lat.odot[e]) + bytes(256 - lat.size)
+    row = lat.odot[e] + bytes(256 - lat.size)
     products = prime_spectrum(lat).coannulet_least.translate(row)
     bottom = lat.bottom
     elementwise = 0

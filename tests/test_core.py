@@ -24,7 +24,8 @@ from reslat import (
     validate_axioms,
 )
 from reslat.core import MAX_SIZE, bounded_lattice_ops, is_subset
-from reslat.filters import filter_lattice
+from reslat.enumerator import enumerate_residuated
+from reslat.filters import filter_lattice, quotient
 from reslat.latfile import load_bundled
 from reslat.purity import omega_lattice, pure_spectrum
 from reslat.spectra import hull_kernel_topology, hull, prime_spectrum
@@ -63,7 +64,7 @@ def _corrupt(lat, x, y, v):
     odot = [list(row) for row in lat.odot]
     odot[x][y] = v
     odot[y][x] = v
-    return dataclasses.replace(lat, odot=tuple(map(tuple, odot)))
+    return dataclasses.replace(lat, odot=tuple(map(bytes, odot)))
 
 
 def test_corrupted_product_reports_adjointness_with_minimal_witness(a6):
@@ -79,7 +80,7 @@ def test_corrupted_product_reports_adjointness_with_minimal_witness(a6):
 def test_all_violated_axioms_are_listed(a6):
     odot = [list(row) for row in a6.odot]
     odot[1][3] = 1  # one-sided change also breaks commutativity
-    bad = dataclasses.replace(a6, odot=tuple(map(tuple, odot)))
+    bad = dataclasses.replace(a6, odot=tuple(map(bytes, odot)))
     report = validate_axioms(bad)
     found = {v.axiom: v.witness for v in report.violations}
     assert found["odot-commutative"] == (1, 3)
@@ -191,7 +192,7 @@ def _mutant(rng, lat):
     table = [list(row) for row in getattr(lat, name)]
     for _ in range(rng.randint(1, 3)):
         table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-    return dataclasses.replace(lat, **{name: tuple(map(tuple, table))})
+    return dataclasses.replace(lat, **{name: tuple(map(bytes, table))})
 
 
 def test_validate_matches_reference_scan(a6, a8, corpus5):
@@ -237,7 +238,7 @@ def _corrupt_one_cell(rng, lat):
         return name, dataclasses.replace(lat, up=tuple(up))
     table = [list(row) for row in getattr(lat, name)]
     table[x][y] = rng.choice([v for v in range(n) if v != table[x][y]])
-    return name, dataclasses.replace(lat, **{name: tuple(map(tuple, table))})
+    return name, dataclasses.replace(lat, **{name: tuple(map(bytes, table))})
 
 
 # the axioms from which the join-odot inequality follows: the order axioms,
@@ -355,7 +356,7 @@ def _reference_bounded_lattice_ops(up):
         raise ValidationFailed(
             ValidationReport(False, tuple(violations)), "order is not a bounded lattice"
         )
-    return bottoms[0], tops[0], tuple(map(tuple, join)), tuple(map(tuple, meet))
+    return bottoms[0], tops[0], tuple(map(bytes, join)), tuple(map(bytes, meet))
 
 
 def _reference_derive_residuum(up, join, odot):
@@ -372,7 +373,7 @@ def _reference_derive_residuum(up, join, odot):
             if not up[odot[x][j]] >> y & 1:
                 raise ResiduumError(x, y)
             imp[x][y] = j
-    return tuple(map(tuple, imp))
+    return tuple(map(bytes, imp))
 
 
 def _outcome(fn, *args):
@@ -465,7 +466,8 @@ def test_derive_residuum_matches_reference_fold(corpus6):
         join = [list(row) for row in lat.join]
         if rng.random() < 0.2:
             join[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-        got = _outcome(derive_residuum, dataclasses.replace(lat.reduct, join=join), odot)
+        reduct = dataclasses.replace(lat.reduct, join=tuple(map(bytes, join)))
+        got = _outcome(derive_residuum, reduct, odot)
         assert got == _outcome(_reference_derive_residuum, lat.up, join, odot), (odot, join)
         if got[0] == "raised":
             seen["not realised"] += 1
@@ -628,6 +630,35 @@ def test_residuum_rows_forced_by_unit_and_zero(a6, a8, corpus4):
             assert lat.imp[lat.bottom][x] == lat.top
 
 
+def _is_table(table, n):
+    return type(table) is tuple and len(table) == n and all(
+        type(row) is bytes and len(row) == n for row in table
+    )
+
+
+def test_every_builder_gives_tuples_of_bytes_rows(a6):
+    # the one table format: each builder converts what it is given, and
+    # every table a lattice holds is a tuple of n bytes rows of length n
+    names = ("join", "meet", "odot", "imp")
+    leq = [[a6.leq(i, j) for j in range(6)] for i in range(6)]
+    lists = {name: [list(row) for row in getattr(a6, name)] for name in names}
+    lattices = [
+        from_tables(a6.labels, leq, **lists, bottom=a6.bottom, top=a6.top),
+        from_order(a6.labels, leq, lists["odot"]),
+        from_order(a6.labels, leq, lists["odot"], lists["imp"]),
+        load_bundled("a6").lattice,
+        quotient(a6, mask(a6, "d 1")),
+        *enumerate_residuated(5, workers=1),
+        *enumerate_residuated(5, workers=2),
+    ]
+    for lat in lattices:
+        assert all(_is_table(getattr(lat, name), lat.size) for name in names), lat
+        assert all(_is_table(getattr(lat.reduct, name), lat.size) for name in names[:2]), lat
+    ops = bounded_lattice_ops(a6.up)
+    assert _is_table(ops.join, 6) and _is_table(ops.meet, 6)
+    assert _is_table(derive_residuum(ops, lists["odot"]), 6)
+
+
 def test_residuum_round_trip(a6, a8):
     for lat in (a6, a8):
         derived = derive_residuum(lat.reduct, lat.odot)
@@ -686,7 +717,7 @@ def _check_table_by_entries(name, table, n):
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise StructureError(f"{name}[{i}][{j}]: entry {v!r} out of range 0..{n - 1}")
-        rows.append(tuple(row))
+        rows.append(bytes(row))
     return tuple(rows)
 
 
@@ -706,9 +737,12 @@ def test_check_table_matches_entry_scan(a6):
 
     short_row = [list(r) for r in a6.odot]
     short_row[3] = short_row[3][:-1]
+    bytes_row = [list(r) for r in a6.odot]
+    bytes_row[4] = bytes(bytes_row[4])
     tables = [
         a6.odot,
         [list(r) for r in a6.odot],
+        bytes_row,
         [list(r) for r in a6.odot[:-1]],
         short_row,
         mutated(2, 4, True),
@@ -720,14 +754,25 @@ def test_check_table_matches_entry_scan(a6):
         mutated(1, 2, None),
         mutated(2, 2, 1.5) + [],
     ]
+    # past a byte: bytes() of these raises ValueError or OverflowError
     for bad_cell in ((0, 0), (5, 5), (2, 3)):
-        for v in (True, -1, 6, 1.0):
+        for v in (True, -1, 6, 1.0, 256, 300, 2**70):
             tables.append(mutated(*bad_cell, v))
+    leq = [[a6.leq(i, j) for j in range(6)] for i in range(6)]
+    builders = (
+        lambda t: from_tables(a6.labels, leq, a6.join, a6.meet, t, a6.imp, a6.bottom, a6.top),
+        lambda t: from_order(a6.labels, leq, t),
+    )
     messages = set()
     for table in tables:
         expected = outcome(_check_table_by_entries, table)
         assert outcome(_check_table, table) == expected
         messages.add(expected if isinstance(expected, str) else "valid")
+        if isinstance(expected, str):
+            for build in builders:
+                with pytest.raises(StructureError) as exc:
+                    build(table)
+                assert str(exc.value) == expected
     assert "valid" in messages and len(messages) > 10
 
 

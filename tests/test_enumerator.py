@@ -292,9 +292,9 @@ def test_build_rejects_a_product_without_residuum():
     # elements x with a.x <= 0 are 0, a and b, but a.(a v b) = a
     up = next(u for u in bounded_lattices(4) if not u[1] >> 2 & 1 and not u[2] >> 1 & 1)
     lattice = bounded_lattice_ops(up)
-    meet = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    meet = tuple(map(bytes, ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))))
     assert enumerator._build(lattice, meet).odot == meet
-    broken = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+    broken = tuple(map(bytes, ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))))
     with pytest.raises(InternalCheckError, match=r"no residuum: residuum not realised at \(1, 0\)"):
         enumerator._build(lattice, broken)
 
@@ -303,7 +303,7 @@ def test_build_rejects_a_residuated_product_that_is_not_associative():
     # on the chain 0 < b < a < 1 with b.b = 0 and a.b = a.a = b the product
     # is monotone, so it has a residuum, but (a.a).b = 0 and a.(a.b) = b
     up = (0b1111, 0b1110, 0b1100, 0b1000)
-    odot = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3))
+    odot = tuple(map(bytes, ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3))))
     with pytest.raises(InternalCheckError, match="fails validation: .*odot-associative"):
         enumerator._build(bounded_lattice_ops(up), odot)
 
@@ -313,7 +313,7 @@ def test_lattice_tables_made_and_checked_once_per_lattice(monkeypatch):
     # the reduct of each of its products, so the order axioms are checked
     # once per lattice with a product, 18 of the 53, not once per product;
     # no table is re-checked per product, since the search and
-    # derive_residuum both give tuples of in-range ints, and validation
+    # derive_residuum both give Tables of in-range bytes rows, and validation
     # follows in full
     ops_calls, checked = [], collections.Counter()
     real_ops, real_check = bounded_lattice_ops, core._check_table
@@ -479,7 +479,7 @@ def _full_prefix_search(up):
 
     def fill(ci):
         if ci == len(cells):
-            tab = tuple(tuple(get(x, y) for y in range(n)) for x in range(n))
+            tab = tuple(bytes(get(x, y) for y in range(n)) for x in range(n))
             if canonical(tab) == tuple(v for row in tab for v in row):
                 results.append(tab)
             return

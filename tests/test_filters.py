@@ -134,7 +134,7 @@ def test_generated_filter_rejects_cyclic_squares(a6):
     a, b = a6.labels.index("a"), a6.labels.index("b")
     odot = [list(row) for row in a6.odot]
     odot[a][a], odot[b][b] = b, a
-    bad = dataclasses.replace(a6, odot=tuple(map(tuple, odot)))
+    bad = dataclasses.replace(a6, odot=tuple(map(bytes, odot)))
     with pytest.raises(ContractError, match="no idempotent power"):
         generated_filter(bad, 1 << a)
 
@@ -230,7 +230,7 @@ def test_quotient_by_top_of_a_corrupted_lattice_raises(validations):
     lat = relabeled(build_a6(), range(6))
     odot = [list(row) for row in lat.odot]
     odot[1][2] = lat.bottom if odot[1][2] != lat.bottom else lat.top
-    bad = dataclasses.replace(lat, odot=tuple(map(tuple, odot)))
+    bad = dataclasses.replace(lat, odot=tuple(map(bytes, odot)))
     with pytest.raises(InternalCheckError, match="quotient is not a residuated lattice"):
         quotient(bad, 1 << bad.top)
     # the quotient itself is validated, not bad
