@@ -26,7 +26,7 @@ from .coann import classify_baer_rickart, coannulet
 from .spectra import hull_kernel_topology, prime_spectrum, separation_check
 from .purity import pure_part, pure_spectrum
 from .mp import MpDisagreement, mp_check
-from .enumerator import DEFAULT_CAP, census, enumerate_residuated
+from .enumerator import DEFAULT_CAP, census, enumerate_documents
 from .latfile import (
     LatticeDocument,
     LatticeFormatError,
@@ -34,7 +34,6 @@ from .latfile import (
     dot_spectrum,
     parse_document,
     serialize_document,
-    to_document_dict,
 )
 
 EXIT_OK = 0
@@ -221,9 +220,8 @@ def cmd_enumerate(args) -> int:
                 f"  {r.mp:>2}  {r.rickart:>7}  {r.baer:>4}  {r.domains:>7}"
             )
         return EXIT_OK
-    for i, lat in enumerate(enumerate_residuated(args.size)):
-        doc = to_document_dict(lat, f"R{args.size}_{i}")
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    for text in enumerate_documents(args.size):
+        sys.stdout.write(text)
     return EXIT_OK
 
 

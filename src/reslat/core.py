@@ -216,10 +216,11 @@ class BoundedLattice:
     ``join`` and ``meet`` are Tables of ``bytes`` rows).
 
     It need not be valid.  What derives from these five alone is computed
-    on first use and kept: the down-masks, ``top_joiners``, whether ``up``
-    is a partial order, the order axioms' report, and the other byte rows
-    that ``validate_axioms`` and ``derive_residuum`` read (the 0/1 leq
-    rows, the join rows' concatenation, the 0/1 principal down-sets).
+    on first use and kept: the down-masks, ``top_joiners``, the cover
+    pairs, whether ``up`` is a partial order, the order axioms' report, and
+    the other byte rows that ``validate_axioms`` and ``derive_residuum``
+    read (the 0/1 leq rows, the join rows' concatenation, the 0/1 principal
+    down-sets).
     ``bounded_lattice_ops`` seeds the partial-order test it has just
     computed.  Products that share one object (see ``ResiduatedLattice.over``)
     derive the rest once.  A pickle holds the five fields only: the derived
@@ -248,6 +249,11 @@ class BoundedLattice:
         return tuple(
             sum(1 << x for x, v in enumerate(row) if v == top) for row in self.join
         )
+
+    @cached_property
+    def cover_pairs(self) -> list[tuple[int, int]]:
+        """``cover_pairs(up)``: the covering pairs, ordered by i then j."""
+        return cover_pairs(self.up)
 
     @cached_property
     def partial_order(self) -> bool:

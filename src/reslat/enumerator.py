@@ -30,11 +30,13 @@ tests (tests/oracles.py) and shares none of its pruning logic.
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .core import (
     BoundedLattice,
@@ -49,6 +51,7 @@ from .core import (
     derive_residuum,
     is_subset,
 )
+from .latfile import to_document_dict
 
 DEFAULT_CAP = 8
 WORKERS_ENV = "RESLAT_THREADS"
@@ -394,9 +397,17 @@ def worker_count(workers: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # the per-lattice pipeline
 #
-# Every stage below is a module-level function of one picklable argument, so
-# that it runs the same way in-process (one worker, a plain map) and in a
-# pool worker.
+# _per_product searches each lattice's products, then hands the (lattice,
+# product table) pairs, in chunks, to one of three stages.  A chunk is a
+# (start, pairs) tuple, start being the index of its first pair in the
+# output order.  Each stage builds and validates the chunk's lattices and
+# returns only what its caller needs:
+# - _build_chunk: the lattices (enumerate_residuated);
+# - _lines_chunk: their document lines, as one text (enumerate_documents);
+# - _census_chunk: the counts of their classifications (census).
+# Every stage is a module-level function of one picklable argument, pickled
+# by name, so that it runs the same way in-process (one worker, a plain map)
+# and in a pool worker.
 
 
 def _products_job(lattice: BoundedLattice) -> tuple:
@@ -405,12 +416,25 @@ def _products_job(lattice: BoundedLattice) -> tuple:
     return residuated_products(lattice)
 
 
-def _build_chunk(chunk: list) -> tuple[ResiduatedLattice, ...]:
-    """The lattices of (lattice, product table) pairs, built and validated."""
-    return tuple(_build(lattice, odot) for lattice, odot in chunk)
+def _build_chunk(chunk: tuple[int, list]) -> tuple[ResiduatedLattice, ...]:
+    """The lattices of the chunk's (lattice, product table) pairs, built and validated."""
+    return tuple(_build(lattice, odot) for lattice, odot in chunk[1])
 
 
-def _census_chunk(chunk: list) -> tuple[int, int, int, int, int]:
+def _lines_chunk(chunk: tuple[int, list]) -> str:
+    """The compact canonical document line of each of the chunk's lattices,
+    as one text; the lattice at index i of the order n is named R{n}_{i}."""
+    start, pairs = chunk
+    return "".join(
+        json.dumps(
+            to_document_dict(_build(lattice, odot), f"R{len(lattice.up)}_{i}"),
+            sort_keys=True, separators=(",", ":"),
+        ) + "\n"
+        for i, (lattice, odot) in enumerate(pairs, start)
+    )
+
+
+def _census_chunk(chunk: tuple[int, list]) -> tuple[int, int, int, int, int]:
     """(residuated, mp, rickart, baer, domains) counts over the chunk's lattices."""
     from .coann import classify_baer_rickart
     from .filters import is_domain
@@ -423,7 +447,7 @@ def _census_chunk(chunk: list) -> tuple[int, int, int, int, int]:
         rickart += cls.rickart
         baer += cls.baer
         domains += is_domain(lat)[0]
-    return len(chunk), mp_count, rickart, baer, domains
+    return len(chunk[1]), mp_count, rickart, baer, domains
 
 
 @contextmanager
@@ -440,21 +464,24 @@ def _comparable_pairs(up: tuple[int, ...]) -> int:
     return sum(bin(m).count("1") for m in up)
 
 
-def _per_product(lattices: tuple[tuple[int, ...], ...], workers: int | None, stage) -> list:
-    """stage's results, in order, on the products of the lattices.
+def _per_product(lattices: tuple[tuple[int, ...], ...], workers: int | None, stage) -> Iterator:
+    """Yield stage's result on each chunk of the lattices' products, in order.
 
     The product searches are dispatched longest first (Graham's LPT rule),
     with the number of comparable pairs as the estimate of their cost; the
     chain has the most, and at orders 7 and 8 more than half of the
     products.  The (lattice, product table) pairs, in lattice order, are
     then split into about 4 chunks per worker of equal count, so that one
-    lattice's products are spread over the workers.
+    lattice's products are spread over the workers.  Each chunk goes to
+    stage as (start, pairs), start being the index of its first pair.  The
+    chunks depend on the worker count; the index of each pair, and so the
+    name that _lines_chunk gives its line, does not.
 
     Each lattice is one BoundedLattice, made once here and shared by all
     its products: in-process by reference, and in a pool by the pickle of
     a chunk, which holds each object once.  So its order is checked, and
     its tables derived, once per lattice in each process that builds its
-    products.
+    products.  A pool lives until the last result is taken.
     """
     jobs = [bounded_lattice_ops(up) for up in lattices]
     w = min(worker_count(workers), len(jobs))
@@ -463,18 +490,31 @@ def _per_product(lattices: tuple[tuple[int, ...], ...], workers: int | None, sta
         found = dict(zip(longest_first, run(_products_job, [jobs[i] for i in longest_first])))
         pairs = [(lattice, odot) for i, lattice in enumerate(jobs) for odot in found[i]]
         size = max(1, -(-len(pairs) // (4 * w)))
-        return list(run(stage, [pairs[k : k + size] for k in range(0, len(pairs), size)]))
+        yield from run(stage, [(k, pairs[k : k + size]) for k in range(0, len(pairs), size)])
 
 
 def enumerate_residuated(n: int, workers: int | None = None) -> tuple[ResiduatedLattice, ...]:
     """All residuated lattices of order n up to isomorphism.
 
-    The product search, building and validation run in worker processes;
-    results are gathered and emitted in a canonical order that does not
-    depend on the worker count.
+    The product search, building and validation run in worker processes
+    (the stage _build_chunk), which return the lattices; they are emitted in
+    a canonical order that does not depend on the worker count.
     """
     built = _per_product(bounded_lattices(n), workers, _build_chunk)
     return tuple(lat for chunk in built for lat in chunk)
+
+
+def enumerate_documents(n: int, workers: int | None = None) -> Iterator[str]:
+    """The output of ``reslat enumerate --size n``, as texts to write in order.
+
+    Line i is the compact canonical document of the i-th lattice of
+    enumerate_residuated(n), named R{n}_{i}.  The worker that builds and
+    validates a lattice also writes its line (the stage _lines_chunk), so
+    the workers return one text per chunk and no lattice.  The texts come
+    as the chunks are done; an error in a chunk is raised after the texts
+    of the chunks before it.
+    """
+    return _per_product(bounded_lattices(n), workers, _lines_chunk)
 
 
 # ---------------------------------------------------------------------------

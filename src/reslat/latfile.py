@@ -16,6 +16,7 @@ from importlib import resources
 from .core import (
     MAX_SIZE,
     ResiduatedLattice,
+    Table,
     ValidationFailed,
     ValidationReport,
     Violation,
@@ -157,21 +158,31 @@ def _canonical_permutation(lat: ResiduatedLattice) -> list[int]:
 
 
 def to_document_dict(lat: ResiduatedLattice, name: str) -> dict:
-    order = _canonical_permutation(lat)
-    new_of = {old: new for new, old in enumerate(order)}
-    n = lat.size
-    labels = [lat.labels[old] for old in order]
+    """The document of lat in canonical form, as a dict for json.dumps.
 
-    def relabel(table):
+    Cell (x, y) of the document's table is cell (order[x], order[y]) of
+    lat's, and it prints the label of the value it holds.  So each row is
+    one C-level gather, the bytes of order translated by lat's row, mapped
+    to labels.  The cover pairs come from the reduct, which the products
+    of an enumerated lattice share.
+    """
+    order = _canonical_permutation(lat)
+    new_of = sorted(range(lat.size), key=order.__getitem__)
+    gather = bytes(order)
+    old_labels = lat.labels
+    labels = list(map(old_labels.__getitem__, order))
+
+    def relabel(table: Table) -> list[list[str]]:
+        # the padding of each row to 256 bytes is never read: order < size
         return [
-            [labels[new_of[table[order[x]][order[y]]]] for y in range(n)]
-            for x in range(n)
+            list(map(old_labels.__getitem__, gather.translate(table[old].ljust(256))))
+            for old in order
         ]
 
-    pairs = sorted((new_of[lo], new_of[hi]) for lo, hi in cover_pairs(lat.up))
+    pairs = sorted((new_of[lo], new_of[hi]) for lo, hi in lat.reduct.cover_pairs)
     return {
         "name": name,
-        "size": n,
+        "size": lat.size,
         "labels": labels,
         "order": [[labels[lo], labels[hi]] for lo, hi in pairs],
         "odot": relabel(lat.odot),

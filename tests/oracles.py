@@ -69,6 +69,12 @@ elements: ``algebraic_family`` is ``mp_via_algebraic``,
 ``baer_rickart_by_joins`` is ``classify_baer_rickart``.  They read the
 coannulets from the spectrum and nothing else of its Gamma.
 
+The per-cell serializer: ``cell_document_dict`` is ``to_document_dict``
+as it stood before the serializer read its cover pairs from the reduct
+and relabeled each row by gathers on the ``bytes`` rows: one dict lookup
+and two index operations per cell, and ``cover_pairs`` of the lattice's
+own ``up``.
+
 The closed sets of the dual prime space, by brute force over every set
 of primes.  ``dual_closed_sets`` checks that each is the set of primes
 disjoint from some subset of the carrier, is patch-closed and is stable
@@ -96,6 +102,7 @@ from reslat.core import (
     _report,
     bits,
     bounded_lattice_ops,
+    cover_pairs,
     derive_residuum,
     format_set,
     from_order,
@@ -114,6 +121,7 @@ from reslat.filters import (
     principal_filter,
     quotient,
 )
+from reslat.latfile import _canonical_permutation
 from reslat.mp import Verdict, _conormal, _first, _pair
 from reslat.purity import omega_lattice, pure_part
 from reslat.spectra import FiniteTopology, generalization, hull_kernel_topology, prime_spectrum
@@ -612,3 +620,26 @@ def baer_rickart_by_joins(lat: ResiduatedLattice) -> BaerRickart:
         for f in gamma
     )
     return BaerRickart(baer=baer, rickart=rickart)
+
+
+def cell_document_dict(lat: ResiduatedLattice, name: str) -> dict:
+    order = _canonical_permutation(lat)
+    new_of = {old: new for new, old in enumerate(order)}
+    n = lat.size
+    labels = [lat.labels[old] for old in order]
+
+    def relabel(table):
+        return [
+            [labels[new_of[table[order[x]][order[y]]]] for y in range(n)]
+            for x in range(n)
+        ]
+
+    pairs = sorted((new_of[lo], new_of[hi]) for lo, hi in cover_pairs(lat.up))
+    return {
+        "name": name,
+        "size": n,
+        "labels": labels,
+        "order": [[labels[lo], labels[hi]] for lo, hi in pairs],
+        "odot": relabel(lat.odot),
+        "imp": relabel(lat.imp),
+    }

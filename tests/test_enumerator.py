@@ -27,12 +27,14 @@ from reslat.core import bounded_lattice_ops
 from reslat.enumerator import (
     bounded_lattices,
     census,
+    enumerate_documents,
     enumerate_residuated,
     lattice_automorphisms,
     lattice_canonical,
     residuated_products,
     worker_count,
 )
+from reslat.latfile import to_document_dict
 
 from oracles import (
     canonical_by_full_scan,
@@ -359,10 +361,30 @@ def test_products_of_one_lattice_share_one_reduct():
     assert all(len(ids) == 1 for ids in found.values())
     # in a pool, one object per lattice in each chunk: a chunk comes back as
     # one pickle, which holds each object once
-    chunks = enumerator._per_product(lattices, 2, enumerator._build_chunk)
+    chunks = list(enumerator._per_product(lattices, 2, enumerator._build_chunk))
     assert sum(map(len, chunks)) == 129 and len(chunks) > 1
     for chunk in chunks:
         assert all(len(ids) == 1 for ids in _reducts_by_lattice(chunk).values())
+
+
+def test_document_lines_are_named_across_chunk_boundaries():
+    # the workers write each line, named by its chunk's start index plus its
+    # place in the chunk; every order from 3 on has a chunk boundary between
+    # two products of one lattice at 1 and 2 workers, so an off-by-one start,
+    # or a start counted per lattice, gives another name
+    for n in range(1, 7):
+        built = enumerate_residuated(n, workers=1)
+        expected = [
+            json.dumps(to_document_dict(lat, f"R{n}_{i}"), sort_keys=True, separators=(",", ":"))
+            for i, lat in enumerate(built)
+        ]
+        for workers in (1, 2):
+            texts = list(enumerate_documents(n, workers))
+            assert [line for text in texts for line in text.split("\n")[:-1]] == expected
+            assert all(text.endswith("\n") for text in texts)
+            ends = list(itertools.accumulate(text.count("\n") for text in texts))[:-1]
+            inside = [b for b in ends if built[b - 1].up == built[b].up]
+            assert inside or n < 3, (n, workers, ends)
 
 
 def test_converse_matches_the_double_loop():

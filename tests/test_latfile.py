@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from reslat import ValidationFailed, from_order, parse_lattice
 from reslat.cli import main
 from reslat.enumerator import enumerate_residuated
+from reslat.filters import all_filters, quotient
 from reslat.latfile import (
     LatticeFormatError,
     bundled_text,
@@ -19,7 +21,8 @@ from reslat.latfile import (
     to_document_dict,
 )
 
-from lattices import build_a6, godel_chain_document
+from lattices import build_a6, godel_chain_document, relabeled
+from oracles import cell_document_dict
 
 
 def test_bundled_round_trips_are_byte_exact():
@@ -102,15 +105,44 @@ def test_axiom_failure_embeds_report():
         parse_document(json.dumps(doc))
 
 
+def _flipped_two_chain():
+    return from_order(("t", "b"), [[True, False], [True, True]], [[0, 1], [1, 1]])
+
+
 def test_serializer_moves_bounds_to_canonical_positions():
     # a two-chain entered upside down: the bottom sits at index 1
-    lat = from_order(("t", "b"), [[True, False], [True, True]], [[0, 1], [1, 1]])
+    lat = _flipped_two_chain()
     assert lat.bottom == 1 and lat.top == 0
     doc = to_document_dict(lat, "flipped")
     assert doc["labels"] == ["b", "t"]
     assert doc["order"] == [["b", "t"]]
     reparsed = parse_document(serialize_lattice(lat, "flipped"))
     assert reparsed.lattice.bottom == 0
+
+
+def _moving_bounds(lat, rng):
+    """A random relabeling of lat that moves its bottom and its top."""
+    n = lat.size
+    while True:
+        perm = rng.sample(range(n), n)
+        if n == 1 or (perm[lat.bottom] != lat.bottom and perm[lat.top] != lat.top):
+            return relabeled(lat, perm)
+
+
+def test_serializer_matches_the_per_cell_oracle(a6, a8, corpus5):
+    # the gathers on bytes rows and the reduct's cover pairs against one
+    # lookup per cell and cover_pairs(up): the bundled documents, a lattice
+    # stored upside down, every product of order <= 5 with its bounds moved
+    # (relabeled puts old element perm[i] at position i), and every quotient
+    # of a8, whose labels are classes such as {a,b}
+    rng = random.Random(34)
+    moved = [_moving_bounds(lat, rng) for lat in corpus5]
+    assert all(lat.bottom != 0 and lat.top != lat.size - 1 for lat in moved if lat.size > 1)
+    quotients = [quotient(a8, f) for f in all_filters(a8)]
+    assert any("," in label for lat in quotients for label in lat.labels)
+    cases = [a6, a8, _flipped_two_chain(), *moved, *quotients]
+    for k, lat in enumerate(cases):
+        assert to_document_dict(lat, f"L{k}") == cell_document_dict(lat, f"L{k}"), lat
 
 
 def test_one_element_document_round_trip():
