@@ -216,8 +216,8 @@ class BoundedLattice:
     ``join`` and ``meet`` are Tables of ``bytes`` rows).
 
     It need not be valid.  What derives from these five alone is computed
-    on first use and kept: the down-masks, ``top_joiners``, the cover
-    pairs, whether ``up`` is a partial order, the order axioms' report, and
+    on first use and kept: the down-masks, ``top_joiners``, the layout
+    of the canonical document (the cover pairs among it), whether ``up`` is a partial order, the order axioms' report, and
     the other byte rows that ``validate_axioms`` and ``derive_residuum``
     read (the 0/1 leq rows, the join rows' concatenation, the 0/1 principal
     down-sets).
@@ -251,9 +251,18 @@ class BoundedLattice:
         )
 
     @cached_property
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        """``cover_pairs(up)``: the covering pairs, ordered by i then j."""
-        return cover_pairs(self.up)
+    def document_layout(self) -> tuple[bytes, tuple[tuple[int, int], ...]]:
+        """What a canonical document (``latfile.to_document_dict``) reads of
+        the order alone: the old index of each new position as ``bytes``
+        (bottom first, top last, the middle elements in index order), and
+        the cover pairs (``cover_pairs(up)``) in new positions, sorted."""
+        n = len(self.up)
+        middle = [i for i in range(n) if i not in (self.bottom, self.top)]
+        order = [self.bottom] + middle + [self.top] if n > 1 else [self.bottom]
+        new_of = sorted(range(n), key=order.__getitem__)
+        return bytes(order), tuple(
+            sorted((new_of[lo], new_of[hi]) for lo, hi in cover_pairs(self.up))
+        )
 
     @cached_property
     def partial_order(self) -> bool:

@@ -149,37 +149,27 @@ def parse_lattice(text: str) -> ResiduatedLattice:
 # serialization
 
 
-def _canonical_permutation(lat: ResiduatedLattice) -> list[int]:
-    """Old index per new position: bottom first, top last, rest in order."""
-    middle = [i for i in range(lat.size) if i not in (lat.bottom, lat.top)]
-    if lat.size == 1:
-        return [lat.bottom]
-    return [lat.bottom] + middle + [lat.top]
-
-
 def to_document_dict(lat: ResiduatedLattice, name: str) -> dict:
     """The document of lat in canonical form, as a dict for json.dumps.
 
     Cell (x, y) of the document's table is cell (order[x], order[y]) of
     lat's, and it prints the label of the value it holds.  So each row is
     one C-level gather, the bytes of order translated by lat's row, mapped
-    to labels.  The cover pairs come from the reduct, which the products
-    of an enumerated lattice share.
+    to labels.  order and the relabeled cover pairs come from the reduct
+    (``BoundedLattice.document_layout``), which the products of an
+    enumerated lattice share.
     """
-    order = _canonical_permutation(lat)
-    new_of = sorted(range(lat.size), key=order.__getitem__)
-    gather = bytes(order)
+    order, pairs = lat.reduct.document_layout
     old_labels = lat.labels
     labels = list(map(old_labels.__getitem__, order))
 
     def relabel(table: Table) -> list[list[str]]:
         # the padding of each row to 256 bytes is never read: order < size
         return [
-            list(map(old_labels.__getitem__, gather.translate(table[old].ljust(256))))
+            list(map(old_labels.__getitem__, order.translate(table[old].ljust(256))))
             for old in order
         ]
 
-    pairs = sorted((new_of[lo], new_of[hi]) for lo, hi in lat.reduct.cover_pairs)
     return {
         "name": name,
         "size": lat.size,

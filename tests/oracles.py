@@ -72,8 +72,9 @@ coannulets from the spectrum and nothing else of its Gamma.
 The per-cell serializer: ``cell_document_dict`` is ``to_document_dict``
 as it stood before the serializer read its cover pairs from the reduct
 and relabeled each row by gathers on the ``bytes`` rows: one dict lookup
-and two index operations per cell, and ``cover_pairs`` of the lattice's
-own ``up``.
+and two index operations per cell, ``cover_pairs`` of the lattice's own
+``up``, and the canonical order computed from the lattice, not read from
+the reduct.
 
 The closed sets of the dual prime space, by brute force over every set
 of primes.  ``dual_closed_sets`` checks that each is the set of primes
@@ -121,7 +122,6 @@ from reslat.filters import (
     principal_filter,
     quotient,
 )
-from reslat.latfile import _canonical_permutation
 from reslat.mp import Verdict, _conormal, _first, _pair
 from reslat.purity import omega_lattice, pure_part
 from reslat.spectra import FiniteTopology, generalization, hull_kernel_topology, prime_spectrum
@@ -623,7 +623,9 @@ def baer_rickart_by_joins(lat: ResiduatedLattice) -> BaerRickart:
 
 
 def cell_document_dict(lat: ResiduatedLattice, name: str) -> dict:
-    order = _canonical_permutation(lat)
+    # old index per new position: bottom first, top last, the rest in order
+    middle = [i for i in range(lat.size) if i not in (lat.bottom, lat.top)]
+    order = [lat.bottom] + middle + [lat.top] if lat.size > 1 else [lat.bottom]
     new_of = {old: new for new, old in enumerate(order)}
     n = lat.size
     labels = [lat.labels[old] for old in order]

@@ -110,13 +110,25 @@ def test_canonical_labels_list_higher_elements_first():
 
 def test_canonical_form_once_per_leaf(monkeypatch):
     # every generated lattice is canonicalized: 320 leaves make the 53
-    # classes of order 7
-    calls = []
+    # classes of order 7, over the 7 subtrees below depth 4, and the split
+    # adds no call
+    calls, jobs = [], []
     monkeypatch.setattr(
         enumerator, "lattice_canonical", lambda up: calls.append(up) or lattice_canonical(up)
     )
+    grow = enumerator._grow
+    monkeypatch.setattr(enumerator, "_grow", lambda job: jobs.append(job) or grow(job))
     assert len(enumerator.bounded_lattices(7)) == 53
     assert len(calls) == 320
+    assert [(len(prefix), stop) for _, prefix, stop in jobs] == [(1, 4)] + [(4, 7)] * 7
+
+
+def test_generation_does_not_depend_on_the_worker_count():
+    # the subtrees below depth 4 run in a pool; the union of their leaves,
+    # sorted, is the output at one worker, also at the orders below the split
+    for n in range(1, 8):
+        with enumerator._mapper(2) as run:
+            assert bounded_lattices(n, run) == bounded_lattices(n), n
 
 
 def _automorphisms_by_full_scan(up):
@@ -222,12 +234,12 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
-def test_worker_count_is_clamped(monkeypatch):
-    assert worker_count(10**9) == enumerator.MAX_WORKERS
-    assert worker_count(0) == worker_count(-3) == 1
+def _recorded_pools(monkeypatch) -> list[int]:
+    """The size of each pool the enumerator makes from now on; each maps
+    in-process, so no process starts."""
     asked = []
 
-    class Pool:  # records the pool size and maps in-process: no process starts
+    class Pool:
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -240,8 +252,15 @@ def test_worker_count_is_clamped(monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(enumerator, "ProcessPoolExecutor", Pool)
+    return asked
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    assert worker_count(10**9) == enumerator.MAX_WORKERS
+    assert worker_count(0) == worker_count(-3) == 1
+    asked = _recorded_pools(monkeypatch)
     monkeypatch.setenv("RESLAT_THREADS", str(10**9))
-    assert len(enumerate_residuated(7)) == 723  # 53 lattices, so 53 jobs
+    assert len(enumerate_residuated(7)) == 723
     assert asked == [enumerator.MAX_WORKERS]
 
 
@@ -361,7 +380,8 @@ def test_products_of_one_lattice_share_one_reduct():
     assert all(len(ids) == 1 for ids in found.values())
     # in a pool, one object per lattice in each chunk: a chunk comes back as
     # one pickle, which holds each object once
-    chunks = list(enumerator._per_product(lattices, 2, enumerator._build_chunk))
+    with enumerator._mapper(2) as run:
+        chunks = list(enumerator._per_product(lattices, run, 2, enumerator._build_chunk))
     assert sum(map(len, chunks)) == 129 and len(chunks) > 1
     for chunk in chunks:
         assert all(len(ids) == 1 for ids in _reducts_by_lattice(chunk).values())
@@ -521,10 +541,12 @@ def _full_prefix_search(up):
     return tuple(results), checks
 
 
-def _recorded_returns(outer, inner, record, *args):
+def _recorded_returns(outer, inner, record, *args, within=None):
     """outer(*args), and record(locals, verdict) at every return from the
-    function named inner nested in outer, seen through a profile hook."""
-    code = next(c for c in outer.__code__.co_consts if getattr(c, "co_name", None) == inner)
+    function named inner nested in within (by default outer), seen through
+    a profile hook in this thread."""
+    holder = within or outer
+    code = next(c for c in holder.__code__.co_consts if getattr(c, "co_name", None) == inner)
     calls = []
 
     def hook(frame, event, arg):
@@ -607,9 +629,11 @@ def test_products_refuse_a_labeling_with_a_lower_element_first():
 
 def _pair_checks(n):
     """bounded_lattices(n) and the (down-masks of the prefix, verdict) of
-    every call to its nested pairs_ok()."""
+    every call to pairs_ok(), nested in _grow, over the search to the split
+    depth and every subtree below it, all in-process at one worker."""
     return _recorded_returns(
-        bounded_lattices, "pairs_ok", lambda f, verdict: (tuple(f["below"]), verdict), n
+        bounded_lattices, "pairs_ok", lambda f, verdict: (tuple(f["below"]), verdict), n,
+        within=enumerator._grow,
     )
 
 
@@ -644,6 +668,15 @@ def test_search_sizes_at_order_7():
     ]
     assert (len(rows), sum(v for _, v in rows)) == (2950, 82)
     assert sum(v for i, v in rows if i == 5) == 0
+
+
+def test_census_opens_one_pool(monkeypatch):
+    # every order of the census runs through one pool, made before the
+    # first order's lattices are generated
+    rows = census(6, workers=1)
+    made = _recorded_pools(monkeypatch)
+    assert census(6, workers=2) == rows
+    assert made == [2]
 
 
 def test_census_rows_through_order_6():
@@ -686,6 +719,29 @@ def test_errors_survive_a_pickle_round_trip(a6):
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc) and str(back) == str(exc)
         assert all(getattr(back, f) == getattr(exc, f) for f in fields), exc
+
+
+@forked_workers
+def test_a_failed_build_in_a_worker_names_its_lattice(monkeypatch):
+    # an internal error raised by _build in a pool worker carries the
+    # lattice's up-mask rows and product rows
+    target = enumerate_residuated(6, workers=1)[100]
+    parent, derive = os.getpid(), enumerator.derive_residuum
+
+    def failing(lattice, odot):
+        if os.getpid() != parent and (lattice.up, odot) == (target.up, target.odot):
+            raise ResiduumError(1, 0)
+        return derive(lattice, odot)
+
+    monkeypatch.setattr(enumerator, "derive_residuum", failing)
+    with pytest.raises(InternalCheckError) as caught:
+        enumerate_residuated(6, workers=2)
+    message = str(caught.value)
+    assert message.startswith("enumerated product has no residuum: ")
+    named = message.split("\nlattice: up ")[1]
+    up, odot = named.split(", odot ")
+    assert tuple(json.loads(up)) == target.up
+    assert tuple(map(bytes, json.loads(odot))) == target.odot
 
 
 def test_valid_reports_stay_shared_after_pickling(a6):
