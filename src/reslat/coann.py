@@ -6,22 +6,23 @@ filter lattice) under intersection and the skeleton join; the coannulets
 are the single-element case.  coann(X) is the intersection of the
 coannulets of the elements of X: a prime fails to contain X exactly when
 it misses some x in X, so {P | X not in P} is the union over x in X of
-{P | x not in P}, and the empty X gives the whole carrier.  The spectrum
-keeps one coannulet per element, so coann(X) costs |X| mask operations.
+{P | x not in P}, and the empty X gives the whole carrier.  As up(a) &
+up(b) = up(a v b), coann(X) is up of the join of the Gamma[x], x in X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InternalCheckError, ResiduatedLattice, per_lattice
+from .core import InternalCheckError, ResiduatedLattice, bits, per_lattice
 from .filters import all_filters, canonical_sort, filter_lattice
-from .spectra import meet_rows, prime_spectrum
+from .spectra import fold, prime_spectrum
 
 
 def coannihilator(lat: ResiduatedLattice, subset: int) -> int:
     """Intersection of the primes that do not contain the subset."""
-    return meet_rows(prime_spectrum(lat).coannulets, subset, lat.full_mask)
+    gamma = prime_spectrum(lat).coannulet_least
+    return lat.up[fold(lat.join, lat.bottom, map(gamma.__getitem__, bits(subset)))]
 
 
 def coannulet(lat: ResiduatedLattice, x: int) -> int:

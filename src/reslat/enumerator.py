@@ -59,7 +59,7 @@ WORKERS_ENV = "RESLAT_THREADS"
 MAX_WORKERS = 32
 # bounded_lattices' search is split into subtrees at this depth (see there)
 SPLIT_DEPTH = 4
-# _per_product sends the product searches after the longest in batches of this many
+# _per_product's batches of product searches, and the fewest pairs in a chunk
 SEARCH_BATCH = 6
 
 
@@ -502,7 +502,7 @@ def _mapper(workers: int):
     """map, or a process pool's map that lives as long as the block.
 
     The pool starts at its first task, and a map over one task runs
-    in-process: at orders 1 and 2 no process starts.
+    in-process: at orders 1 to 3 no process starts.
     """
     if workers <= 1:
         yield map
@@ -526,13 +526,14 @@ def _per_product(lattices: tuple[tuple[int, ...], ...], run, workers: int, stage
     10 tasks in place of 53, of which 35 find no product.  On a 2-vCPU VM,
     enumerate_documents(7, 2) took a median 106.9 ms with batches of 6,
     115.5 ms with one search per task, and no less with batches of 10
-    (20 alternating runs).  The
-    (lattice, product table) pairs, in lattice order, are then split into
-    about 4 chunks per worker of equal count, so that one lattice's
-    products are spread over the workers.  Each chunk goes to stage as
-    (start, pairs), start being the index of its first pair.  The chunks
-    depend on the worker count; the index of each pair, and so the name
-    that _lines_chunk gives its line, does not.
+    (20 alternating runs).  The (lattice, product table) pairs, in lattice
+    order, are then split into about 4 chunks per worker of equal count,
+    so that one lattice's products are spread over the workers, but of at
+    least SEARCH_BATCH pairs, each built faster than a pool round trip:
+    orders 1 to 3 make one chunk, run in-process.  Each chunk goes to
+    stage as (start, pairs), start being the index of its first pair.  The
+    chunks depend on the worker count; the index of each pair, and so the
+    name that _lines_chunk gives its line, does not.
 
     Each lattice is one BoundedLattice, made once by its product search
     and shared by all its products: in-process by reference, and in a pool
@@ -547,7 +548,7 @@ def _per_product(lattices: tuple[tuple[int, ...], ...], run, workers: int, stage
     searched = run(_products_job, [[lattices[i] for i in batch] for batch in batches])
     found = sorted(zip(longest_first, chain.from_iterable(searched)), key=lambda f: f[0])
     pairs = [(lattice, odot) for _, (lattice, odots) in found for odot in odots]
-    size = max(1, -(-len(pairs) // (4 * workers)))
+    size = max(SEARCH_BATCH, -(-len(pairs) // (4 * workers)))
     yield from run(stage, [(k, pairs[k : k + size]) for k in range(0, len(pairs), size)])
 
 

@@ -20,12 +20,12 @@ then O(1): the least element of each, one product and one up-set.
 
 As up is injective, the hot loops compare least elements rather than
 filters: up(e) v up(e') is up(e'') exactly when e.e' = e'', and it is the
-carrier exactly when e.e' is the bottom.  Any meet of prime filters is a
-filter, since an intersection of filters is one, so every coannulet and
-coannihilator has a least element.  The spectrum keeps the coannulets'
-as Gamma (``Spectrum.coannulet_least``), one byte per element, and joins
-of coannulets are read from Gamma and the odot table.
-``filter_join`` stays the general entry point.
+carrier exactly when e.e' is the bottom.  Dually, up(e) & up(e') is
+up(e v e'), so a meet of primes, such as a coannulet or coannihilator,
+is up of the join of their least elements.  The spectrum keeps those of
+the primes (``Spectrum.gens``) and of the coannulets (Gamma), and reads
+meets of primes from the join table and joins of coannulets from Gamma
+and the odot table.  ``filter_join`` stays the general entry point.
 """
 
 from __future__ import annotations

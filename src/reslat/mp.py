@@ -99,11 +99,11 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
         if len(mins := list(bits(spec.below[i] & spec.minimal_mask))) > 1
     )
     # up(e) v up(e') is the carrier exactly when e.e' is the bottom
-    least, odot = filter_lattice(lat).least, lat.odot
+    gens, odot = spec.gens, lat.odot
     verdicts["minimal_pairwise_comaximal"] = _first(
-        _pair(lat, f, g)
-        for f, g in combinations([primes[i] for i in spec.minimal], 2)
-        if odot[least[f]][least[g]] != lat.bottom
+        _pair(lat, primes[i], primes[j])
+        for i, j in combinations(spec.minimal, 2)
+        if odot[gens[i]][gens[j]] != lat.bottom
     )
     divisors = omega_lattice(lat).divisors
     for name, positions in (

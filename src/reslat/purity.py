@@ -26,15 +26,7 @@ from .filters import (
     is_filter,
     maximal_members,
 )
-from .spectra import (
-    FiniteTopology,
-    _meet_prime,
-    generalization,
-    hull,
-    kernel,
-    meet_rows,
-    prime_spectrum,
-)
+from .spectra import FiniteTopology, generalization, hull, kernel, prime_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +144,17 @@ def pure_core(lat: ResiduatedLattice, f: int) -> int:
     return elementwise
 
 
+def _meet_prime(p: int, filters: tuple[int, ...]) -> bool:
+    """No two of the filters outside p meet inside p."""
+    for f in filters:
+        if is_subset(f, p):
+            continue
+        for g in filters:
+            if is_subset(f & g, p) and not is_subset(g, p):
+                return False
+    return True
+
+
 class PureSpectrum:
     """Pure filters, the purely-maximal and purely-prime ones, and the
     topology on the purely-prime filters with opens {P | F not <= P}."""
@@ -167,18 +170,20 @@ class PureSpectrum:
         for f in self.purely_maximal:
             if f not in self.purely_prime:
                 raise InternalCheckError("purely-maximal must be purely-prime")
-        self.topology = self._build_topology(lat.size)
+        self.topology = self._build_topology(lat)
 
-    def _build_topology(self, n: int) -> FiniteTopology:
-        """Subbasic opens: the complements of the pure hulls {P | F <= P}
-        in a lattice of n elements.  The hulls are closed by construction,
-        and a finite space's closed sets are the unions of point closures,
-        so the closed sets are the hulls iff the empty set and every point
-        closure are hulls and the hulls are closed under binary union."""
+    def _build_topology(self, lat: ResiduatedLattice) -> FiniteTopology:
+        """Subbasic opens: the complements of the pure hulls {P | F <= P},
+        P holding F = up(e) iff e is in P.  The hulls are closed by
+        construction, and a finite space's closed sets are the unions of
+        point closures, so the closed sets are the hulls iff the empty set
+        and every point closure are hulls and the hulls are closed under
+        binary union."""
         points = self.purely_prime
         full = (1 << len(points)) - 1
-        incidence = _converse(points, n)
-        hulls = {meet_rows(incidence, f, full) for f in self.pure}
+        incidence = _converse(points, lat.size)
+        least = filter_lattice(lat).least
+        hulls = {incidence[least[f]] for f in self.pure}
         top = FiniteTopology.from_subbasis(points, [full & ~h for h in hulls])
         # the closure of point i: the points whose minimal neighbourhood holds i
         closures = _converse(top.min_nbhd, len(points))

@@ -9,11 +9,11 @@ or closed sets are enumerated.
 
 The hull h(X) of a set X of elements is the set of primes containing X,
 and the kernel k(S) of a set S of primes is their intersection: a Galois
-connection.  The spectrum stores the one relation "prime i contains x" as
-the incidence table ``hulls`` (bit i of ``hulls[x]``).  h(X) is the AND of
-hulls[x] over x in X, k(S) the AND of the primes in S, and the coannulet
-of x is k of the primes outside hulls[x]; ``meet_rows`` is that one fold.
-The hull-kernel topologies are read off the containment order of the primes.
+connection.  The spectrum keeps each prime as its least element (see
+``reslat.filters``), so each side is one fold of a lattice table: h(X) is
+the incidence row ``hulls[m]`` of the meet m of X, and k(S) is up of the
+join of the least elements of the primes in S.  The hull-kernel
+topologies are read off the containment order of the primes.
 """
 
 from __future__ import annotations
@@ -32,52 +32,46 @@ from .core import (
     per_lattice,
     transitive_closure,
 )
-from .filters import all_filters, canonical_sort, filter_lattice, first_join_into
+from .filters import filter_lattice, first_join_into
 
 
-def meet_rows(rows, selected: int, empty: int) -> int:
-    """The AND of rows[i] over the set bits i of selected; empty when none is."""
-    out = empty
-    for i in bits(selected):
-        out &= rows[i]
-    return out
+def fold(table, start: int, items) -> int:
+    """The join (or meet, by the table) of start and the items."""
+    for i in items:
+        start = table[start][i]
+    return start
 
 
 class Spectrum:
     """The prime filters of a lattice with their maximal and minimal positions.
 
-    ``hulls[x]`` is the bitmask of prime positions i with x in primes[i].
-    ``above[i]`` is the bitmask of prime positions j with primes[i] a
-    subset of primes[j], which is the hull of primes[i]; ``below[i]`` is
-    the converse.  Positions are indices into the canonically ordered
-    ``primes`` tuple.  ``coannulets[x]`` is the intersection of the primes
-    not containing the element x (the carrier when every prime contains x).
-
-    ``coannulet_least`` is Gamma, one byte per element: Gamma[x] is the least
-    element of ``coannulets[x]``.  A coannulet is a meet of primes, or the
-    carrier, and an intersection of filters is a filter, so it is up(e) for
-    one idempotent e (see ``reslat.filters``) and the filter lattice's
-    ``least`` holds it.  As up is injective, two coannulets are equal
-    exactly when their bytes are, and the filter join of coannulets x and
-    y is up(odot(Gamma[x], Gamma[y])): a join of coannulets is one lookup.
+    ``primes[i]`` is up(gens[i]), in canonical order.  ``hulls[x]`` is the
+    bitmask of prime positions i with x in primes[i] (gens[i] <= x), and
+    ``above[i]``, that of the primes holding primes[i], is hulls[gens[i]];
+    ``below[i]`` is the converse.  ``coannulets[x]``, the intersection of
+    the primes not containing x, is up(Gamma[x]) for the join Gamma[x] of
+    the gens not below x (the bottom when there is none).  Gamma is
+    ``coannulet_least``, one byte per element.  As up is injective, two
+    coannulets are equal exactly when their bytes are, and the filter join
+    of coannulets x and y is up(odot(Gamma[x], Gamma[y])): one lookup.
     """
 
-    def __init__(self, lat: ResiduatedLattice, primes: tuple[int, ...]):
-        self.primes = primes
-        self.index = {p: i for i, p in enumerate(primes)}
-        k = len(primes)
-        everything = (1 << k) - 1
-        self.hulls = tuple(_converse(primes, lat.size))
-        self.above = tuple(meet_rows(self.hulls, p, everything) for p in primes)
+    def __init__(self, lat: ResiduatedLattice, gens: bytes):
+        up, k = lat.up, len(gens)
+        self.gens = gens
+        self.primes = tuple(up[e] for e in gens)
+        self.index = {p: i for i, p in enumerate(self.primes)}
+        self.hulls = tuple(_converse(self.primes, lat.size))
+        self.above = tuple(self.hulls[e] for e in gens)
         self.below = tuple(_converse(self.above, k))
         self.maximal = tuple(i for i in range(k) if self.above[i] == 1 << i)
         self.minimal = tuple(i for i in range(k) if self.below[i] == 1 << i)
         self.minimal_mask = sum(1 << i for i in self.minimal)
-        self.coannulets = tuple(
-            meet_rows(primes, everything & ~h, lat.full_mask) for h in self.hulls
+        self.coannulet_least = bytes(
+            fold(lat.join, lat.bottom, (e for e in gens if not up[e] >> x & 1))
+            for x in range(lat.size)
         )
-        least = filter_lattice(lat).least
-        self.coannulet_least = bytes(least[c] for c in self.coannulets)
+        self.coannulets = tuple(up[g] for g in self.coannulet_least)
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -87,34 +81,38 @@ class Spectrum:
         return (1 << len(self.primes)) - 1
 
 
-def _meet_prime(p: int, filters: tuple[int, ...]) -> bool:
-    """No two of the filters outside p meet inside p."""
-    for f in filters:
-        if is_subset(f, p):
-            continue
-        for g in filters:
-            if is_subset(f & g, p) and not is_subset(g, p):
-                return False
-    return True
+def _lattice_prime(lat: ResiduatedLattice, e: int, idempotents: int) -> bool:
+    """Whether the join of the idempotents (a mask) strictly below e stays below e."""
+    return fold(lat.join, lat.bottom, bits(lat.down_masks[e] & idempotents & ~(1 << e))) != e
 
 
 @per_lattice
 def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
-    """All prime filters, with the meet-primality cross-check kept enabled."""
-    filters = all_filters(lat)
-    primes = []
-    for p in filters:
+    """All prime filters, with the meet-primality cross-check kept enabled.
+
+    The element-wise test is ``first_join_into``.  The lattice-wise one,
+    meet-primality in the filter lattice, reads least elements: up is an
+    anti-isomorphism from the idempotents I onto the filter lattice, with
+    up(a) & up(b) = up(a v b): I is closed under join and holds the
+    bottom.  In a finite distributive lattice meet-prime is meet-irreducible,
+    so a proper filter up(e) is meet-prime iff e has one lower cover in I:
+    iff the join of the idempotents strictly below e stays below e.
+    """
+    fl = filter_lattice(lat)
+    idempotents = sum(1 << e for e in fl.least.values())
+    gens = []
+    for p in fl.filters:
         if p == lat.full_mask:
             continue
+        e = fl.least[p]
         elementwise = first_join_into(lat, p) is None
-        lattice_wise = _meet_prime(p, filters)
-        if elementwise != lattice_wise:
+        if elementwise != _lattice_prime(lat, e, idempotents):
             raise InternalCheckError(
                 f"primality tests disagree on {lat.label_set(p)}"
             )
         if elementwise:
-            primes.append(p)
-    return Spectrum(lat, canonical_sort(primes))
+            gens.append(e)
+    return Spectrum(lat, bytes(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +120,20 @@ def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
 
 
 def hull(lat: ResiduatedLattice, subset: int) -> int:
-    """Positions of the primes containing the subset."""
-    spec = prime_spectrum(lat)
-    return meet_rows(spec.hulls, subset, spec.all_points)
+    """Positions of the primes containing the subset: up(e) holds it iff
+    e is below its meet (the top, in every prime, for the empty subset)."""
+    return prime_spectrum(lat).hulls[fold(lat.meet, lat.top, bits(subset))]
 
 
 def kernel(lat: ResiduatedLattice, point_mask: int) -> int:
     """Intersection of the selected primes; the empty intersection is A."""
-    return meet_rows(prime_spectrum(lat).primes, point_mask, lat.full_mask)
+    gens = prime_spectrum(lat).gens
+    return lat.up[fold(lat.join, lat.bottom, map(gens.__getitem__, bits(point_mask)))]
 
 
 def generalization(lat: ResiduatedLattice, point_mask: int) -> int:
     """Primes contained in some member of the given set."""
-    spec = prime_spectrum(lat)
-    out = 0
-    for i in bits(point_mask):
-        out |= spec.below[i]
-    return out
+    return reduce(or_, map(prime_spectrum(lat).below.__getitem__, bits(point_mask)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +290,7 @@ def prime_linkage(lat: ResiduatedLattice, kind: str) -> LinkageRelation:
     primes = spec.primes
     k = len(spec)
     if kind == "filters":
-        least = filter_lattice(lat).least
-        odot, bottom = lat.odot, lat.bottom
-        gens = [least[p] for p in primes]
+        odot, bottom, gens = lat.odot, lat.bottom, spec.gens
         rows = [sum(1 << j for j, g in enumerate(gens) if odot[e][g] != bottom) for e in gens]
     elif kind == "ideals":
         joiners = lat.top_joiners

@@ -22,6 +22,14 @@ every filter and checks that ``prime_spectrum`` lists it, so the tests
 cross-check the spectrum against the avoidance lemma on a6, a8 and the
 order-4 corpus.
 
+The element-prime incidence by per-point scans over the prime masks:
+``hull_by_scan`` tests each prime against the subset, ``kernel_by_scan``
+intersects the selected primes, and ``coannulets_by_scan`` intersects
+each prime into the coannulet of every element outside it.  They are the
+reference for the spectrum's ``hulls``, ``above`` and ``coannulets`` and
+for ``hull``, ``kernel`` and ``coannihilator``, which read the primes'
+least elements through the meet and join tables.
+
 Comaximality: two proper filters F and G join to the carrier exactly
 when odot(x, y) = bottom for some x in F and y in G, and exactly when
 imp(a, bottom) lies in G for some a in F.
@@ -279,6 +287,25 @@ def prime_avoiding(lat: ResiduatedLattice, f: int, avoid: int) -> int:
     if result not in prime_spectrum(lat).index:
         raise InternalCheckError("maximal avoiding filter is not prime")
     return result
+
+
+def hull_by_scan(spec, subset: int) -> int:
+    return sum(1 << i for i, p in enumerate(spec.primes) if is_subset(subset, p))
+
+
+def kernel_by_scan(lat: ResiduatedLattice, spec, point_mask: int) -> int:
+    out = lat.full_mask
+    for i in bits(point_mask):
+        out &= spec.primes[i]
+    return out
+
+
+def coannulets_by_scan(lat: ResiduatedLattice, spec) -> tuple[int, ...]:
+    coannulets = [lat.full_mask] * lat.size
+    for p in spec.primes:
+        for x in bits(lat.full_mask & ~p):
+            coannulets[x] &= p
+    return tuple(coannulets)
 
 
 def comaximal(lat: ResiduatedLattice, f: int, g: int) -> tuple[bool, tuple[int, int, int] | None]:

@@ -155,7 +155,8 @@ def test_skeleton_rejects_primes_that_do_not_meet_in_the_one_filter(monkeypatch)
     # the Boolean square with only the prime {a,1}: coann(A) = {a,1}, and
     # no coannihilator is {1}
     lat = build_boolean4()
-    monkeypatch.setattr(coann, "prime_spectrum", lambda lat: Spectrum(lat, (mask(lat, "a 1"),)))
+    a = lat.labels.index("a")
+    monkeypatch.setattr(coann, "prime_spectrum", lambda lat: Spectrum(lat, bytes([a])))
     with pytest.raises(InternalCheckError, match="^skeleton lacks the one filter$"):
         skeleton.__wrapped__(lat)
 

@@ -234,14 +234,16 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
-def _recorded_pools(monkeypatch) -> list[int]:
-    """The size of each pool the enumerator makes from now on; each maps
-    in-process, so no process starts."""
+def _recorded_pools(monkeypatch) -> list[list[int]]:
+    """Each pool the enumerator makes from now on: its size, then the
+    number of tasks of each map sent to it.  Each maps in-process, so no
+    process starts."""
     asked = []
 
     class Pool:
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            self.record = [max_workers]
+            asked.append(self.record)
 
         def __enter__(self):
             return self
@@ -249,7 +251,9 @@ def _recorded_pools(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, tasks):
+            self.record.append(len(tasks))
+            return map(fn, tasks)
 
     monkeypatch.setattr(enumerator, "ProcessPoolExecutor", Pool)
     return asked
@@ -261,7 +265,7 @@ def test_worker_count_is_clamped(monkeypatch):
     asked = _recorded_pools(monkeypatch)
     monkeypatch.setenv("RESLAT_THREADS", str(10**9))
     assert len(enumerate_residuated(7)) == 723
-    assert asked == [enumerator.MAX_WORKERS]
+    assert [pool[0] for pool in asked] == [enumerator.MAX_WORKERS]
 
 
 def test_order_cap():
@@ -389,9 +393,10 @@ def test_products_of_one_lattice_share_one_reduct():
 
 def test_document_lines_are_named_across_chunk_boundaries():
     # the workers write each line, named by its chunk's start index plus its
-    # place in the chunk; every order from 3 on has a chunk boundary between
+    # place in the chunk; every order from 4 on has a chunk boundary between
     # two products of one lattice at 1 and 2 workers, so an off-by-one start,
-    # or a start counted per lattice, gives another name
+    # or a start counted per lattice, gives another name (order 3's two
+    # products make one chunk, fewer than SEARCH_BATCH)
     for n in range(1, 7):
         built = enumerate_residuated(n, workers=1)
         expected = [
@@ -404,7 +409,7 @@ def test_document_lines_are_named_across_chunk_boundaries():
             assert all(text.endswith("\n") for text in texts)
             ends = list(itertools.accumulate(text.count("\n") for text in texts))[:-1]
             inside = [b for b in ends if built[b - 1].up == built[b].up]
-            assert inside or n < 3, (n, workers, ends)
+            assert inside or n < 4, (n, workers, ends)
 
 
 def test_converse_matches_the_double_loop():
@@ -676,7 +681,19 @@ def test_census_opens_one_pool(monkeypatch):
     rows = census(6, workers=1)
     made = _recorded_pools(monkeypatch)
     assert census(6, workers=2) == rows
-    assert made == [2]
+    assert [pool[0] for pool in made] == [2]
+
+
+def test_orders_up_to_3_send_no_task_to_the_pool(monkeypatch):
+    # every map at orders 1 to 3 has one task, which runs in-process; at
+    # order 4 the two product-search batches and the 7 products, in chunks
+    # of at least SEARCH_BATCH, are the first maps sent to the pool
+    lines = [list(enumerate_documents(n, workers=1)) for n in range(1, 5)]
+    made = _recorded_pools(monkeypatch)
+    assert [list(enumerate_documents(n, workers=2)) for n in range(1, 5)] == lines
+    assert made == [[2], [2], [2], [2, 2, 2]]
+    assert census(3, workers=2) == census(3, workers=1)
+    assert made[4:] == [[2]]
 
 
 def test_census_rows_through_order_6():

@@ -364,7 +364,7 @@ def topology_set(corpus6, a6, a8, a6xa8):
 def _closed_set_check_passes(lat, pure, points) -> bool:
     candidate = SimpleNamespace(pure=pure, purely_prime=points)
     try:
-        PureSpectrum._build_topology(candidate, lat.size)
+        PureSpectrum._build_topology(candidate, lat)
     except InternalCheckError as exc:
         assert str(exc) == CLOSED_SETS_MESSAGE
         return False

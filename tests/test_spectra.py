@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from reslat import ContractError, InternalCheckError, bits, spectra
 from reslat.core import is_subset, transitive_closure
 from reslat.coann import coannihilator
-from reslat.filters import all_filters, filter_join, generated_filter, is_filter
-from reslat.purity import pure_spectrum
+from reslat.filters import all_filters, filter_join, filter_lattice, generated_filter, is_filter
+from reslat.purity import _meet_prime, pure_spectrum
 from reslat.spectra import (
     FiniteTopology,
     SeparationReport,
@@ -33,8 +33,11 @@ from oracles import (
     brute_t1,
     closed_sets,
     closure,
+    coannulets_by_scan,
     dual_closed_sets,
+    hull_by_scan,
     ideal_join_is_everything,
+    kernel_by_scan,
     open_sets,
     prime_avoiding,
 )
@@ -101,7 +104,7 @@ def test_every_prime_contains_a_minimal_prime(corpus5):
 def test_primality_tests_that_disagree_raise(monkeypatch, a6):
     # a meet-primality test that rejects every filter disagrees with the
     # element-wise test on the first prime
-    monkeypatch.setattr(spectra, "_meet_prime", lambda p, filters: False)
+    monkeypatch.setattr(spectra, "_lattice_prime", lambda lat, e, idempotents: False)
     with pytest.raises(InternalCheckError, match="^primality tests disagree on "):
         prime_spectrum.__wrapped__(a6)
 
@@ -424,7 +427,7 @@ def test_ideal_linkage_checks_primality_at_the_top(monkeypatch):
     # Given as the one prime, the filter join {1} v {1} = {1} links it to
     # itself, but the ideal join of its complement with itself is everything
     lat = build_boolean4()
-    monkeypatch.setattr(spectra, "prime_spectrum", lambda lat: Spectrum(lat, (1 << lat.top,)))
+    monkeypatch.setattr(spectra, "prime_spectrum", lambda lat: Spectrum(lat, bytes([lat.top])))
     assert prime_linkage(lat, "filters").closed == (1,)
     with pytest.raises(InternalCheckError, match="^linkage relation must be reflexive$"):
         prime_linkage(lat, "ideals")
@@ -511,25 +514,6 @@ def test_ideal_linkage_matches_pair_scan(corpus6, a6, a8, a6xa8):
 # the element-prime incidence table against the per-point scans it replaced
 
 
-def _hull_by_scan(spec, subset):
-    return sum(1 << i for i, p in enumerate(spec.primes) if is_subset(subset, p))
-
-
-def _kernel_by_scan(lat, spec, point_mask):
-    out = lat.full_mask
-    for i in bits(point_mask):
-        out &= spec.primes[i]
-    return out
-
-
-def _coannulets_by_scan(lat, spec):
-    coannulets = [lat.full_mask] * lat.size
-    for p in spec.primes:
-        for x in bits(lat.full_mask & ~p):
-            coannulets[x] &= p
-    return tuple(coannulets)
-
-
 def _topology_by_scan(lat, space, variant):
     spec = prime_spectrum(lat)
     positions = range(len(spec)) if space == "spec" else spec.minimal
@@ -582,21 +566,21 @@ def test_incidence_matches_per_point_scans(incidence_set):
     for lat in incidence_set:
         spec = prime_spectrum(lat)
         primes = spec.primes
-        assert spec.hulls == tuple(_hull_by_scan(spec, 1 << x) for x in range(lat.size))
-        assert spec.above == tuple(_hull_by_scan(spec, p) for p in primes)
+        assert spec.hulls == tuple(hull_by_scan(spec, 1 << x) for x in range(lat.size))
+        assert spec.above == tuple(hull_by_scan(spec, p) for p in primes)
         assert spec.below == tuple(
             sum(1 << j for j, q in enumerate(primes) if is_subset(q, p)) for p in primes
         )
-        assert spec.coannulets == _coannulets_by_scan(lat, spec)
+        assert spec.coannulets == coannulets_by_scan(lat, spec)
         for f in (0, *all_filters(lat)):
             h = hull(lat, f)
-            assert h == _hull_by_scan(spec, f)
-            assert kernel(lat, h) == _kernel_by_scan(lat, spec, h)
+            assert h == hull_by_scan(spec, f)
+            assert kernel(lat, h) == kernel_by_scan(lat, spec, h)
             outside = spec.all_points & ~h
-            assert coannihilator(lat, f) == _kernel_by_scan(lat, spec, outside)
+            assert coannihilator(lat, f) == kernel_by_scan(lat, spec, outside)
         for i in range(len(spec)):
             for points in (spec.above[i], spec.below[i], spec.minimal_mask):
-                assert kernel(lat, points) == _kernel_by_scan(lat, spec, points)
+                assert kernel(lat, points) == kernel_by_scan(lat, spec, points)
 
 
 def test_topologies_match_per_point_scans(incidence_set):
@@ -632,3 +616,18 @@ def test_pure_spectrum_matches_per_point_scans(incidence_set):
         assert ps.topology == top
         hulls = {sum(1 << i for i in range(k) if is_subset(f, points[i])) for f in ps.pure}
         assert set(closed_sets(top)) == hulls
+
+
+def test_lattice_wise_primality_matches_the_filter_scan(incidence_set):
+    # a proper filter up(e) is meet-prime in the filter lattice, by the scan
+    # of every pair of filters, exactly when the join of the idempotents
+    # strictly below e stays below e
+    for lat in incidence_set:
+        fl = filter_lattice(lat)
+        idempotents = sum(1 << e for e in fl.least.values())
+        verdicts = [
+            spectra._lattice_prime(lat, fl.least[f], idempotents) == _meet_prime(f, fl.filters)
+            for f in fl.filters
+            if f != lat.full_mask
+        ]
+        assert all(verdicts)
