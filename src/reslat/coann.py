@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import InternalCheckError, ResiduatedLattice, bits, per_lattice
-from .filters import all_filters, canonical_sort, filter_lattice
+from .filters import all_filters, canonical_sort, filter_lattice, idempotent_class
 from .spectra import fold, prime_spectrum
 
 
@@ -39,7 +39,7 @@ class SkeletonLattice:
     join: dict[tuple[int, int], int]
 
 
-@per_lattice
+@per_lattice(key=idempotent_class)
 def skeleton(lat: ResiduatedLattice) -> SkeletonLattice:
     """The skeleton, verified to be a Boolean lattice.
 

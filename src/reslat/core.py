@@ -223,7 +223,8 @@ class BoundedLattice:
     down-sets).
     ``bounded_lattice_ops`` seeds the partial-order test it has just
     computed.  Products that share one object (see ``ResiduatedLattice.over``)
-    derive the rest once.  A pickle holds the five fields only: the derived
+    derive the rest once, and share the analyses that ``per_lattice`` keeps
+    by key in ``analyses``.  A pickle holds the five fields only: the derived
     rows would more than double it (359 against 143 KB for the 256-element
     chain), and the receiver derives what it reads.
     """
@@ -263,6 +264,11 @@ class BoundedLattice:
         return bytes(order), tuple(
             sorted((new_of[lo], new_of[hi]) for lo, hi in cover_pairs(self.up))
         )
+
+    @cached_property
+    def analyses(self) -> dict:
+        """What ``per_lattice`` shares among the products over this reduct."""
+        return {}
 
     @cached_property
     def partial_order(self) -> bool:
@@ -366,7 +372,8 @@ class ResiduatedLattice:
     ``per_lattice`` functions (the filter lattice, the prime spectrum, the
     omega-filters, the skeleton and the pure spectrum) are computed on
     first use and kept in the instance, so each instance is validated and
-    analysed at most once, and what it keeps is freed with it.
+    analysed at most once, and what it keeps is freed with it.  Products
+    over one reduct share some analyses (``filters.idempotent_class``).
     """
 
     labels: tuple[str, ...]
@@ -434,21 +441,31 @@ class ResiduatedLattice:
         return f"ResiduatedLattice({','.join(self.labels)})"
 
 
-def per_lattice(fn):
+def per_lattice(fn=None, *, key=None):
     """``fn(lat)``, computed on the first call and kept in ``lat.__dict__``, as
     ``reduct`` is, so it lives as long as lat.  ``cache_info()`` counts the
-    calls answered from there (hits) and those that computed (misses)."""
-    name, counts = fn.__name__, [0, 0]  # misses, hits
+    calls that computed (misses) and all others (hits).  With ``key``, the
+    lattices over one reduct with equal key(lat) share the value, kept in
+    ``reduct.analyses``: sound when fn reads nothing of lat beyond the
+    reduct and the key, since they then run fn, checks included, on the
+    same inputs.  A call that raises keeps nothing."""
+    if fn is None:
+        return partial(per_lattice, key=key)
+    name, counts = fn.__name__, [0, 0]  # misses, calls
 
     @wraps(fn)
     def memo(lat):
+        counts[1] += 1
         kept = lat.__dict__
-        counts[name in kept] += 1
         if name not in kept:
-            kept[name] = fn(lat)
+            store, k = (lat.reduct.analyses, (name, key(lat))) if key else (kept, name)
+            if k not in store:
+                counts[0] += 1
+                store[k] = fn(lat)
+            kept[name] = store[k]
         return kept[name]
 
-    memo.cache_info = lambda: SimpleNamespace(hits=counts[1], misses=counts[0])
+    memo.cache_info = lambda: SimpleNamespace(hits=counts[1] - counts[0], misses=counts[0])
     return memo
 
 

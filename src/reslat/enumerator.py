@@ -398,6 +398,11 @@ def residuated_products(lattice: BoundedLattice) -> tuple[Table, ...]:
     return tuple(results)
 
 
+def _named(lattice: BoundedLattice, odot) -> str:
+    """A product named by its lattice's up-mask rows and its product rows."""
+    return f"lattice: up {list(lattice.up)}, odot {list(map(list, odot))}"
+
+
 def _build(lattice: BoundedLattice, odot) -> ResiduatedLattice:
     """The residuated lattice of an enumerated product on the lattice.
 
@@ -413,8 +418,7 @@ def _build(lattice: BoundedLattice, odot) -> ResiduatedLattice:
     that an error raised in a pool worker is a reproducer.
     """
     def failed(problem: str) -> InternalCheckError:
-        named = f"lattice: up {list(lattice.up)}, odot {list(map(list, odot))}"
-        return InternalCheckError(f"enumerated {problem}\n{named}")
+        return InternalCheckError(f"enumerated {problem}\n{_named(lattice, odot)}")
 
     try:
         imp = derive_residuum(lattice, odot)
@@ -482,18 +486,26 @@ def _lines_chunk(chunk: tuple[int, list]) -> str:
 
 
 def _census_chunk(chunk: tuple[int, list]) -> tuple[int, int, int, int, int]:
-    """(residuated, mp, rickart, baer, domains) counts over the chunk's lattices."""
+    """(residuated, mp, rickart, baer, domains) counts over the chunk's lattices.
+
+    An internal error raised while a lattice is classified is raised again
+    with the lattice named as ``_build`` names it, so that an error from a
+    pool worker is a reproducer.
+    """
     from .coann import classify_baer_rickart
     from .filters import is_domain
     from .mp import mp_check
 
     mp_count = rickart = baer = domains = 0
     for lat in _build_chunk(chunk):
-        mp_count += mp_check(lat).final
-        cls = classify_baer_rickart(lat)
+        try:
+            mp_count += mp_check(lat).final
+            cls = classify_baer_rickart(lat)
+            domains += is_domain(lat)[0]
+        except InternalCheckError as exc:
+            raise InternalCheckError(f"{exc}\n{_named(lat.reduct, lat.odot)}") from exc
         rickart += cls.rickart
         baer += cls.baer
-        domains += is_domain(lat)[0]
     return len(chunk[1]), mp_count, rickart, baer, domains
 
 

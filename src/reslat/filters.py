@@ -91,6 +91,31 @@ def filter_lattice(lat: ResiduatedLattice) -> FilterLattice:
     return FilterLattice({lat.up[e]: e for e in range(lat.size) if lat.odot[e][e] == e})
 
 
+@per_lattice
+def idempotent_class(lat: ResiduatedLattice) -> tuple[tuple[str, ...], bytes, bytes]:
+    """The labels, the idempotents I in index order, and odot on I x I: the
+    key under which products over one reduct share the prime spectrum, the
+    skeleton and the pure spectrum (see ``per_lattice``).
+
+    Beyond the reduct's tables, those three read only this.  The spectrum
+    reads the filters, which are up(e) for e in I, and labels in its error
+    message; the skeleton reads the spectrum and the filters; the pure
+    spectrum reads them, labels in its error messages, and odot at
+    (e, Gamma[a]) for e in I, where Gamma[a], a join of idempotents, is
+    in I, which holds the bottom and is closed under join.  The omega
+    lattice reads odot beyond I x I, in ``is_filter``, and stays per
+    product.  On a valid lattice odot on I x I follows from the order and
+    I (e.e' is the greatest idempotent below e ^ e'), so the key takes one
+    value per pair (lattice, I); it is in the key so that the sharing does
+    not rest on that.  Each row of odot on I is gathered by one
+    ``bytes.translate``.
+    """
+    idempotents = bytes(filter_lattice(lat).least.values())
+    pad = bytes(256 - lat.size)
+    rows = (idempotents.translate(lat.odot[e] + pad) for e in idempotents)
+    return lat.labels, idempotents, b"".join(rows)
+
+
 def all_filters(lat: ResiduatedLattice) -> tuple[int, ...]:
     return filter_lattice(lat).filters
 

@@ -23,6 +23,7 @@ from .filters import (
     canonical_sort,
     filter_join,
     filter_lattice,
+    idempotent_class,
     is_filter,
     maximal_members,
 )
@@ -196,7 +197,7 @@ class PureSpectrum:
         return top
 
 
-@per_lattice
+@per_lattice(key=idempotent_class)
 def pure_spectrum(lat: ResiduatedLattice) -> PureSpectrum:
     return PureSpectrum(lat)
 

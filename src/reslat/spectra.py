@@ -32,7 +32,7 @@ from .core import (
     per_lattice,
     transitive_closure,
 )
-from .filters import filter_lattice, first_join_into
+from .filters import filter_lattice, first_join_into, idempotent_class
 
 
 def fold(table, start: int, items) -> int:
@@ -86,7 +86,7 @@ def _lattice_prime(lat: ResiduatedLattice, e: int, idempotents: int) -> bool:
     return fold(lat.join, lat.bottom, bits(lat.down_masks[e] & idempotents & ~(1 << e))) != e
 
 
-@per_lattice
+@per_lattice(key=idempotent_class)
 def prime_spectrum(lat: ResiduatedLattice) -> Spectrum:
     """All prime filters, with the meet-primality cross-check kept enabled.
 

@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from reslat import (
+    InternalCheckError,
     ResiduumError,
     StructureError,
     ValidationFailed,
@@ -21,11 +22,13 @@ from reslat import (
     from_tables,
     mask_of,
     negation,
+    spectra,
     validate_axioms,
 )
-from reslat.core import MAX_SIZE, bounded_lattice_ops, is_subset
+from reslat.coann import skeleton
+from reslat.core import MAX_SIZE, BoundedLattice, ResiduatedLattice, bounded_lattice_ops, is_subset
 from reslat.enumerator import enumerate_residuated
-from reslat.filters import filter_lattice, quotient
+from reslat.filters import filter_lattice, idempotent_class, quotient
 from reslat.latfile import load_bundled
 from reslat.purity import omega_lattice, pure_spectrum
 from reslat.spectra import hull_kernel_topology, hull, prime_spectrum
@@ -500,6 +503,78 @@ def test_analyses_live_and_die_with_their_lattice(a6):
     bad = _corrupt(a6, 1, 1, 0)  # a.a = 0: a is no longer idempotent
     assert filter_lattice(bad) is not filter_lattice(a6)
     assert filter_lattice(bad).filters != filter_lattice(a6).filters
+
+
+# the analyses that products over one reduct share by idempotent_class
+SHARED = (prime_spectrum, skeleton, pure_spectrum)
+
+
+def _over_fresh_reduct(lat, odot=None):
+    """lat's tables, with another product if given, over a new reduct."""
+    reduct = BoundedLattice(lat.up, lat.join, lat.meet, lat.bottom, lat.top)
+    return ResiduatedLattice.over(reduct, lat.labels, odot or lat.odot, lat.imp)
+
+
+def test_shared_analyses_equal_their_own_computation(corpus7):
+    # a product's spectrum, skeleton and pure spectrum, wherever in its
+    # class they were computed, are what each layer computes on it
+    for lat in corpus7:
+        for fn in SHARED:
+            assert vars(fn(lat)) == vars(fn.__wrapped__(lat)), (lat, fn.__name__)
+
+
+def test_shared_analyses_read_nothing_of_odot_beyond_their_key(corpus6):
+    # odot set at random outside I x I, the diagonal kept (so I stays):
+    # over a fresh reduct, where nothing is shared, each shared analysis
+    # comes out as before.  The omega lattice, whose filter test reads odot
+    # beyond I x I, fails the same probe, so the probe sees such a read
+    rng = random.Random(37)
+    omega_fails = 0
+    for lat in corpus6:
+        idempotents = set(filter_lattice(lat).least.values())
+        odot = tuple(
+            bytes(
+                v if x == y or {x, y} <= idempotents else rng.randrange(lat.size)
+                for y, v in enumerate(row)
+            )
+            for x, row in enumerate(lat.odot)
+        )
+        probe = _over_fresh_reduct(lat, odot=odot)
+        assert idempotent_class(probe) == idempotent_class(lat)
+        for fn in SHARED:
+            assert vars(fn(probe)) == vars(fn(lat)), (lat, fn.__name__)
+        try:
+            omega_fails += vars(omega_lattice(probe)) != vars(omega_lattice(lat))
+        except InternalCheckError:
+            omega_fails += 1
+    assert omega_fails >= len(corpus6) // 4
+
+
+def test_shared_analyses_need_one_reduct_and_equal_labels(a6):
+    first = _over_fresh_reduct(a6)
+    same = ResiduatedLattice.over(first.reduct, a6.labels, a6.odot, a6.imp)
+    renamed = ResiduatedLattice.over(first.reduct, tuple("uvwxyz"), a6.odot, a6.imp)
+    own = [fn(a6) for fn in SHARED]
+    before = [fn.cache_info().misses for fn in SHARED]
+    for fn, kept in zip(SHARED, own):
+        assert fn(same) is fn(first) is not kept
+        assert fn(renamed) is not fn(first)
+    # computed for first and for renamed; same takes first's
+    assert [fn.cache_info().misses - b for fn, b in zip(SHARED, before)] == [2, 2, 2]
+
+
+def test_a_shared_analysis_that_raises_keeps_nothing(monkeypatch, a6):
+    lat = _over_fresh_reduct(a6)
+    monkeypatch.setattr(spectra, "_lattice_prime", lambda lat, e, idempotents: False)
+    before = prime_spectrum.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="^primality tests disagree on "):
+            prime_spectrum(lat)
+    assert lat.reduct.analyses == {} and "prime_spectrum" not in lat.__dict__
+    assert prime_spectrum.cache_info().misses - before == 2
+    monkeypatch.undo()
+    assert vars(prime_spectrum(lat)) == vars(prime_spectrum(a6))
+    assert list(lat.reduct.analyses) == [("prime_spectrum", idempotent_class(lat))]
 
 
 def test_dimension_mismatch_is_structural(a6):

@@ -21,6 +21,7 @@ from reslat import (
     Violation,
     core,
     enumerator,
+    spectra,
     validate_axioms,
 )
 from reslat.core import bounded_lattice_ops
@@ -34,6 +35,7 @@ from reslat.enumerator import (
     residuated_products,
     worker_count,
 )
+from reslat.filters import idempotent_class
 from reslat.latfile import to_document_dict
 
 from oracles import (
@@ -757,6 +759,33 @@ def test_a_failed_build_in_a_worker_names_its_lattice(monkeypatch):
     assert message.startswith("enumerated product has no residuum: ")
     named = message.split("\nlattice: up ")[1]
     up, odot = named.split(", odot ")
+    assert tuple(json.loads(up)) == target.up
+    assert tuple(map(bytes, json.loads(odot))) == target.odot
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=forked_workers)])
+def test_a_failed_classification_in_the_census_names_its_product(monkeypatch, workers):
+    # the lattice-wise primality test disagrees on one product of order 6,
+    # the first of its class, so no product of the class takes its spectrum
+    # from another: the census raises the spectrum's error with that
+    # product's up-mask rows and product rows, from a pool worker at 2
+    firsts = {}
+    for lat in enumerate_residuated(6, workers=1):
+        firsts.setdefault((lat.up, idempotent_class(lat)), lat)
+    target = list(firsts.values())[-3]
+    parent, real = os.getpid(), spectra._lattice_prime
+
+    def disagreeing(lat, e, idempotents):
+        in_worker = workers == 1 or os.getpid() != parent
+        wrong = in_worker and (lat.up, lat.odot) == (target.up, target.odot)
+        return real(lat, e, idempotents) != wrong
+
+    monkeypatch.setattr(spectra, "_lattice_prime", disagreeing)
+    with pytest.raises(InternalCheckError) as caught:
+        census(6, workers=workers)
+    message = str(caught.value)
+    assert message.startswith("primality tests disagree on ")
+    up, odot = message.split("\nlattice: up ")[1].split(", odot ")
     assert tuple(json.loads(up)) == target.up
     assert tuple(map(bytes, json.loads(odot))) == target.odot
 
