@@ -102,6 +102,7 @@ class BaerRickart:
     rickart: bool
 
 
+@per_lattice(key=idempotent_class)
 def classify_baer_rickart(lat: ResiduatedLattice) -> BaerRickart:
     """Baer: the skeleton join agrees with the filter join on coannihilators.
     Rickart: the coannulets are closed under the filter join and each has a

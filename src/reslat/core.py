@@ -370,10 +370,11 @@ class ResiduatedLattice:
     reduct (``reduct``, which holds ``down_masks`` and ``top_joiners``),
     the axiom report (``validation``) and the analyses of the
     ``per_lattice`` functions (the filter lattice, the prime spectrum, the
-    omega-filters, the skeleton and the pure spectrum) are computed on
-    first use and kept in the instance, so each instance is validated and
-    analysed at most once, and what it keeps is freed with it.  Products
-    over one reduct share some analyses (``filters.idempotent_class``).
+    omega-filters, the skeleton, the pure spectrum, Baer/Rickart and most
+    mp verdicts) are computed on first use and kept in the instance, so
+    each instance is validated and analysed at most once, and what it
+    keeps is freed with it.  Products over one reduct share some analyses
+    (``filters.idempotent_class``).
     """
 
     labels: tuple[str, ...]

@@ -94,20 +94,40 @@ def filter_lattice(lat: ResiduatedLattice) -> FilterLattice:
 @per_lattice
 def idempotent_class(lat: ResiduatedLattice) -> tuple[tuple[str, ...], bytes, bytes]:
     """The labels, the idempotents I in index order, and odot on I x I: the
-    key under which products over one reduct share the prime spectrum, the
-    skeleton and the pure spectrum (see ``per_lattice``).
+    key under which products over one reduct share what reads nothing else
+    (see ``per_lattice``).
 
-    Beyond the reduct's tables, those three read only this.  The spectrum
-    reads the filters, which are up(e) for e in I, and labels in its error
-    message; the skeleton reads the spectrum and the filters; the pure
-    spectrum reads them, labels in its error messages, and odot at
-    (e, Gamma[a]) for e in I, where Gamma[a], a join of idempotents, is
-    in I, which holds the bottom and is closed under join.  The omega
-    lattice reads odot beyond I x I, in ``is_filter``, and stays per
-    product.  On a valid lattice odot on I x I follows from the order and
-    I (e.e' is the greatest idempotent below e ^ e'), so the key takes one
-    value per pair (lattice, I); it is in the key so that the sharing does
-    not rest on that.  Each row of odot on I is gathered by one
+    Beyond the reduct's tables, these read only this key, labels in
+    witnesses and error messages included:
+
+    - the prime spectrum reads the filters, which are up(e) for e in I;
+    - the skeleton reads the spectrum and the filters;
+    - the pure spectrum reads them and odot at (e, Gamma[a]) for e in I,
+      where Gamma[a], a join of idempotents, is in I, which holds the
+      bottom and is closed under join;
+    - the omega lattice of the class (``purity.omega_of_class``) reads the
+      join table and the spectrum: its members, ``vee`` and divisors, and
+      their representative, meet and kernel cross-checks;
+    - Baer/Rickart reads the skeleton and odot on the least elements of
+      coannihilators, which are in I;
+    - the spectral, topological and purity families, and seven of the nine
+      algebraic verdicts (``mp.algebraic_of_class``), read these analyses
+      and odot on least elements of filters, all in I.
+
+    What reads odot or imp beyond I x I stays per product: the test that
+    each omega-filter is a filter (``purity.omega_lattice``), whose
+    generated filter multiplies any elements; the principal filters of the
+    algebraic family, which are powers under odot, and its negations,
+    read from imp; the quotient family, which builds quotients; and
+    ``filter_lattice``, which defines I.  ``is_domain`` reads the join
+    table only and is cheap, so it is not kept.  Every product thus still
+    gets its 28 verdicts, each from its own tables or from a computation
+    on the same inputs.
+
+    On a valid lattice odot on I x I follows from the order and I (e.e'
+    is the greatest idempotent below e ^ e'), so the key takes one value
+    per pair (lattice, I); it is in the key so that the sharing does not
+    rest on that.  Each row of odot on I is gathered by one
     ``bytes.translate``.
     """
     idempotents = bytes(filter_lattice(lat).least.values())

@@ -11,6 +11,14 @@ the spectrum's tables (``_first``): a false verdict's witness is the
 first failing candidate in the family's iteration order, so witnesses
 are reproducible.  The three are ``spec_dual_normal``, read from
 ``separation_check``, and the two ``min_equals_*`` set comparisons.
+
+The spectral, topological and purity families, and seven of the nine
+algebraic verdicts, read nothing of a product beyond its reduct and its
+``filters.idempotent_class``, so the products of one class share them
+(``per_lattice``).  The two other algebraic verdicts and the quotient
+family read odot or imp beyond the idempotents and run per product.
+Shared verdicts and their witnesses are never mutated: ``mp_check``
+copies them into its report.
 """
 
 from __future__ import annotations
@@ -21,11 +29,11 @@ from itertools import chain, combinations
 from operator import or_
 from typing import Any, Iterable
 
-from .core import ResiduatedLattice, bits, format_set, mask_of, negation
-from .filters import filter_lattice, is_domain, principal_filter, quotient
+from .core import ResiduatedLattice, bits, format_set, mask_of, negation, per_lattice
+from .filters import filter_lattice, idempotent_class, is_domain, principal_filter, quotient
 from .spectra import hull, hull_kernel_topology, prime_linkage, prime_spectrum, separation_check
 from .coann import coannulet
-from .purity import omega_lattice, pure_core, pure_spectrum
+from .purity import omega_lattice, omega_of_class, pure_core, pure_spectrum
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,7 @@ def _pair(lat: ResiduatedLattice, f: int, g: int) -> dict:
 # spectral family
 
 
+@per_lattice(key=idempotent_class)
 def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
     primes = spec.primes
@@ -105,7 +114,7 @@ def mp_via_spectral(lat: ResiduatedLattice) -> dict[str, Verdict]:
         for i, j in combinations(spec.minimal, 2)
         if odot[gens[i]][gens[j]] != lat.bottom
     )
-    divisors = omega_lattice(lat).divisors
+    divisors = omega_of_class(lat).divisors
     for name, positions in (
         ("divisor_prime_for_primes", range(len(spec))),
         ("divisor_prime_for_maximals", spec.maximal),
@@ -149,8 +158,51 @@ def _conormal(lat: ResiduatedLattice, members: tuple[int, ...]) -> Verdict:
     )
 
 
+# the algebraic verdicts in report order
+ALGEBRAIC = (
+    "filter_lattice_conormal",
+    "principal_filter_lattice_conormal",
+    "coannulet_comaximal",
+    "coannulet_negation_witness",
+    "coannulet_join_identity",
+    "coannulet_join_top",
+    "coannulet_join_closed",
+    "omega_join_closed",
+    "omega_vee_top",
+)
+
+
+def _to_top(lat: ResiduatedLattice) -> list[tuple[int, int]]:
+    """The pairs (x, y) with x v y = top, in order."""
+    return [(x, y) for x, joiners in enumerate(lat.top_joiners) for y in bits(joiners)]
+
+
 def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
-    """The algebraic family, every filter join read through least elements.
+    """The algebraic family: the seven verdicts of the idempotent class
+    (``algebraic_of_class``) and two of this product.  Principal filters
+    are powers under odot and negations read imp, beyond I x I, so those
+    two verdicts are searched per product."""
+    labels = lat.labels
+    principal = tuple(sorted({principal_filter(lat, x) for x in range(lat.size)}))
+    ann = prime_spectrum(lat).coannulets
+    # the negations of the members of ann[x], one mask per x
+    negations = [mask_of(negation(lat, a) for a in bits(f)) for f in ann]
+    verdicts = dict(
+        algebraic_of_class(lat),
+        principal_filter_lattice_conormal=_conormal(lat, principal),
+        coannulet_negation_witness=_first(
+            {"pair": [labels[x], labels[y]]}
+            for x, y in _to_top(lat)
+            if not ann[y] & negations[x]
+        ),
+    )
+    return {name: verdicts[name] for name in ALGEBRAIC}
+
+
+@per_lattice(key=idempotent_class)
+def algebraic_of_class(lat: ResiduatedLattice) -> dict[str, Verdict]:
+    """The algebraic verdicts that read nothing of the product beyond
+    I x I, every filter join read through least elements.
 
     Each filter is up(e) for its least element e, up is injective, and
     up(e) v up(e') = up(e.e'), which is the carrier exactly when e.e' is
@@ -166,28 +218,17 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
     verdicts: dict[str, Verdict] = {}
     fl = filter_lattice(lat)
     least = fl.least
-    principal = tuple(sorted({principal_filter(lat, x) for x in range(n)}))
     spec = prime_spectrum(lat)
     ann, gamma = spec.coannulets, spec.coannulet_least
 
     verdicts["filter_lattice_conormal"] = _conormal(lat, fl.filters)
-    verdicts["principal_filter_lattice_conormal"] = _conormal(lat, principal)
-
-    to_top = [(x, y) for x, joiners in enumerate(lat.top_joiners) for y in bits(joiners)]
     verdicts["coannulet_comaximal"] = _first(
         {
             "pair": [labels[x], labels[y]],
             "coannulets": [format_set(lat, ann[x]), format_set(lat, ann[y])],
         }
-        for x, y in to_top
+        for x, y in _to_top(lat)
         if odot[gamma[x]][gamma[y]] != bottom
-    )
-    # the negations of the members of ann[x], one mask per x
-    negations = [mask_of(negation(lat, a) for a in bits(f)) for f in ann]
-    verdicts["coannulet_negation_witness"] = _first(
-        {"pair": [labels[x], labels[y]]}
-        for x, y in to_top
-        if not ann[y] & negations[x]
     )
     # lhs[x][y] is the least element of ann(x v y), rhs[x][y] that of
     # ann(x) v ann(y)
@@ -224,7 +265,7 @@ def mp_via_algebraic(lat: ResiduatedLattice) -> dict[str, Verdict]:
         if odot[least[f]][least[g]] not in gens
     )
 
-    om = omega_lattice(lat)
+    om = omega_of_class(lat)
     omega_gens = {least[f] for f in om.members}
     total = reduce(lambda e, f: odot[e][least[f]], om.members, lat.top)
     verdicts["omega_join_closed"] = _first(chain(
@@ -271,6 +312,7 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
         domain, pair = is_domain(q)
         return None if domain else (q.labels[pair[0]], q.labels[pair[1]])
 
+    # per product: omega_lattice tests that each omega-filter is a filter
     divisors = omega_lattice(lat).divisors
     for name, positions in (
         ("divisor_quotient_domain_for_primes", range(len(spec))),
@@ -288,6 +330,7 @@ def mp_via_quotient(lat: ResiduatedLattice) -> dict[str, Verdict]:
 # topological family
 
 
+@per_lattice(key=idempotent_class)
 def mp_via_topology(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
     primes = spec.primes
@@ -356,11 +399,12 @@ def mp_via_topology(lat: ResiduatedLattice) -> dict[str, Verdict]:
 # purity family
 
 
+@per_lattice(key=idempotent_class)
 def mp_via_purity(lat: ResiduatedLattice) -> dict[str, Verdict]:
     spec = prime_spectrum(lat)
     ps = pure_spectrum(lat)
     pure = set(ps.pure)
-    om = omega_lattice(lat)
+    om = omega_of_class(lat)
     verdicts: dict[str, Verdict] = {}
 
     # the maximals-only divisor variant is deliberately absent: the divisor

@@ -39,7 +39,8 @@ def omega_filter(lat: ResiduatedLattice, ideal: int) -> int:
 
     One mask test per element a: does the ideal meet the set of the x
     with a v x = top (``lat.top_joiners[a]``)?  That is O(n) whatever
-    the size of the ideal.
+    the size of the ideal.  It reads the reduct only; ``omega_lattice``
+    tests that each omega-filter is a filter of the product.
     """
     if ideal == 0:
         raise ContractError("omega_filter: ideal must be non-empty")
@@ -47,8 +48,6 @@ def omega_filter(lat: ResiduatedLattice, ideal: int) -> int:
     for a, joiners in enumerate(lat.top_joiners):
         if joiners & ideal:
             out |= 1 << a
-    if not is_filter(lat, out):
-        raise InternalCheckError("omega of an ideal must be a filter")
     return out
 
 
@@ -82,8 +81,9 @@ class OmegaLattice:
     ``divisors`` holds the divisor filter of each prime, in spectrum
     order.  A prime's divisor filter is omega of its complement, an ideal,
     so it is an omega-filter; each is computed and cross-checked once.
-    Neither this nor PureSpectrum keeps the lattice, whose memo keeps
-    them: the lattice is freed as soon as its last reference goes.
+    Neither this nor PureSpectrum keeps the lattice, whose memo (or its
+    reduct's) keeps them: the lattice is freed as soon as its last
+    reference goes.
     """
 
     def __init__(self, lat: ResiduatedLattice):
@@ -107,9 +107,25 @@ class OmegaLattice:
         self.divisors = tuple(_divisor_of_prime(lat, i) for i in range(len(prime_spectrum(lat))))
 
 
+@per_lattice(key=idempotent_class)
+def omega_of_class(lat: ResiduatedLattice) -> OmegaLattice:
+    """The omega lattice shared by the products of an idempotent class:
+    it reads the reduct, the spectrum and the labels (see
+    ``filters.idempotent_class``), but not whether its members are
+    filters of the product, which ``omega_lattice`` tests."""
+    return OmegaLattice(lat)
+
+
 @per_lattice
 def omega_lattice(lat: ResiduatedLattice) -> OmegaLattice:
-    return OmegaLattice(lat)
+    """The omega lattice of the class (``omega_of_class``), each distinct
+    omega-filter of it, divisors included, tested to be a filter of this
+    product.  The test reads odot beyond I x I, so it runs per product."""
+    om = omega_of_class(lat)
+    for f in {*om.members, *om.divisors}:
+        if not is_filter(lat, f):
+            raise InternalCheckError("omega of an ideal must be a filter")
+    return om
 
 
 # ---------------------------------------------------------------------------

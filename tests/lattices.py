@@ -7,6 +7,7 @@ Hasse diagrams; everything else is small synthetic material.
 from __future__ import annotations
 
 from reslat import ResiduatedLattice, from_order, from_tables
+from reslat.core import BoundedLattice
 
 A6_LABELS = ("0", "a", "b", "c", "d", "1")
 A6_COVERS = ((0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (4, 5))
@@ -121,6 +122,13 @@ def relabeled(lat: ResiduatedLattice, perm) -> ResiduatedLattice:
         tab(lat.join), tab(lat.meet), tab(lat.odot), tab(lat.imp),
         pos[lat.bottom], pos[lat.top],
     )
+
+
+def over_fresh_reduct(lat: ResiduatedLattice, odot=None) -> ResiduatedLattice:
+    """lat's tables, with another product if given, over a new reduct, so
+    that it shares no analysis with any other lattice."""
+    reduct = BoundedLattice(lat.up, lat.join, lat.meet, lat.bottom, lat.top)
+    return ResiduatedLattice.over(reduct, lat.labels, odot or lat.odot, lat.imp)
 
 
 def build_two_chain() -> ResiduatedLattice:

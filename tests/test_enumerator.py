@@ -21,6 +21,8 @@ from reslat import (
     Violation,
     core,
     enumerator,
+    mp,
+    purity,
     spectra,
     validate_axioms,
 )
@@ -37,6 +39,7 @@ from reslat.enumerator import (
 )
 from reslat.filters import idempotent_class
 from reslat.latfile import to_document_dict
+from reslat.purity import omega_lattice
 
 from oracles import (
     canonical_by_full_scan,
@@ -785,6 +788,45 @@ def test_a_failed_classification_in_the_census_names_its_product(monkeypatch, wo
         census(6, workers=workers)
     message = str(caught.value)
     assert message.startswith("primality tests disagree on ")
+    up, odot = message.split("\nlattice: up ")[1].split(", odot ")
+    assert tuple(json.loads(up)) == target.up
+    assert tuple(map(bytes, json.loads(odot))) == target.odot
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(purity, "is_filter"), (mp, "principal_filter"), (mp, "negation"), (mp, "quotient")],
+)
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=forked_workers)])
+def test_what_stays_per_product_runs_on_each_product_of_a_class(monkeypatch, module, name, workers):
+    # the omega lattice's filter test, the principal filters, the negations
+    # and the quotients read odot or imp beyond I x I, so they run on every
+    # product, not once per idempotent class.  Made to fail on one product
+    # of order 6 that is not the first of its class, which takes the shared
+    # analyses from the first, each makes the census raise with that
+    # product named
+    firsts, later = set(), []
+    for lat in enumerate_residuated(6, workers=1):
+        key = (lat.up, idempotent_class(lat))
+        if key in firsts and (
+            name != "quotient" or any(d != 1 << lat.top for d in omega_lattice(lat).divisors)
+        ):
+            later.append(lat)  # the quotient family builds no quotient by {top}
+        firsts.add(key)
+    target = later[-1]
+    parent, real = os.getpid(), getattr(module, name)
+
+    def failing(lat, *args):
+        in_worker = workers == 1 or os.getpid() != parent
+        if in_worker and (lat.up, lat.odot) == (target.up, target.odot):
+            raise InternalCheckError(f"{name} fails")
+        return real(lat, *args)
+
+    monkeypatch.setattr(module, name, failing)
+    with pytest.raises(InternalCheckError) as caught:
+        census(6, workers=workers)
+    message = str(caught.value)
+    assert message.startswith(f"{name} fails\nlattice: up ")
     up, odot = message.split("\nlattice: up ")[1].split(", odot ")
     assert tuple(json.loads(up)) == target.up
     assert tuple(map(bytes, json.loads(odot))) == target.odot

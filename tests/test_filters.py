@@ -21,6 +21,9 @@ from reslat.filters import (
     principal_filter,
     quotient,
 )
+from reslat.coann import classify_baer_rickart
+from reslat.mp import algebraic_of_class, mp_check, mp_via_purity, mp_via_spectral, mp_via_topology
+from reslat.purity import omega_lattice, omega_of_class
 from reslat.spectra import prime_spectrum
 from reslat.enumerator import enumerate_residuated
 
@@ -190,7 +193,9 @@ def test_idempotent_products_are_fixed_by_the_order():
     # below both, and an idempotent i below both has i = i.i <= e.e'.  So
     # the key of the shared analyses, (labels, I, odot on I x I), takes one
     # value per pair (lattice, I), and a shared analysis is computed once
-    # for each: 1, 1, 2, 5, 12, 37 and 116 times at orders 1 to 7
+    # for each: 1, 1, 2, 5, 12, 37 and 116 times at orders 1 to 7.  The
+    # mp check and Baer/Rickart compute their shared parts as often, and
+    # the omega lattice's filter test once per product
     for n, classes in enumerate((1, 1, 2, 5, 12, 37, 116), 1):
         lattices = enumerate_residuated(n, workers=1)
         for lat in lattices:
@@ -207,6 +212,14 @@ def test_idempotent_products_are_fixed_by_the_order():
         for lat in lattices:
             prime_spectrum(lat)
         assert len(keys) == len(pairs) == prime_spectrum.cache_info().misses - before == classes
+        counted = (mp_via_spectral, mp_via_topology, mp_via_purity, algebraic_of_class,
+                   omega_of_class, classify_baer_rickart, omega_lattice)
+        before = [fn.cache_info().misses for fn in counted]
+        for lat in lattices:
+            mp_check(lat)
+            classify_baer_rickart(lat)
+        misses = [fn.cache_info().misses - b for fn, b in zip(counted, before)]
+        assert misses == [classes] * 6 + [len(lattices)], n
 
 
 def test_comaximal_golden(a6, a8):
